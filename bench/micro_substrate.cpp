@@ -180,7 +180,7 @@ void simulation_event_throughput(benchmark::State& state, core::QueueKind kind,
     config.scenario.fraction_c_of_rest = 0.8;
     config.scenario.n_hotspots = 2;
     config.scheduler_queue = kind;
-    config.fabric_fast_path = fast_path;
+    config.fabric.fast_path = fast_path;
     const sim::SimResult r = sim::run_sim(config);
     events += r.events_executed;
     benchmark::DoNotOptimize(r.total_throughput_gbps);

@@ -178,7 +178,7 @@ Cell run_cell(const Scenario& scenario, core::QueueKind kind, bool fast_path,
   for (int i = 0; i < repeat; ++i) {
     sim::SimConfig config = scenario.config;
     config.scheduler_queue = kind;
-    config.fabric_fast_path = fast_path;
+    config.fabric.fast_path = fast_path;
     sim::Simulation simulation(config);
     const auto start = std::chrono::steady_clock::now();
     const sim::SimResult result = simulation.run();

@@ -1,10 +1,11 @@
-// General-purpose simulation runner: every knob of the library exposed
-// on the command line, results as a table and optional CSV timeline.
-// This is the "use the library without writing C++" entry point for
-// downstream users.
+// General-purpose simulation runner: every SimConfig key exposed on the
+// command line, results as a table and optional CSV timeline. This is
+// the "use the library without writing C++" entry point for downstream
+// users.
 //
-//   ./simulate --topology=clos --leaves=36 --spines=18 --nodes-per-leaf=18
-//              --fraction-b=1.0 --p=60 --hotspots=8 --sim-time-us=10000
+//   ./simulate --topology=clos --clos-leaves=12 --clos-spines=6
+//              --clos-nodes-per-leaf=6 --fraction-b=1 --p-percent=60
+//              --hotspots=4 --sim-time-us=10000
 //
 // Run ./simulate --help for the full knob list.
 
@@ -91,100 +92,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  sim::Cli cli("simulate: run one InfiniBand CC simulation from the command line");
-  // Topology.
-  cli.add_string("topology", "clos", "clos | single | chain | dumbbell | mesh | ft3");
-  cli.add_int("leaves", 12, "clos: leaf switches");
-  cli.add_int("spines", 6, "clos: spine switches");
-  cli.add_int("nodes-per-leaf", 6, "clos: end nodes per leaf");
-  cli.add_int("switch-nodes", 8, "single: end nodes on the crossbar");
-  cli.add_int("chain-switches", 4, "chain: switches");
-  cli.add_int("chain-nodes", 2, "chain: nodes per switch");
-  cli.add_int("dumbbell-nodes", 4, "dumbbell: nodes per side");
-  cli.add_int("mesh-rows", 4, "mesh: rows");
-  cli.add_int("mesh-cols", 4, "mesh: columns");
-  cli.add_int("mesh-nodes", 4, "mesh: nodes per switch");
-  cli.add_string("ft3-preset", "", "ft3: canned shape, 2k | 10k (overrides the ft3-* knobs)");
-  cli.add_int("ft3-pods", 4, "ft3: pods");
-  cli.add_int("ft3-leaves", 2, "ft3: leaf switches per pod");
-  cli.add_int("ft3-aggs", 2, "ft3: aggregation switches per pod");
-  cli.add_int("ft3-cores", 4, "ft3: core switches");
-  cli.add_int("ft3-nodes", 4, "ft3: end nodes per leaf");
-  // Traffic.
-  cli.add_double("fraction-b", 0.0, "share of B nodes (0..1)");
-  cli.add_double("p", 50.0, "B-node hotspot percentage (0..100)");
-  cli.add_double("fraction-c", 0.8, "C share of the non-B nodes (0..1)");
-  cli.add_int("hotspots", 1, "number of hotspots");
-  cli.add_int("lifetime-us", 0, "hotspot lifetime (0 = static)");
-  cli.add_double("inject-gbps", 13.5, "per-node injection capacity");
-  // Application workload (replaces the synthetic scenario when set).
-  cli.add_string("workload", "",
-                 "application workload (incast | ring_allreduce | tree_allreduce | "
-                 "all_to_all | stencil | idle | file; 'help' lists)");
-  cli.add_flag("list-workloads", "print the registered workloads and exit");
-  cli.add_string("workload-file", "", "workload DSL file (with --workload=file)");
-  cli.add_int("workload-ranks", 0, "ranks of the canned patterns (0 = all nodes)");
-  cli.add_int("workload-bytes", 64 * 1024, "payload bytes per workload message");
-  cli.add_int("workload-iters", 1, "iterations of the canned patterns");
-  cli.add_int("workload-compute-us", 0, "per-iteration compute delay");
-  cli.add_flag("workload-no-background", "leave non-rank nodes silent");
-  // Congestion control.
-  cli.add_flag("no-cc", "disable congestion control");
-  cli.add_string("cc-algo", "iba_a10",
-                 "reaction-point algorithm (iba_a10 | dcqcn | aimd | none; 'help' lists)");
-  cli.add_flag("list-cc-algos", "print the registered CC algorithms and exit");
-  cli.add_int("threshold", 15, "threshold weight 0..15");
-  cli.add_int("marking-rate", 0, "Marking_Rate");
-  cli.add_int("ccti-increase", 1, "CCTI_Increase");
-  cli.add_int("ccti-limit", 127, "CCTI_Limit");
-  cli.add_int("ccti-timer", 150, "CCTI_Timer (1.024us units)");
-  cli.add_flag("sl-level", "operate CC per SL instead of per QP");
-  cli.add_flag("linear-cct", "linear CCT fill instead of geometric");
-  // Run control.
-  cli.add_flag("no-fast-path",
-               "run the reference one-event-per-action fabric path (A/B baseline; "
-               "results are bit-identical either way)");
-  cli.add_int("sim-time-us", 5000, "simulated microseconds");
-  cli.add_int("warmup-us", 1000, "warmup microseconds excluded from metrics");
-  cli.add_int("seed", 1, "random seed");
-  cli.add_int("shards", 1,
-              "fabric shards for intra-run parallelism (1 = serial engine, "
-              "0 = one per resolved thread)");
-  cli.add_int("threads", 0,
-              "worker threads (shard workers here, sweep workers elsewhere); "
-              "precedence: --threads > config-file threads > IBSIM_THREADS > hardware");
+  sim::Cli cli(
+      "simulate: run one InfiniBand CC simulation from the command line.\n"
+      "Every config-file key is also a flag, spelled with '-' for '_'; a flag\n"
+      "given here overrides --config. Without flags the run is SimConfig's\n"
+      "default: the 648-node DCS fabric.");
+  cli.add_string("config", "", "key = value config file, applied before the flags");
+  cli.add_string("ft3-preset", "",
+                 "canned fat-tree3 shape, 2k | 10k (applied after --config; the ft3-* "
+                 "flags refine it)");
   cli.add_int("timeline-us", 0, "sampling interval for --timeline-csv (0 = off)");
   cli.add_string("timeline-csv", "", "write a telemetry time series CSV");
-  cli.add_string("config", "", "key=value config file applied before the flags");
-  cli.add_string("result-store", "",
-                 "on-disk result store directory: serve this run from cache if "
-                 "present, publish it otherwise");
+  cli.add_flag("list-cc-algos", "print the registered CC algorithms and exit");
+  cli.add_flag("list-workloads", "print the registered workloads and exit");
   cli.add_flag("version", "print the code version stamp and exit");
   cli.add_flag("verbose", "info-level logging");
-  // Telemetry.
-  cli.add_string("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable)");
-  cli.add_string("trace-categories", "all", "trace categories: cc,credits,queues,arb");
-  cli.add_int("trace-ring", 1 << 20, "trace ring capacity (events)");
-  cli.add_string("counters-csv", "", "write a counter time-series CSV");
-  cli.add_int("telemetry-sample-us", 50, "counter CSV sampling interval");
-  cli.add_flag("telemetry-detailed", "per-port/per-node instruments, not just aggregates");
-  cli.add_flag("counters", "collect and print fabric counters even without a file");
+  sim::add_config_flags(&cli, sim::SimConfig{});
   if (!cli.parse(argc, argv)) return 0;
 
   if (cli.flag("verbose")) core::Log::set_level(core::LogLevel::Info);
 
-  const auto& algo_registry = ccalg::CcAlgorithmRegistry::instance();
   if (cli.flag("list-cc-algos") || cli.get_string("cc-algo") == "help") {
     std::printf("registered congestion-control algorithms:\n");
-    for (const std::string& name : algo_registry.names()) {
+    for (const std::string& name : ccalg::CcAlgorithmRegistry::instance().names()) {
       std::printf("  %s\n", name.c_str());
     }
     return 0;
   }
-  const auto& workload_registry = workload::WorkloadRegistry::instance();
   if (cli.flag("list-workloads") || cli.get_string("workload") == "help") {
     std::printf("registered workloads:\n");
-    for (const std::string& name : workload_registry.names()) {
+    for (const std::string& name : workload::WorkloadRegistry::instance().names()) {
       std::printf("  %s\n", name.c_str());
     }
     std::printf("  file (DSL file via --workload-file)\n");
@@ -199,159 +136,40 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const std::string topology = cli.get_string("topology");
-  if (topology == "clos") {
-    config.topology = sim::TopologyKind::FoldedClos;
-    config.clos = topo::FoldedClosParams::scaled(
-        static_cast<std::int32_t>(cli.get_int("leaves")),
-        static_cast<std::int32_t>(cli.get_int("spines")),
-        static_cast<std::int32_t>(cli.get_int("nodes-per-leaf")));
-  } else if (topology == "single") {
-    config.topology = sim::TopologyKind::SingleSwitch;
-    config.single_switch_nodes = static_cast<std::int32_t>(cli.get_int("switch-nodes"));
-  } else if (topology == "chain") {
-    config.topology = sim::TopologyKind::LinearChain;
-    config.chain_switches = static_cast<std::int32_t>(cli.get_int("chain-switches"));
-    config.chain_nodes_per_switch = static_cast<std::int32_t>(cli.get_int("chain-nodes"));
-  } else if (topology == "dumbbell") {
-    config.topology = sim::TopologyKind::Dumbbell;
-    config.dumbbell_nodes_per_side = static_cast<std::int32_t>(cli.get_int("dumbbell-nodes"));
-  } else if (topology == "mesh") {
-    config.topology = sim::TopologyKind::Mesh2D;
-    config.mesh_rows = static_cast<std::int32_t>(cli.get_int("mesh-rows"));
-    config.mesh_cols = static_cast<std::int32_t>(cli.get_int("mesh-cols"));
-    config.mesh_nodes_per_switch = static_cast<std::int32_t>(cli.get_int("mesh-nodes"));
-  } else if (topology == "ft3") {
-    config.topology = sim::TopologyKind::FatTree3;
-    const std::string preset = cli.get_string("ft3-preset");
-    if (preset == "2k") {
-      config.fat_tree3 = topo::FatTree3Params::scale_2k();
-    } else if (preset == "10k") {
-      config.fat_tree3 = topo::FatTree3Params::scale_10k();
-    } else if (!preset.empty()) {
-      std::fprintf(stderr, "unknown ft3 preset '%s' (valid: 2k | 10k)\n", preset.c_str());
-      return 2;
-    } else {
-      config.fat_tree3.pods = static_cast<std::int32_t>(cli.get_int("ft3-pods"));
-      config.fat_tree3.leaves_per_pod = static_cast<std::int32_t>(cli.get_int("ft3-leaves"));
-      config.fat_tree3.aggs_per_pod = static_cast<std::int32_t>(cli.get_int("ft3-aggs"));
-      config.fat_tree3.cores = static_cast<std::int32_t>(cli.get_int("ft3-cores"));
-      config.fat_tree3.nodes_per_leaf = static_cast<std::int32_t>(cli.get_int("ft3-nodes"));
-    }
-  } else {
-    std::fprintf(stderr, "unknown topology '%s'\n", topology.c_str());
+  const std::string preset = cli.get_string("ft3-preset");
+  if (preset == "2k") {
+    config.fat_tree3 = topo::FatTree3Params::scale_2k();
+  } else if (preset == "10k") {
+    config.fat_tree3 = topo::FatTree3Params::scale_10k();
+  } else if (!preset.empty()) {
+    std::fprintf(stderr, "unknown ft3 preset '%s' (valid: 2k | 10k)\n", preset.c_str());
+    return 2;
+  }
+  if (const std::string err = sim::apply_config_flags(cli, &config); !err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
     return 2;
   }
 
-  config.scenario.fraction_b = cli.get_double("fraction-b");
-  config.scenario.p = cli.get_double("p") / 100.0;
-  config.scenario.fraction_c_of_rest = cli.get_double("fraction-c");
-  config.scenario.n_hotspots = static_cast<std::int32_t>(cli.get_int("hotspots"));
-  config.scenario.capacity_gbps = cli.get_double("inject-gbps");
-  if (cli.get_int("lifetime-us") > 0) {
-    config.scenario.hotspot_lifetime = cli.get_int("lifetime-us") * core::kMicrosecond;
-  }
-
-  if (cli.was_set("workload")) config.workload.name = cli.get_string("workload");
-  if (cli.was_set("workload-file")) config.workload.file = cli.get_string("workload-file");
-  if (cli.was_set("workload-ranks")) {
-    config.workload.ranks = static_cast<std::int32_t>(cli.get_int("workload-ranks"));
-  }
-  if (cli.was_set("workload-bytes")) config.workload.message_bytes = cli.get_int("workload-bytes");
-  if (cli.was_set("workload-iters")) {
-    config.workload.iterations = static_cast<std::int32_t>(cli.get_int("workload-iters"));
-  }
-  if (cli.was_set("workload-compute-us")) {
-    config.workload.compute = cli.get_int("workload-compute-us") * core::kMicrosecond;
-  }
-  if (cli.flag("workload-no-background")) config.workload.background_uniform = false;
-  if (config.workload.active()) {
-    const std::string& wname = config.workload.name;
-    if (wname == "file") {
-      if (config.workload.file.empty()) {
-        std::fprintf(stderr, "--workload=file needs --workload-file (or workload_file)\n");
-        return 2;
-      }
-      workload::WorkloadSpec spec;
-      const std::string err = workload::load_workload_file(config.workload.file, &spec);
-      if (!err.empty()) {
-        std::fprintf(stderr, "workload file error: %s\n", err.c_str());
-        return 2;
-      }
-    } else if (!workload_registry.contains(wname)) {
-      std::fprintf(stderr, "unknown workload '%s' (valid: %s, or 'file')\n", wname.c_str(),
-                   workload_registry.names_joined().c_str());
+  if (config.workload.name == "file") {
+    if (config.workload.file.empty()) {
+      std::fprintf(stderr, "--workload=file needs --workload-file (or workload_file)\n");
       return 2;
     }
-  }
-
-  config.cc.enabled = !cli.flag("no-cc");
-  if (cli.was_set("cc-algo") || config.cc_algo.empty()) {
-    config.cc_algo = cli.get_string("cc-algo");
-  }
-  if (!algo_registry.contains(config.cc_algo)) {
-    std::fprintf(stderr, "unknown cc algorithm '%s' (valid: %s)\n", config.cc_algo.c_str(),
-                 algo_registry.names_joined().c_str());
-    return 2;
-  }
-  config.cc.threshold_weight = static_cast<std::uint8_t>(cli.get_int("threshold"));
-  config.cc.marking_rate = static_cast<std::uint16_t>(cli.get_int("marking-rate"));
-  config.cc.ccti_increase = static_cast<std::uint16_t>(cli.get_int("ccti-increase"));
-  config.cc.ccti_limit = static_cast<std::uint16_t>(cli.get_int("ccti-limit"));
-  config.cc.ccti_timer = static_cast<std::uint16_t>(cli.get_int("ccti-timer"));
-  config.cc.sl_level = cli.flag("sl-level");
-  config.cc.cct_fill = cli.flag("linear-cct") ? ib::CctFill::Linear : ib::CctFill::Geometric;
-
-  config.sim_time = cli.get_int("sim-time-us") * core::kMicrosecond;
-  config.warmup = cli.get_int("warmup-us") * core::kMicrosecond;
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  if (cli.flag("no-fast-path")) config.fabric_fast_path = false;
-  if (cli.was_set("shards")) {
-    if (cli.get_int("shards") < 0) {
-      std::fprintf(stderr, "--shards must be >= 0 (0 = one per resolved thread)\n");
+    workload::WorkloadSpec spec;
+    const std::string err = workload::load_workload_file(config.workload.file, &spec);
+    if (!err.empty()) {
+      std::fprintf(stderr, "workload file error: %s\n", err.c_str());
       return 2;
     }
-    config.shards = static_cast<std::int32_t>(cli.get_int("shards"));
-  }
-  if (cli.was_set("threads")) {
-    if (cli.get_int("threads") < 0) {
-      std::fprintf(stderr, "--threads must be >= 0 (0 = IBSIM_THREADS, then hardware)\n");
-      return 2;
-    }
-    config.threads = static_cast<std::int32_t>(cli.get_int("threads"));
   }
   if (config.shards != 1 && cli.get_int("timeline-us") > 0) {
     std::fprintf(stderr, "timeline sampling needs the serial engine; forcing --shards=1\n");
     config.shards = 1;
   }
 
-  if (!cli.get_string("trace").empty()) config.telemetry.trace_path = cli.get_string("trace");
-  if (cli.was_set("trace-categories")) {
-    config.telemetry.trace_categories = cli.get_string("trace-categories");
-  }
-  if (cli.was_set("trace-ring")) config.telemetry.trace_ring_capacity = cli.get_int("trace-ring");
-  if (!cli.get_string("counters-csv").empty()) {
-    config.telemetry.counters_csv = cli.get_string("counters-csv");
-  }
-  if (cli.was_set("telemetry-sample-us")) {
-    config.telemetry.sample_interval = cli.get_int("telemetry-sample-us") * core::kMicrosecond;
-  }
-  if (cli.flag("telemetry-detailed")) config.telemetry.detailed = true;
-  if (cli.flag("counters")) config.telemetry.counters = true;
-  {
-    std::uint32_t mask = 0;
-    if (!telemetry::parse_categories(config.telemetry.trace_categories, &mask)) {
-      std::fprintf(stderr, "unknown trace category in '%s'\n",
-                   config.telemetry.trace_categories.c_str());
-      return 2;
-    }
-  }
-
-  // Result store: the --result-store flag overrides a config-file
-  // result_store key. Timeline and telemetry outputs need a live
-  // simulation (they sample it as it runs), so those runs bypass the
-  // store rather than silently produce empty side files on a hit.
-  if (cli.was_set("result-store")) config.result_store = cli.get_string("result-store");
+  // Result store. Timeline and telemetry outputs need a live simulation
+  // (they sample it as it runs), so those runs bypass the store rather
+  // than silently produce empty side files on a hit.
   std::shared_ptr<store::ResultStore> result_store;
   if (!config.result_store.empty()) {
     if (config.telemetry.active() || cli.get_int("timeline-us") > 0) {

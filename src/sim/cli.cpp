@@ -31,9 +31,10 @@ void Cli::add_double(const std::string& name, double default_value, const std::s
 }
 
 void Cli::add_string(const std::string& name, std::string default_value,
-                     const std::string& help) {
+                     const std::string& help, std::string placeholder) {
   Option opt{Kind::String, help, false, 0, 0.0, {}};
   opt.string_value = std::move(default_value);
+  opt.placeholder = std::move(placeholder);
   options_[name] = std::move(opt);
   order_.push_back(name);
 }
@@ -136,8 +137,9 @@ void Cli::print_usage() const {
         break;
       }
       case Kind::String:
-        left += "=<str>" + (opt.string_value.empty() ? std::string{}
-                                                     : " (default " + opt.string_value + ")");
+        left += "=<" + opt.placeholder + ">" +
+                (opt.string_value.empty() ? std::string{}
+                                          : " (default " + opt.string_value + ")");
         break;
     }
     std::printf("  %-44s %s\n", left.c_str(), opt.help.c_str());

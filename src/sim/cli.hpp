@@ -18,7 +18,9 @@ class Cli {
   void add_flag(const std::string& name, const std::string& help);
   void add_int(const std::string& name, std::int64_t default_value, const std::string& help);
   void add_double(const std::string& name, double default_value, const std::string& help);
-  void add_string(const std::string& name, std::string default_value, const std::string& help);
+  /// `placeholder` names the value form in the usage text.
+  void add_string(const std::string& name, std::string default_value, const std::string& help,
+                  std::string placeholder = "str");
 
   /// Parse argv. On `--help` prints usage and returns false (caller
   /// should exit 0); on errors prints a message and calls exit(2).
@@ -44,6 +46,7 @@ class Cli {
     std::int64_t int_value = 0;
     double double_value = 0.0;
     std::string string_value;
+    std::string placeholder = "str";
     bool set_on_command_line = false;
   };
 

@@ -1,15 +1,12 @@
 #include "sim/config_file.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
 
-#include "ccalg/registry.hpp"
-#include "telemetry/trace.hpp"
-#include "workload/registry.hpp"
+#include "sim/config_fields.hpp"
 
 namespace ibsim::sim {
 
@@ -22,38 +19,12 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-bool parse_double(const std::string& value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  return end != nullptr && *end == '\0' && !value.empty();
+/// The simulate flag of a config key: '-' in place of '_'.
+std::string flag_name(const ConfigField& field) {
+  std::string flag = field.name;
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
 }
-
-bool parse_int(const std::string& value, std::int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !value.empty();
-}
-
-/// Every key apply_key recognises, in the order the header documents
-/// them. Only used to produce "did you mean" suggestions — the dispatch
-/// itself stays in apply_key so each key sits next to its parsing.
-constexpr const char* kKnownKeys[] = {
-    "topology", "clos_leaves", "clos_spines", "clos_nodes_per_leaf",
-    "single_nodes", "chain_switches", "chain_nodes", "dumbbell_nodes",
-    "mesh_rows", "mesh_cols", "mesh_nodes", "ft3_pods", "ft3_leaves_per_pod",
-    "ft3_aggs_per_pod", "ft3_cores", "ft3_nodes_per_leaf", "fraction_b",
-    "p_percent", "fraction_c", "hotspots", "lifetime_us", "inject_gbps",
-    "cc_enabled", "cc_algo", "threshold_weight", "marking_rate", "packet_size",
-    "victim_mask", "ccti_increase", "ccti_limit", "ccti_min", "ccti_timer",
-    "sl_level", "cct_fill", "cct_base", "wire_gbps", "hca_inject_gbps",
-    "hca_drain_gbps", "n_vls", "cut_through", "fabric_fast_path",
-    "switch_ibuf_bytes", "hca_ibuf_bytes", "workload", "workload_file",
-    "workload_ranks", "workload_bytes", "workload_iters", "workload_compute_us",
-    "workload_background", "sim_time_us", "warmup_us", "seed", "trace_file",
-    "trace_categories", "counters_csv", "telemetry_sample_us", "trace_ring",
-    "telemetry_detailed", "telemetry_counters", "result_store", "threads",
-    "shards",
-};
 
 /// Levenshtein edit distance with a cutoff: stops caring past `limit`
 /// (returns limit + 1), which keeps suggestion scans cheap.
@@ -77,211 +48,25 @@ std::size_t edit_distance(const std::string& a, const std::string& b, std::size_
   return row[a.size()];
 }
 
-/// Nearest recognised key within a small edit distance, or "" when
-/// nothing is plausibly close (so a genuinely unknown key does not get
-/// a nonsense suggestion).
-std::string closest_known_key(const std::string& key) {
+/// "unknown key" diagnostic, suggesting the nearest recognised key
+/// within a small edit distance — and nothing when no key is plausibly
+/// close, so a genuinely unknown key does not get a nonsense suggestion.
+std::string unknown_key(const std::string& key) {
   // One typo per ~4 characters of key, at least 2: catches "topolgy",
   // "result_stor", "cc_algoo" without matching unrelated keys.
   const std::size_t limit = std::max<std::size_t>(2, key.size() / 4);
-  std::string best;
+  const char* best = nullptr;
   std::size_t best_distance = limit + 1;
-  for (const char* candidate : kKnownKeys) {
-    const std::size_t d = edit_distance(key, candidate, limit);
+  for (const ConfigField& field : config_fields()) {
+    if (!field.settable()) continue;
+    const std::size_t d = edit_distance(key, field.name, limit);
     if (d < best_distance) {
       best_distance = d;
-      best = candidate;
+      best = field.name;
     }
   }
-  return best;
-}
-
-/// Apply one key. Returns an error description or empty.
-std::string apply_key(const std::string& key, const std::string& value, SimConfig* c) {
-  const auto want_int = [&](auto setter) -> std::string {
-    std::int64_t v = 0;
-    if (!parse_int(value, &v)) return "expected an integer for '" + key + "'";
-    setter(v);
-    return {};
-  };
-  const auto want_double = [&](auto setter) -> std::string {
-    double v = 0;
-    if (!parse_double(value, &v)) return "expected a number for '" + key + "'";
-    setter(v);
-    return {};
-  };
-
-  if (key == "topology") {
-    if (value == "clos") c->topology = TopologyKind::FoldedClos;
-    else if (value == "single") c->topology = TopologyKind::SingleSwitch;
-    else if (value == "chain") c->topology = TopologyKind::LinearChain;
-    else if (value == "dumbbell") c->topology = TopologyKind::Dumbbell;
-    else if (value == "mesh") c->topology = TopologyKind::Mesh2D;
-    else if (value == "fat-tree3") c->topology = TopologyKind::FatTree3;
-    else return "unknown topology '" + value + "'";
-    return {};
-  }
-  if (key == "cct_fill") {
-    if (value == "geometric") c->cc.cct_fill = ib::CctFill::Geometric;
-    else if (value == "linear") c->cc.cct_fill = ib::CctFill::Linear;
-    else return "unknown cct_fill '" + value + "'";
-    return {};
-  }
-
-  if (key == "clos_leaves") return want_int([&](auto v) { c->clos.leaves = static_cast<std::int32_t>(v); });
-  if (key == "clos_spines") return want_int([&](auto v) { c->clos.spines = static_cast<std::int32_t>(v); });
-  if (key == "clos_nodes_per_leaf")
-    return want_int([&](auto v) { c->clos.nodes_per_leaf = static_cast<std::int32_t>(v); });
-  if (key == "single_nodes")
-    return want_int([&](auto v) { c->single_switch_nodes = static_cast<std::int32_t>(v); });
-  if (key == "chain_switches")
-    return want_int([&](auto v) { c->chain_switches = static_cast<std::int32_t>(v); });
-  if (key == "chain_nodes")
-    return want_int([&](auto v) { c->chain_nodes_per_switch = static_cast<std::int32_t>(v); });
-  if (key == "dumbbell_nodes")
-    return want_int([&](auto v) { c->dumbbell_nodes_per_side = static_cast<std::int32_t>(v); });
-  if (key == "mesh_rows") return want_int([&](auto v) { c->mesh_rows = static_cast<std::int32_t>(v); });
-  if (key == "mesh_cols") return want_int([&](auto v) { c->mesh_cols = static_cast<std::int32_t>(v); });
-  if (key == "mesh_nodes")
-    return want_int([&](auto v) { c->mesh_nodes_per_switch = static_cast<std::int32_t>(v); });
-  if (key == "ft3_pods") return want_int([&](auto v) { c->fat_tree3.pods = static_cast<std::int32_t>(v); });
-  if (key == "ft3_leaves_per_pod")
-    return want_int([&](auto v) { c->fat_tree3.leaves_per_pod = static_cast<std::int32_t>(v); });
-  if (key == "ft3_aggs_per_pod")
-    return want_int([&](auto v) { c->fat_tree3.aggs_per_pod = static_cast<std::int32_t>(v); });
-  if (key == "ft3_cores") return want_int([&](auto v) { c->fat_tree3.cores = static_cast<std::int32_t>(v); });
-  if (key == "ft3_nodes_per_leaf")
-    return want_int([&](auto v) { c->fat_tree3.nodes_per_leaf = static_cast<std::int32_t>(v); });
-
-  if (key == "fraction_b") return want_double([&](auto v) { c->scenario.fraction_b = v; });
-  if (key == "p_percent") return want_double([&](auto v) { c->scenario.p = v / 100.0; });
-  if (key == "fraction_c")
-    return want_double([&](auto v) { c->scenario.fraction_c_of_rest = v; });
-  if (key == "hotspots")
-    return want_int([&](auto v) { c->scenario.n_hotspots = static_cast<std::int32_t>(v); });
-  if (key == "lifetime_us")
-    return want_int([&](auto v) {
-      c->scenario.hotspot_lifetime = v > 0 ? v * core::kMicrosecond : core::kTimeNever;
-    });
-  if (key == "inject_gbps") return want_double([&](auto v) { c->scenario.capacity_gbps = v; });
-
-  if (key == "cc_enabled") return want_int([&](auto v) { c->cc.enabled = v != 0; });
-  if (key == "cc_algo") {
-    const auto& registry = ccalg::CcAlgorithmRegistry::instance();
-    if (!registry.contains(value)) {
-      return "unknown cc_algo '" + value + "' (valid: " + registry.names_joined() + ")";
-    }
-    c->cc_algo = value;
-    return {};
-  }
-  if (key == "threshold_weight")
-    return want_int([&](auto v) { c->cc.threshold_weight = static_cast<std::uint8_t>(v); });
-  if (key == "marking_rate")
-    return want_int([&](auto v) { c->cc.marking_rate = static_cast<std::uint16_t>(v); });
-  if (key == "packet_size")
-    return want_int([&](auto v) { c->cc.packet_size = static_cast<std::uint16_t>(v); });
-  if (key == "victim_mask")
-    return want_int([&](auto v) { c->cc.victim_mask_hca_ports = v != 0; });
-  if (key == "ccti_increase")
-    return want_int([&](auto v) { c->cc.ccti_increase = static_cast<std::uint16_t>(v); });
-  if (key == "ccti_limit")
-    return want_int([&](auto v) { c->cc.ccti_limit = static_cast<std::uint16_t>(v); });
-  if (key == "ccti_min")
-    return want_int([&](auto v) { c->cc.ccti_min = static_cast<std::uint16_t>(v); });
-  if (key == "ccti_timer")
-    return want_int([&](auto v) { c->cc.ccti_timer = static_cast<std::uint16_t>(v); });
-  if (key == "sl_level") return want_int([&](auto v) { c->cc.sl_level = v != 0; });
-  if (key == "cct_base") return want_double([&](auto v) { c->cc.cct_base = v; });
-
-  if (key == "wire_gbps") return want_double([&](auto v) { c->fabric.wire_gbps = v; });
-  if (key == "hca_inject_gbps")
-    return want_double([&](auto v) { c->fabric.hca_inject_gbps = v; });
-  if (key == "hca_drain_gbps")
-    return want_double([&](auto v) { c->fabric.hca_drain_gbps = v; });
-  if (key == "n_vls") return want_int([&](auto v) { c->fabric.n_vls = static_cast<std::int32_t>(v); });
-  if (key == "cut_through") return want_int([&](auto v) { c->fabric.cut_through = v != 0; });
-  if (key == "fabric_fast_path")
-    return want_int([&](auto v) { c->fabric_fast_path = v != 0; });
-  if (key == "switch_ibuf_bytes")
-    return want_int([&](auto v) { c->fabric.switch_ibuf_data_bytes = v; });
-  if (key == "hca_ibuf_bytes")
-    return want_int([&](auto v) { c->fabric.hca_ibuf_data_bytes = v; });
-
-  if (key == "workload") {
-    const auto& registry = workload::WorkloadRegistry::instance();
-    if (value != "file" && !registry.contains(value)) {
-      return "unknown workload '" + value + "' (valid: " + registry.names_joined() +
-             ", or 'file' with workload_file)";
-    }
-    c->workload.name = value;
-    return {};
-  }
-  if (key == "workload_file") {
-    c->workload.file = value;
-    return {};
-  }
-  if (key == "workload_ranks")
-    return want_int([&](auto v) { c->workload.ranks = static_cast<std::int32_t>(v); });
-  if (key == "workload_bytes")
-    return want_int([&](auto v) { c->workload.message_bytes = v; });
-  if (key == "workload_iters")
-    return want_int([&](auto v) { c->workload.iterations = static_cast<std::int32_t>(v); });
-  if (key == "workload_compute_us")
-    return want_int([&](auto v) { c->workload.compute = v * core::kMicrosecond; });
-  if (key == "workload_background")
-    return want_int([&](auto v) { c->workload.background_uniform = v != 0; });
-
-  if (key == "sim_time_us")
-    return want_int([&](auto v) { c->sim_time = v * core::kMicrosecond; });
-  if (key == "warmup_us") return want_int([&](auto v) { c->warmup = v * core::kMicrosecond; });
-  if (key == "seed") return want_int([&](auto v) { c->seed = static_cast<std::uint64_t>(v); });
-
-  if (key == "trace_file") {
-    c->telemetry.trace_path = value;
-    return {};
-  }
-  if (key == "trace_categories") {
-    std::uint32_t mask = 0;
-    if (!telemetry::parse_categories(value, &mask)) {
-      return "unknown trace category in '" + value + "'";
-    }
-    c->telemetry.trace_categories = value;
-    return {};
-  }
-  if (key == "counters_csv") {
-    c->telemetry.counters_csv = value;
-    return {};
-  }
-  if (key == "telemetry_sample_us")
-    return want_int([&](auto v) { c->telemetry.sample_interval = v * core::kMicrosecond; });
-  if (key == "trace_ring") return want_int([&](auto v) { c->telemetry.trace_ring_capacity = v; });
-  if (key == "telemetry_detailed")
-    return want_int([&](auto v) { c->telemetry.detailed = v != 0; });
-  if (key == "telemetry_counters")
-    return want_int([&](auto v) { c->telemetry.counters = v != 0; });
-
-  if (key == "result_store") {
-    c->result_store = value;
-    return {};
-  }
-
-  // Parallelism knobs. Precedence for the worker-thread count is
-  // CLI --threads > config-file threads > IBSIM_THREADS > hardware
-  // (resolve_threads); both sweep workers and intra-run shard workers
-  // consume the resolved value.
-  if (key == "threads" || key == "shards") {
-    std::int64_t v = 0;
-    if (!parse_int(value, &v) || v < 0) {
-      return "expected a non-negative integer for '" + key + "' (0 = auto)";
-    }
-    if (key == "threads") c->threads = static_cast<std::int32_t>(v);
-    else c->shards = static_cast<std::int32_t>(v);
-    return {};
-  }
-
   std::string err = "unknown key '" + key + "'";
-  const std::string near = closest_known_key(key);
-  if (!near.empty()) err += " (did you mean '" + near + "'?)";
+  if (best != nullptr) err += " (did you mean '" + std::string(best) + "'?)";
   return err;
 }
 
@@ -314,7 +99,9 @@ std::string apply_config_text(const std::string& text, SimConfig* config) {
       return "line " + std::to_string(line_number) + ": duplicate key '" + key +
              "' (already set at line " + std::to_string(it->second) + ")";
     }
-    const std::string err = apply_key(key, value, config);
+    const ConfigField* field = find_config_field(key);
+    const std::string err =
+        field != nullptr ? set_field(*field, value, config) : unknown_key(key);
     if (!err.empty()) return "line " + std::to_string(line_number) + ": " + err;
   }
   return {};
@@ -326,6 +113,27 @@ std::string apply_config_file(const std::string& path, SimConfig* config) {
   std::stringstream buf;
   buf << in.rdbuf();
   return apply_config_text(buf.str(), config);
+}
+
+void add_config_flags(Cli* cli, const SimConfig& defaults) {
+  for (const ConfigField& field : config_fields()) {
+    if (!field.settable()) continue;
+    cli->add_string(flag_name(field), field_text(field, defaults), field.help,
+                    field_placeholder(field));
+  }
+}
+
+std::string apply_config_flags(const Cli& cli, SimConfig* config) {
+  for (const ConfigField& field : config_fields()) {
+    if (!field.settable()) continue;
+    const std::string flag = flag_name(field);
+    if (!cli.was_set(flag)) continue;
+    const std::string& value = cli.get_string(flag);
+    if (std::string err = set_field(field, value, config); !err.empty()) {
+      return "--" + flag + "=" + value + ": " + err;
+    }
+  }
+  return {};
 }
 
 }  // namespace ibsim::sim

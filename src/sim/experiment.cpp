@@ -61,7 +61,7 @@ SimConfig ExperimentPreset::base_config() const {
   config.seed = seed;
   config.cc.ccti_increase = ccti_increase;
   config.cc.ccti_timer = ccti_timer;
-  config.fabric_fast_path = fabric_fast_path;
+  config.fabric.fast_path = fabric_fast_path;
   config.result_store = result_store;
   return config;
 }

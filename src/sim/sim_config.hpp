@@ -79,6 +79,12 @@ struct WorkloadSettings {
 
 /// Complete description of one simulation run: topology, fabric
 /// calibration, CC parameters, traffic scenario, and timing.
+///
+/// Every field, including those of the embedded structs, has one row in
+/// the field table (src/sim/config_fields.cpp), which gives its config
+/// key, simulate flag and run-key line; `simulate --help` lists the
+/// keys. A field added here without a row fails
+/// tests/sim/config_fields_test.cpp.
 struct SimConfig {
   TopologyKind topology = TopologyKind::FoldedClos;
   topo::FoldedClosParams clos = topo::FoldedClosParams::sun_dcs_648();
@@ -121,13 +127,6 @@ struct SimConfig {
   /// for those tests and for perf comparisons.
   core::QueueKind scheduler_queue = core::QueueKind::kTwoTier;
 
-  /// Fabric event fast path (fabric::FabricParams::fast_path): lazy link
-  /// wakeups, busy-aware credit handling and coalesced credit returns.
-  /// On and off produce bit-identical SimResults (guarded by the A/B
-  /// equivalence tests); off runs the reference one-event-per-action
-  /// chain, cutting only events_executed, never behaviour.
-  bool fabric_fast_path = true;
-
   /// Latency histogram range (microseconds).
   double latency_hist_max_us = 20000.0;
 
@@ -154,16 +153,9 @@ struct SimConfig {
   /// harnesses (run_parallel, simulate, the sweep service) consult the
   /// content-addressed store (src/store) before running and publish
   /// fresh results into it, so repeated and interrupted campaigns only
-  /// compute missing cells. Orchestration-only: this path is the one
-  /// SimConfig field excluded from the store key
-  /// (store::canonical_config_text) — where a result is cached must not
-  /// change what it is keyed as.
-  ///
-  /// NOTE: any new simulation-affecting field added to SimConfig (or the
-  /// structs it embeds) must also be added to
-  /// store::canonical_config_text, or stale cached results could alias
-  /// the new behaviour. tests/store/key_test.cpp pins the existing
-  /// fields.
+  /// compute missing cells. Orchestration-only, like `threads`: it is
+  /// excluded from the store key (store::canonical_config_text) — where
+  /// a result is cached must not change what it is keyed as.
   std::string result_store;
 
   /// Observability (off by default; see TelemetrySettings).

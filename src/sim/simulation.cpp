@@ -54,9 +54,6 @@ Simulation::Simulation(const SimConfig& config,
   IBSIM_ASSERT(snapshot_->topology->topo.node_count() == config_.node_count(),
                "snapshot does not match the config's topology");
   const topo::Topology& topo = snapshot_->topology->topo;
-  // The fabric-layer fast-path gate rides on the sim-level knob so CLI
-  // and config files steer it the same way as the scheduler queue.
-  config_.fabric.fast_path = config.fabric_fast_path;
   // CCT entries must cover the CCTI limit; IRD delays reference the
   // injection capacity so the linear table yields rate = cap / (1+i).
   const std::size_t cct_entries = static_cast<std::size_t>(config.cc.ccti_limit) + 1;

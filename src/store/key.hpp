@@ -6,17 +6,14 @@
 
 namespace ibsim::store {
 
-/// Canonical text form of a fully-resolved SimConfig: one `key=value`
-/// line per field, fields in a fixed order, doubles printed as C hexfloat
-/// (`%a`, exact round-trip), times/integers in decimal. Every SimConfig
-/// field is included — even ones proven bit-identical across settings
-/// (scheduler queue, fabric fast path, snapshot cache): a conservative
-/// key can only cost a cache miss, never return a wrong result. The one
-/// exception is `result_store` itself, which names where results are
-/// cached and must not feed the key of what is cached.
-///
-/// Adding a field to SimConfig (or any struct it embeds) requires adding
-/// it here; the round-trip tests in tests/store pin the format.
+/// Canonical text form of a fully-resolved SimConfig: one `name=value`
+/// line per keyed row of the field table (sim/config_fields.hpp), in
+/// table order, each value pinned exactly (doubles as C hexfloat, times
+/// as integer picoseconds). Fields proven bit-identical across settings
+/// (scheduler queue, fabric fast path, snapshot cache) are keyed too: a
+/// conservative key can only cost a cache miss, never return a wrong
+/// result. Only orchestration rows stay out: `result_store` names where
+/// results are cached and `threads` how many workers compute them.
 [[nodiscard]] std::string canonical_config_text(const sim::SimConfig& config);
 
 /// The content key one run is stored under: SHA-256 over a versioned

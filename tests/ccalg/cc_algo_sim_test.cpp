@@ -94,7 +94,7 @@ void expect_matches(const SimResult& r, const Golden& g) {
 // counts, slightly different rate denominators.
 TEST(IbaA10Golden, SilentForestMatchesPreRefactorTree) {
   SimConfig c = silent_config();
-  c.fabric_fast_path = false;
+  c.fabric.fast_path = false;
   c.cc_algo = "iba_a10";
   expect_matches(run_sim(c),
                  {0x1.db22d0e560418p+2, 0x1.b43526527a205p+0, 0x1.5421c044284ep+1,
@@ -104,7 +104,7 @@ TEST(IbaA10Golden, SilentForestMatchesPreRefactorTree) {
 
 TEST(IbaA10Golden, WindyForestMatchesPreRefactorTree) {
   SimConfig c = windy_config();
-  c.fabric_fast_path = false;
+  c.fabric.fast_path = false;
   c.cc_algo = "iba_a10";
   expect_matches(run_sim(c),
                  {0x1.23a29c779a6b5p+3, 0x1.86db50f40e5a3p+1, 0x1.041195e2e41ebp+2,
@@ -114,7 +114,7 @@ TEST(IbaA10Golden, WindyForestMatchesPreRefactorTree) {
 
 TEST(IbaA10Golden, MovingHotspotsMatchesPreRefactorTree) {
   SimConfig c = moving_config();
-  c.fabric_fast_path = false;
+  c.fabric.fast_path = false;
   c.cc_algo = "iba_a10";
   expect_matches(run_sim(c),
                  {0x1.cf56eac860568p+2, 0x1.63baba7b9170ep+2, 0x1.75aa17ddb3ec8p+2,

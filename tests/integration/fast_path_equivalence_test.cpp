@@ -1,4 +1,4 @@
-// A/B equivalence of the fabric event fast path (SimConfig::fabric_fast_path):
+// A/B equivalence of the fabric event fast path (FabricParams::fast_path):
 // lazy link wakeups, busy-aware credit handling and coalesced credit
 // returns must change *only* how many scheduler events run, never what
 // the simulation computes. Every behavioural SimResult field is required
@@ -31,9 +31,9 @@ SimConfig base_config(std::uint64_t seed) {
 /// behaviour. events_executed is the one field allowed — required — to
 /// differ: the fast path must execute strictly fewer events.
 void expect_fast_path_equivalent(SimConfig config) {
-  config.fabric_fast_path = true;
+  config.fabric.fast_path = true;
   const SimResult fast = run_sim(config);
-  config.fabric_fast_path = false;
+  config.fabric.fast_path = false;
   const SimResult slow = run_sim(config);
 
   EXPECT_EQ(fast.total_throughput_gbps, slow.total_throughput_gbps);

@@ -97,6 +97,22 @@ TEST(SweepRequest, AxisOverridesBaseAndErrorsPropagate) {
   EXPECT_NE(error.find("hotspots"), std::string::npos);
 }
 
+TEST(SweepRequest, OutOfRangeAxisValueFailsTheSweep) {
+  // 256 does not fit the 8-bit Threshold weight; it must not wrap to 0
+  // (marking off) and share threshold_weight=0's run key.
+  SweepRequest request;
+  request.name = "thresholds";
+  request.axes = {{"threshold_weight", {"15", "256"}}};
+  std::vector<SweepCell> cells;
+  std::string error;
+  EXPECT_FALSE(expand_sweep(request, tiny_base(), &cells, &error));
+  EXPECT_TRUE(cells.empty());
+  EXPECT_NE(error.find("threshold_weight=256"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("out of range for 'threshold_weight' (0..255)"), std::string::npos)
+      << error;
+}
+
 TEST(SweepRequest, AxislessRequestIsOneCell) {
   SweepRequest request;
   request.name = "solo";

@@ -1,11 +1,13 @@
 #include "sim/config_file.hpp"
 
 #include "sim/simulation.hpp"
+#include "store/key.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 namespace ibsim::sim {
 namespace {
@@ -148,6 +150,91 @@ TEST(ConfigFile, ReportsMalformedLine) {
   EXPECT_NE(apply_config_text("seed = abc\n", &config).find("integer"), std::string::npos);
   EXPECT_NE(apply_config_text("topology = ring\n", &config).find("unknown topology"),
             std::string::npos);
+}
+
+TEST(ConfigFile, RejectsOutOfRangeIntegers) {
+  // Each value used to wrap or overflow into a different setting; now
+  // it fails on its line, naming the key, and leaves the config alone.
+  const struct {
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"threshold_weight", "256"},                // wrapped to 0: marking off
+      {"ccti_timer", "65536"},                    // wrapped to 0
+      {"n_vls", "4294967298"},                    // wrapped to 2
+      {"seed", "-1"},                             // wrapped to 2^64-1
+      {"sim_time_us", "99999999999999999999"},    // overflowed to -1 us
+      {"sim_time_us", "9223372036855"},           // overflows int64 picoseconds
+  };
+  const std::string defaults = store::canonical_config_text(SimConfig{});
+  for (const auto& c : cases) {
+    SimConfig config;
+    const std::string text = std::string("# out of range\n") + c.key + " = " + c.value + "\n";
+    const std::string err = apply_config_text(text, &config);
+    EXPECT_EQ(err.rfind("line 2: value " + std::string(c.value) + " out of range for '" +
+                            c.key + "'",
+                        0),
+              0u)
+        << text << " -> " << err;
+    EXPECT_EQ(store::canonical_config_text(config), defaults) << text;
+  }
+  // The largest values that do fit still parse.
+  SimConfig config;
+  ASSERT_EQ(apply_config_text("threshold_weight = 255\nccti_timer = 65535\n"
+                              "seed = 18446744073709551615\nsim_time_us = 9223372036854\n",
+                              &config),
+            "");
+  EXPECT_EQ(config.cc.threshold_weight, 255);
+  EXPECT_EQ(config.cc.ccti_timer, 65535);
+  EXPECT_EQ(config.seed, 18446744073709551615u);
+  EXPECT_EQ(config.sim_time, 9223372036854 * core::kMicrosecond);
+}
+
+/// Parse `args` as simulate's command line.
+bool parse_flags(Cli* cli, std::vector<const char*> args) {
+  args.insert(args.begin(), "simulate");
+  return cli->parse(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+}
+
+TEST(ConfigFile, FlagsOverrideTheFileOnlyWhenGiven) {
+  SimConfig config;
+  ASSERT_EQ(apply_config_text(R"(
+topology = mesh
+mesh_rows = 2
+mesh_cols = 2
+cc_enabled = 0
+sim_time_us = 300
+seed = 9
+hotspots = 2
+)",
+                              &config),
+            "");
+  Cli cli("test");
+  add_config_flags(&cli, SimConfig{});
+  ASSERT_TRUE(parse_flags(&cli, {"--seed=5", "--cc-algo", "dcqcn", "--p-percent=20"}));
+  ASSERT_EQ(apply_config_flags(cli, &config), "");
+
+  // Every value the file set survives the flags' defaults...
+  EXPECT_EQ(config.topology, TopologyKind::Mesh2D);
+  EXPECT_EQ(config.node_count(), 2 * 2 * 4);
+  EXPECT_FALSE(config.cc.enabled);
+  EXPECT_EQ(config.sim_time, 300 * core::kMicrosecond);
+  EXPECT_EQ(config.scenario.n_hotspots, 2);
+  // ...and the flags given on the command line win.
+  EXPECT_EQ(config.seed, 5u);
+  EXPECT_EQ(config.cc_algo, "dcqcn");
+  EXPECT_DOUBLE_EQ(config.scenario.p, 0.2);
+}
+
+TEST(ConfigFile, BadFlagValueNamesTheFlag) {
+  SimConfig config;
+  Cli cli("test");
+  add_config_flags(&cli, config);
+  ASSERT_TRUE(parse_flags(&cli, {"--threshold-weight=256"}));
+  const std::string err = apply_config_flags(cli, &config);
+  EXPECT_NE(err.find("--threshold-weight=256: "), std::string::npos) << err;
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  EXPECT_EQ(config.cc.threshold_weight, 15);
 }
 
 TEST(ConfigFile, CcAlgoKeyApplies) {

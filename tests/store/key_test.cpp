@@ -1,12 +1,16 @@
 #include "store/key.hpp"
 
+#include "sim/config_fields.hpp"
 #include "store/version.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace ibsim::store {
@@ -56,11 +60,54 @@ TEST(RunKey, ThreadsFieldIsExcluded) {
   EXPECT_EQ(run_key(a), run_key(b));
 }
 
-/// Every simulation-affecting field must change the key. One mutator
-/// per field family; a new SimConfig field that is not reflected in
-/// canonical_config_text would silently alias cached results, so keep
-/// this list in sync with the struct.
+/// Set `field` of `config` to a value other than the one it holds.
+void change_field(const sim::ConfigField& field, sim::SimConfig* config) {
+  std::visit(
+      [&](auto member) {
+        auto& v = member(*config);
+        using T = std::remove_reference_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          v = !v;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          v += "x";
+        } else if constexpr (std::is_enum_v<T>) {
+          v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) ^ 1);
+        } else if constexpr (std::is_floating_point_v<T>) {
+          v += 1.0;
+        } else if (v == std::numeric_limits<T>::max()) {
+          --v;
+        } else {
+          ++v;
+        }
+      },
+      field.member);
+}
+
+/// Every keyed row of the field table must change the key, each in its
+/// own way (two rows naming one member would collide), while the
+/// orchestration rows (threads, result_store) must not.
 TEST(RunKey, EveryFieldChangesTheKey) {
+  const std::string base_key = run_key(base_config());
+  std::set<std::string> keys{base_key};
+  std::set<std::string> unkeyed;
+  for (const sim::ConfigField& field : sim::config_fields()) {
+    sim::SimConfig config = base_config();
+    change_field(field, &config);
+    const std::string key = run_key(config);
+    if (!field.keyed()) {
+      EXPECT_EQ(key, base_key) << field.name << " is orchestration-only but changed the key";
+      unkeyed.insert(field.name);
+      continue;
+    }
+    EXPECT_NE(key, base_key) << field.name << " did not change the key";
+    EXPECT_TRUE(keys.insert(key).second) << field.name << " collided with another field";
+  }
+  EXPECT_EQ(unkeyed, (std::set<std::string>{"threads", "result_store"}));
+}
+
+/// Hand-picked mutations of the fields sweeps vary most, written against
+/// the struct rather than the table.
+TEST(RunKey, NamedFieldsChangeTheKey) {
   struct Mutation {
     const char* name;
     std::function<void(sim::SimConfig*)> apply;
@@ -93,7 +140,7 @@ TEST(RunKey, EveryFieldChangesTheKey) {
       // Proven bit-identical variants are still keyed conservatively: a
       // conservative key costs a miss, never a wrong result.
       {"scheduler_queue", [](sim::SimConfig* c) { c->scheduler_queue = core::QueueKind::kHeap; }},
-      {"fabric_fast_path", [](sim::SimConfig* c) { c->fabric_fast_path = !c->fabric_fast_path; }},
+      {"fabric.fast_path", [](sim::SimConfig* c) { c->fabric.fast_path = !c->fabric.fast_path; }},
       {"snapshot_cache", [](sim::SimConfig* c) { c->snapshot_cache = !c->snapshot_cache; }},
       // Cross-shard interleaving may legitimately differ between shard
       // counts, so the shard count is simulation-affecting.
@@ -109,6 +156,23 @@ TEST(RunKey, EveryFieldChangesTheKey) {
     EXPECT_NE(key, base_key) << mutation.name << " did not change the key";
     EXPECT_TRUE(keys.insert(key).second) << mutation.name << " collided with another field";
   }
+}
+
+TEST(RunKey, CanonicalLinesPinStoredValues) {
+  // Times in integer picoseconds and doubles as hexfloat, under names
+  // that say so: the text record is exact, whatever the key's text unit.
+  sim::SimConfig config = base_config();
+  config.sim_time = 2 * core::kMillisecond + 1;
+  config.scenario.p = 0.1;
+  config.scenario.hotspot_lifetime = core::kTimeNever;
+  const std::string text = canonical_config_text(config);
+  EXPECT_NE(text.find("\nsim_time_ps=2000000001\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\np=0x1.999999999999ap-4\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nlifetime_ps=9223372036854775807\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nlink_delay_ps=30000\n"), std::string::npos) << text;
+  // The one "_us" line left holds a double that really is microseconds.
+  EXPECT_EQ(text.find("_us="), text.rfind("_us=")) << text;
+  EXPECT_NE(text.find("\nlatency_hist_max_us="), std::string::npos) << text;
 }
 
 TEST(RunKey, CodeVersionChangesTheKey) {
