@@ -33,6 +33,13 @@
 //                   hosts with >= 4 hardware threads they also gate
 //                   >= 1.5x events/sec at 4 shards over serial.
 //
+// Three gates need no baseline. The scale_10k cell's footprint must stay
+// within kMaxBytesPerEndpoint and the warm sweep must build exactly
+// kWarmSweepBuilds snapshots (a byte count and a build count, so both
+// host-independent), plus the shard gate above. All three fail the run
+// only after --json, the CSVs and the --baseline comparison are
+// written, so a tripped gate still leaves the numbers behind.
+//
 // The sweep doubles as an A/B determinism guard: for every scenario the
 // two queues must execute the same number of events and deliver the
 // same bytes (and the cold and warm sweeps must agree likewise), or the
@@ -51,6 +58,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -71,6 +79,15 @@
 namespace {
 
 using namespace ibsim;
+
+/// Footprint ceiling for the scale_10k cell: its peak-RSS delta per HCA.
+/// Nothing at this scale may be sized by node count squared; dense
+/// per-destination CC state alone used to cost ~240 KB per endpoint.
+constexpr long kMaxBytesPerEndpoint = 32768;
+
+/// Snapshot builds (cache misses) in one warm sweep: the batch shares one
+/// fabric, so one topology and one routing build serve all its runs.
+constexpr std::uint64_t kWarmSweepBuilds = 2;
 
 struct Scenario {
   const char* name;
@@ -159,6 +176,9 @@ struct Cell {
   std::array<std::uint64_t, core::Scheduler::kKindSlots> by_kind{};
   long peak_rss_kib = 0;
   long bytes_per_endpoint = 0;  ///< scale cells only: RSS delta / endpoints
+  /// Sweep cells only: snapshot-cache misses in one sweep (the most any
+  /// repeat saw).
+  std::uint64_t snapshot_misses = 0;
 };
 
 long peak_rss_kib() {
@@ -221,8 +241,9 @@ void print_by_kind(const Cell& cell) {
 /// run *fits* — peak RSS and bytes-per-endpoint land in the JSON — and
 /// tracks event-loop throughput at a working set that no cache level can
 /// hold, which is exactly where the SoA layout earns its keep. The
-/// snapshot cache shares the ~10 s routing build across repeats and the
-/// fast/slow pair, so the harness pays for it once.
+/// snapshot cache shares the routing build (one BFS per leaf switch,
+/// ~0.1 s) across repeats and the fast/slow pair, so the harness pays
+/// for it once.
 Scenario make_scale_scenario(bool quick) {
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FatTree3;
@@ -280,9 +301,12 @@ Cell run_sweep_cell(bool warm, bool quick, int repeat, std::int32_t threads) {
   cell.queue = warm ? "warm" : "cold";
   for (int i = 0; i < repeat; ++i) {
     sim::SnapshotCache::instance().clear();
+    sim::SnapshotCache::instance().reset_stats();
     const auto start = std::chrono::steady_clock::now();
     const std::vector<sim::SimResult> results = sim::run_parallel(configs, threads);
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+    cell.snapshot_misses =
+        std::max(cell.snapshot_misses, sim::SnapshotCache::instance().stats().misses);
     std::uint64_t events = 0;
     std::uint64_t bytes = 0;
     std::uint64_t packets = 0;
@@ -589,6 +613,9 @@ int main(int argc, char** argv) {
   }
   if (repeat < 1) repeat = 1;
 
+  // Baseline-free gates record their verdict here; the run fails at the
+  // end, after every output file is written.
+  bool gate_failed = false;
   std::vector<Cell> cells;
   std::printf("%-16s %-9s %12s %10s %14s %10s\n", "scenario", "queue", "events", "wall_s",
               "events/sec", "rss_kib");
@@ -693,6 +720,14 @@ int main(int argc, char** argv) {
     std::printf("%-16s footprint: %ld KiB peak RSS, %ld bytes/endpoint over %ld HCAs\n",
                 scale.name, scale_fast.peak_rss_kib, scale_fast.bytes_per_endpoint,
                 endpoints);
+    if (scale_fast.bytes_per_endpoint > kMaxBytesPerEndpoint) {
+      std::fprintf(stderr, "FATAL: scale_10k footprint %ld bytes/endpoint > %ld\n",
+                   scale_fast.bytes_per_endpoint, kMaxBytesPerEndpoint);
+      gate_failed = true;
+    } else {
+      std::printf("%-16s gate: %ld <= %ld bytes/endpoint  ok\n", scale.name,
+                  scale_fast.bytes_per_endpoint, kMaxBytesPerEndpoint);
+    }
     print_by_kind(scale_fast);
     print_by_kind(scale_slow);
   }
@@ -721,6 +756,19 @@ int main(int argc, char** argv) {
   }
   std::printf("%-18s speedup warm/cold: %.2fx\n", "sweep_cold_vs_warm",
               cold.events_per_sec > 0.0 ? warm.events_per_sec / cold.events_per_sec : 0.0);
+  // The cache gate: counts, not times. The warm/cold ratio above also
+  // gates against the baseline, but with routing this cheap it no
+  // longer separates a working cache from a broken one.
+  if (warm.snapshot_misses != kWarmSweepBuilds) {
+    std::fprintf(stderr, "FATAL: sweep_cold_vs_warm warm sweep built %llu snapshots, not %llu\n",
+                 static_cast<unsigned long long>(warm.snapshot_misses),
+                 static_cast<unsigned long long>(kWarmSweepBuilds));
+    gate_failed = true;
+  } else {
+    std::printf("%-18s gate: warm sweep built %llu snapshots for %zu runs  ok\n",
+                "sweep_cold_vs_warm", static_cast<unsigned long long>(warm.snapshot_misses),
+                make_sweep_configs(quick).size());
+  }
 
   // Result-store cell: cold simulates the batch, warm serves it all
   // from disk. Cached results round-trip bit-exactly, so the same
@@ -796,9 +844,11 @@ int main(int argc, char** argv) {
       if (speedup4 < 1.5) {
         std::fprintf(stderr, "FATAL: shard_scaling speedup at 4 shards %.2fx < 1.5x\n",
                      speedup4);
-        return 1;
+        gate_failed = true;
+      } else {
+        std::printf("%-16s gate: %.2fx >= 1.5x at 4 shards  ok\n", "shard_scaling",
+                    speedup4);
       }
-      std::printf("%-16s gate: %.2fx >= 1.5x at 4 shards  ok\n", "shard_scaling", speedup4);
     } else {
       std::printf("%-16s gate skipped: %u hardware threads < 4\n", "shard_scaling", hw);
     }
@@ -901,5 +951,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return gate_failed ? 1 : 0;
 }

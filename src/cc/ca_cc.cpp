@@ -12,23 +12,20 @@ constexpr std::uint32_t kTimerEvent = 0xCC01;
 CaCcAgent::CaCcAgent(ib::NodeId self, std::int32_t n_nodes, const ib::CcParams& params,
                      const ib::CongestionControlTable* cct, core::Scheduler* sched,
                      CnpSender* cnp_sender, const std::string& algo)
-    : self_(self), params_(params), sched_(sched), cnp_sender_(cnp_sender) {
+    : self_(self), n_nodes_(n_nodes), params_(params), sched_(sched), cnp_sender_(cnp_sender) {
   IBSIM_ASSERT(!params_.enabled || cct != nullptr, "enabled CC agent needs a CCT");
   IBSIM_ASSERT(n_nodes > 0, "agent needs a node count");
   ccalg::CcAlgoContext ctx;
-  // SL-level CC shares one state across all destinations of the port.
-  ctx.n_flows = params_.sl_level ? 1 : n_nodes;
   ctx.params = params_;
   ctx.cct = cct;
   algo_ = ccalg::CcAlgorithmRegistry::instance().create(
       params_.enabled ? algo : "none", ctx);
-  ended_scratch_.reserve(static_cast<std::size_t>(ctx.n_flows));
 }
 
 std::int32_t CaCcAgent::flow_index(ib::NodeId dst) const {
-  const std::int32_t idx = params_.sl_level ? 0 : dst;
-  IBSIM_ASSERT(idx >= 0, "flow destination out of range");
-  return idx;
+  IBSIM_ASSERT(dst >= 0 && dst < n_nodes_, "flow destination out of range");
+  // SL-level CC shares one state across all destinations of the port.
+  return params_.sl_level ? 0 : dst;
 }
 
 core::Time CaCcAgent::flow_ready_at(ib::NodeId dst) const {

@@ -10,11 +10,11 @@
 namespace ibsim::ccalg {
 
 /// Construction-time context for a reaction-point algorithm instance.
-/// One instance serves one channel-adapter port; `n_flows` sizes its
-/// per-destination state (1 in SL-level mode, where the whole port
-/// shares one flow slot — the agent maps destinations to slot indices).
+/// One instance serves one channel-adapter port and keeps per-flow state
+/// only for the flows the port uses (see FlowTable). Flow ids are the
+/// agent's: the destination NodeId, or 0 for every destination in
+/// SL-level mode, where the whole port shares one flow.
 struct CcAlgoContext {
-  std::int32_t n_flows = 1;
   ib::CcParams params;
   /// The port's Congestion Control Table. Required by `iba_a10`; the
   /// rate-based algorithms only borrow its reference rate.

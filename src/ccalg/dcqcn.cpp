@@ -1,5 +1,9 @@
 #include "ccalg/dcqcn.hpp"
 
+#include <limits>
+
+#include "core/assert.hpp"
+
 namespace ibsim::ccalg {
 
 Dcqcn::Dcqcn(const CcAlgoContext& ctx) : RateBasedAlgorithm(ctx, kMinRate) {}
@@ -17,6 +21,9 @@ void Dcqcn::react(RateFlow& f) {
 
 bool Dcqcn::recover(RateFlow& f) {
   f.alpha *= 1.0 - kAlphaDecay;
+  // The target reaches 1 within 25 stages and the rate kDoneThreshold
+  // about 10 later, so the 16-bit count never wraps.
+  IBSIM_ASSERT(f.stage < std::numeric_limits<std::uint16_t>::max(), "DCQCN stage overflow");
   ++f.stage;
   if (f.stage > kFastStages) {
     const std::uint32_t additive_stage = f.stage - kFastStages;

@@ -8,11 +8,6 @@ namespace ibsim::ccalg {
 
 IbaA10::IbaA10(const CcAlgoContext& ctx) : params_(ctx.params), cct_(ctx.cct) {
   IBSIM_ASSERT(cct_ != nullptr, "iba_a10 needs a congestion control table");
-  IBSIM_ASSERT(ctx.n_flows > 0, "iba_a10 needs at least one flow slot");
-  flows_.resize(static_cast<std::size_t>(ctx.n_flows));
-  // Every flow can be active at once; reserving here keeps the BECN/timer
-  // hot path free of reallocation for the whole run.
-  active_flows_.reserve(static_cast<std::size_t>(ctx.n_flows));
 }
 
 std::unique_ptr<CcAlgorithm> IbaA10::make(const CcAlgoContext& ctx) {
@@ -20,7 +15,7 @@ std::unique_ptr<CcAlgorithm> IbaA10::make(const CcAlgoContext& ctx) {
 }
 
 core::Time IbaA10::on_send(std::int32_t flow, std::int32_t bytes, core::Time end) {
-  FlowCc& f = flows_[static_cast<std::size_t>(flow)];
+  FlowCc& f = flows_.touch(flow);
   if (f.ccti == 0) {
     f.ready_at = end;
     return f.ready_at;
@@ -29,22 +24,20 @@ core::Time IbaA10::on_send(std::int32_t flow, std::int32_t bytes, core::Time end
   return f.ready_at;
 }
 
-core::Time IbaA10::ready_at(std::int32_t flow) const {
-  return flows_[static_cast<std::size_t>(flow)].ready_at;
-}
+core::Time IbaA10::ready_at(std::int32_t flow) const { return flows_.state(flow).ready_at; }
 
 core::Time IbaA10::injection_delay(std::int32_t flow, std::int32_t bytes) const {
-  const FlowCc& f = flows_[static_cast<std::size_t>(flow)];
+  const FlowCc& f = flows_.state(flow);
   return f.ccti == 0 ? 0 : cct_->ird_delay(f.ccti, bytes);
 }
 
 BecnOutcome IbaA10::on_becn(std::int32_t flow, core::Time now) {
   (void)now;
-  FlowCc& f = flows_[static_cast<std::size_t>(flow)];
+  FlowCc& f = flows_.touch(flow);
   BecnOutcome out;
-  out.newly_throttled = f.ccti == 0 && f.active_idx < 0;
+  out.newly_throttled = f.ccti == 0 && !f.active;
   if (out.newly_throttled) {
-    f.active_idx = static_cast<std::int32_t>(active_flows_.size());
+    f.active = true;
     active_flows_.push_back(flow);
   }
   const std::uint16_t before = f.ccti;
@@ -66,19 +59,15 @@ std::int64_t IbaA10::on_timer(core::Time now, std::vector<std::int32_t>* ended) 
   // flows reaching zero leave the active list (swap-remove).
   for (std::size_t i = 0; i < active_flows_.size();) {
     const std::int32_t flow = active_flows_[i];
-    FlowCc& f = flows_[static_cast<std::size_t>(flow)];
+    FlowCc& f = flows_.touch(flow);
     if (f.ccti > params_.ccti_min) {
       --f.ccti;
       --ccti_total_;
     }
     if (f.ccti == 0) {
-      f.active_idx = -1;
+      f.active = false;
       active_flows_[i] = active_flows_.back();
       active_flows_.pop_back();
-      if (i < active_flows_.size()) {
-        flows_[static_cast<std::size_t>(active_flows_[i])].active_idx =
-            static_cast<std::int32_t>(i);
-      }
       if (ended != nullptr) ended->push_back(flow);
     } else {
       ++i;
@@ -87,12 +76,10 @@ std::int64_t IbaA10::on_timer(core::Time now, std::vector<std::int32_t>* ended) 
   return ccti_total_;
 }
 
-std::uint16_t IbaA10::ccti(std::int32_t flow) const {
-  return flows_[static_cast<std::size_t>(flow)].ccti;
-}
+std::uint16_t IbaA10::ccti(std::int32_t flow) const { return flows_.state(flow).ccti; }
 
 double IbaA10::rate_fraction(std::int32_t flow) const {
-  return cct_->rate_fraction(flows_[static_cast<std::size_t>(flow)].ccti);
+  return cct_->rate_fraction(flows_.state(flow).ccti);
 }
 
 }  // namespace ibsim::ccalg

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ccalg/cc_algorithm.hpp"
+#include "ccalg/flow_table.hpp"
 
 namespace ibsim::ccalg {
 
@@ -45,17 +46,19 @@ class IbaA10 final : public CcAlgorithm {
 
  private:
   struct FlowCc {
-    std::uint16_t ccti = 0;
-    std::int32_t active_idx = -1;  ///< position in active_flows_, -1 if idle
     core::Time ready_at = 0;
+    std::int32_t flow = -1;  ///< FlowTable's key
+    std::uint16_t ccti = 0;
+    bool active = false;  ///< listed in active_flows_
   };
+  static_assert(sizeof(FlowCc) == 16, "the key must fill FlowCc's padding");
 
   ib::CcParams params_;
   const ib::CongestionControlTable* cct_;
 
-  /// Per-destination state (QP level); in SL-level mode the agent maps
-  /// every destination to slot 0.
-  std::vector<FlowCc> flows_;
+  /// Per-destination state (QP level) of the flows used so far; in
+  /// SL-level mode the agent maps every destination to flow 0.
+  FlowTable<FlowCc> flows_;
   /// Flows with CCTI > 0 — the only ones the timer must visit.
   std::vector<std::int32_t> active_flows_;
   std::int64_t ccti_total_ = 0;  ///< sum of CCTIs over active_flows_

@@ -8,26 +8,26 @@ namespace ibsim::ccalg {
 
 RateBasedAlgorithm::RateBasedAlgorithm(const CcAlgoContext& ctx, double min_rate)
     : params_(ctx.params), ref_gbps_(ctx.reference_gbps()), min_rate_(min_rate) {
-  IBSIM_ASSERT(ctx.n_flows > 0, "rate-based CC needs at least one flow slot");
   IBSIM_ASSERT(min_rate_ > 0.0 && min_rate_ < 1.0, "min_rate must be in (0, 1)");
-  flows_.resize(static_cast<std::size_t>(ctx.n_flows));
-  active_flows_.reserve(static_cast<std::size_t>(ctx.n_flows));
 }
 
 core::Time RateBasedAlgorithm::on_send(std::int32_t flow, std::int32_t bytes,
                                        core::Time end) {
-  RateFlow& f = flows_[static_cast<std::size_t>(flow)];
-  f.ready_at = end + injection_delay(flow, bytes);
+  RateFlow& f = flows_.touch(flow);
+  f.ready_at = end + delay_of(f, bytes);
   return f.ready_at;
 }
 
 core::Time RateBasedAlgorithm::ready_at(std::int32_t flow) const {
-  return flows_[static_cast<std::size_t>(flow)].ready_at;
+  return flows_.state(flow).ready_at;
 }
 
 core::Time RateBasedAlgorithm::injection_delay(std::int32_t flow,
                                                std::int32_t bytes) const {
-  const RateFlow& f = flows_[static_cast<std::size_t>(flow)];
+  return delay_of(flows_.state(flow), bytes);
+}
+
+core::Time RateBasedAlgorithm::delay_of(const RateFlow& f, std::int32_t bytes) const {
   if (f.rate >= 1.0) return 0;
   // Gap after a packet of T(bytes) so the averaged rate is f.rate:
   // T x (1 - r) / r, same semantics as a CCT entry's IRD factor.
@@ -38,11 +38,11 @@ core::Time RateBasedAlgorithm::injection_delay(std::int32_t flow,
 
 BecnOutcome RateBasedAlgorithm::on_becn(std::int32_t flow, core::Time now) {
   (void)now;
-  RateFlow& f = flows_[static_cast<std::size_t>(flow)];
+  RateFlow& f = flows_.touch(flow);
   BecnOutcome out;
-  out.newly_throttled = f.active_idx < 0;
+  out.newly_throttled = !f.active;
   if (out.newly_throttled) {
-    f.active_idx = static_cast<std::int32_t>(active_flows_.size());
+    f.active = true;
     active_flows_.push_back(flow);
   }
   const std::int64_t before = severity_of(f);
@@ -61,20 +61,16 @@ std::int64_t RateBasedAlgorithm::on_timer(core::Time now, std::vector<std::int32
   (void)now;
   for (std::size_t i = 0; i < active_flows_.size();) {
     const std::int32_t flow = active_flows_[i];
-    RateFlow& f = flows_[static_cast<std::size_t>(flow)];
+    RateFlow& f = flows_.touch(flow);
     const std::int64_t before = severity_of(f);
     const bool done = recover(f);
     if (done) {
       f.rate = 1.0;
       f.target = 1.0;
       f.stage = 0;
-      f.active_idx = -1;
+      f.active = false;
       active_flows_[i] = active_flows_.back();
       active_flows_.pop_back();
-      if (i < active_flows_.size()) {
-        flows_[static_cast<std::size_t>(active_flows_[i])].active_idx =
-            static_cast<std::int32_t>(i);
-      }
       if (ended != nullptr) ended->push_back(flow);
     } else {
       ++i;

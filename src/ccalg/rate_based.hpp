@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ccalg/cc_algorithm.hpp"
+#include "ccalg/flow_table.hpp"
 
 namespace ibsim::ccalg {
 
@@ -15,9 +16,10 @@ namespace ibsim::ccalg {
 /// rate `r` is followed by a gap of T(b) x (1 - r) / r, so back-to-back
 /// MTU packets average `r` x reference rate.
 ///
-/// The active-flow set uses the same swap-remove bookkeeping as IbaA10;
-/// the severity gauge is the quantized rate deficit
-/// sum(round(1024 x (1 - rate))), maintained incrementally.
+/// Flow state lives in the same FlowTable as IbaA10's (an untouched flow
+/// reads as rate 1, ready at 0), and the active-flow set uses the same
+/// swap-remove bookkeeping; the severity gauge is the quantized rate
+/// deficit sum(round(1024 x (1 - rate))), maintained incrementally.
 class RateBasedAlgorithm : public CcAlgorithm {
  public:
   RateBasedAlgorithm(const CcAlgoContext& ctx, double min_rate);
@@ -37,7 +39,7 @@ class RateBasedAlgorithm : public CcAlgorithm {
   }
   [[nodiscard]] std::int64_t severity_sum() const override { return severity_total_; }
   [[nodiscard]] double rate_fraction(std::int32_t flow) const override {
-    return flows_[static_cast<std::size_t>(flow)].rate;
+    return flows_.state(flow).rate;
   }
 
  protected:
@@ -45,10 +47,12 @@ class RateBasedAlgorithm : public CcAlgorithm {
     double rate = 1.0;    ///< granted fraction of the reference rate
     double target = 1.0;  ///< recovery target (DCQCN; unused by AIMD)
     double alpha = 1.0;   ///< congestion estimate (DCQCN; unused by AIMD)
-    std::uint32_t stage = 0;  ///< recovery stages since the last BECN
-    std::int32_t active_idx = -1;
     core::Time ready_at = 0;
+    std::int32_t flow = -1;   ///< FlowTable's key
+    std::uint16_t stage = 0;  ///< recovery stages since the last BECN (DCQCN: < 40)
+    bool active = false;      ///< listed in active_flows_
   };
+  static_assert(sizeof(RateFlow) == 40, "the key must fill RateFlow's padding");
 
   /// Tighten `f` for one BECN (rate must end in [min_rate, 1]).
   virtual void react(RateFlow& f) = 0;
@@ -64,10 +68,11 @@ class RateBasedAlgorithm : public CcAlgorithm {
   [[nodiscard]] static std::int64_t severity_of(const RateFlow& f) {
     return static_cast<std::int64_t>(1024.0 * (1.0 - f.rate) + 0.5);
   }
+  [[nodiscard]] core::Time delay_of(const RateFlow& f, std::int32_t bytes) const;
 
   double ref_gbps_;
   double min_rate_;
-  std::vector<RateFlow> flows_;
+  FlowTable<RateFlow> flows_;
   std::vector<std::int32_t> active_flows_;
   std::int64_t severity_total_ = 0;
 };

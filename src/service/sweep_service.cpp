@@ -47,7 +47,6 @@ std::uint64_t SweepService::submit(std::string name, std::vector<SweepCell> cell
 
   std::vector<CellOutcome> immediate;
   std::uint64_t id = 0;
-  bool complete_at_submit = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     id = next_job_++;
@@ -90,7 +89,6 @@ std::uint64_t SweepService::submit(std::string name, std::vector<SweepCell> cell
         ++scheduled;
       }
     }
-    complete_at_submit = job.done == job.cells;
     jobs_.emplace(id, std::move(job));
     job_order_.push_back(id);
     ++delivering_;  // store-hit callbacks below run outside the lock
@@ -99,7 +97,7 @@ std::uint64_t SweepService::submit(std::string name, std::vector<SweepCell> cell
 
   // Callbacks fire outside the lock; a fully-cached job completes before
   // submit returns, which is what makes warm reruns instant.
-  const Job* job = nullptr;
+  Job* job = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     job = &jobs_.at(id);
@@ -107,13 +105,26 @@ std::uint64_t SweepService::submit(std::string name, std::vector<SweepCell> cell
   for (const CellOutcome& outcome : immediate) {
     if (job->on_cell) job->on_cell(outcome);
   }
-  if (complete_at_submit && job->on_done) job->on_done(id);
+  bool finished = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // An empty job finishes here too: 0 of 0 cells delivered.
+    finished = delivered_locked(*job, immediate.size());
+  }
+  if (finished && job->on_done) job->on_done(id);
   {
     std::lock_guard<std::mutex> lock(mu_);
     --delivering_;
   }
   drain_cv_.notify_all();
   return id;
+}
+
+bool SweepService::delivered_locked(Job& job, std::size_t n) {
+  job.delivered += n;
+  if (job.delivered < job.cells || job.done_sent) return false;
+  job.done_sent = true;
+  return true;
 }
 
 void SweepService::worker_loop() {
@@ -154,8 +165,6 @@ void SweepService::complete_locked(std::unique_lock<std::mutex>& lock,
     CellOutcome outcome;
   };
   std::vector<Delivery> deliveries;
-  std::vector<DoneCallback> done_callbacks;
-  std::vector<std::uint64_t> done_ids;
   for (Subscriber& sub : node.mapped().subscribers) {
     Job& job = jobs_.at(sub.job);
     ++job.done;
@@ -169,10 +178,6 @@ void SweepService::complete_locked(std::unique_lock<std::mutex>& lock,
     d.outcome.shared = sub.shared;
     d.outcome.result = result;
     deliveries.push_back(std::move(d));
-    if (job.done == job.cells && job.on_done) {
-      done_callbacks.push_back(job.on_done);
-      done_ids.push_back(job.id);
-    }
   }
 
   ++delivering_;
@@ -180,6 +185,17 @@ void SweepService::complete_locked(std::unique_lock<std::mutex>& lock,
   for (const Delivery& d : deliveries) {
     if (d.on_cell) d.on_cell(d.outcome);
   }
+  lock.lock();
+  std::vector<DoneCallback> done_callbacks;
+  std::vector<std::uint64_t> done_ids;
+  for (const Delivery& d : deliveries) {
+    Job& job = jobs_.at(d.outcome.job);
+    if (delivered_locked(job, 1) && job.on_done) {
+      done_callbacks.push_back(job.on_done);  // copy: invoked outside the lock
+      done_ids.push_back(job.id);
+    }
+  }
+  lock.unlock();
   for (std::size_t i = 0; i < done_callbacks.size(); ++i) {
     done_callbacks[i](done_ids[i]);
   }

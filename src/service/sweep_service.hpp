@@ -70,9 +70,10 @@ class SweepService {
   ~SweepService();
 
   /// Submit an expanded sweep. `on_cell` fires once per cell (store
-  /// hits fire before submit returns), `on_done` once after the last
-  /// cell. Callbacks come from arbitrary threads and must synchronize
-  /// their own side effects. Returns the job id.
+  /// hits fire before submit returns), `on_done` once after every
+  /// `on_cell` of the job has returned. Callbacks come from arbitrary
+  /// threads and must synchronize their own side effects. Returns the
+  /// job id.
   std::uint64_t submit(std::string name, std::vector<SweepCell> cells,
                        CellCallback on_cell, DoneCallback on_done = nullptr);
 
@@ -90,7 +91,9 @@ class SweepService {
     std::uint64_t id = 0;
     std::string name;
     std::size_t cells = 0;
-    std::size_t done = 0;
+    std::size_t done = 0;       ///< cells with a result
+    std::size_t delivered = 0;  ///< cells whose on_cell has returned
+    bool done_sent = false;     ///< on_done claimed by some delivery
     std::size_t store_hits = 0;
     CellCallback on_cell;
     DoneCallback on_done;
@@ -116,6 +119,12 @@ class SweepService {
   /// run outside the lock.
   void complete_locked(std::unique_lock<std::mutex>& lock, const std::string& key,
                        const sim::SimResult& result, bool cached);
+  /// Count `n` more returned on_cell calls of `job`. True exactly once
+  /// per job: for the delivery that finds every cell delivered, which
+  /// then owes the job its on_done. Deliveries of one job run on
+  /// several threads (workers, and submit for store hits), so the last
+  /// cell to *complete* need not be the last to *return*.
+  [[nodiscard]] static bool delivered_locked(Job& job, std::size_t n);
 
   std::shared_ptr<store::ResultStore> store_;  // null without a store
   std::vector<std::thread> workers_;

@@ -1,6 +1,6 @@
 #include "topo/routing.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <limits>
 
 #include "core/assert.hpp"
@@ -9,11 +9,14 @@ namespace ibsim::topo {
 
 namespace {
 
-/// Flat adjacency of the cabled ports: for device `dev`, the entries
-/// [first[dev], first[dev+1]) list its connected ports in port order.
-/// Built once per compute() so neither the per-destination BFS nor the
-/// candidate scan re-walks the port space through Topology::peer — the
-/// duplicate work that used to dominate the all-pairs computation.
+/// Flat adjacency of the switch-to-switch cables: for device `dev`, the
+/// entries [first[dev], first[dev+1]) list its ports cabled to another
+/// switch, in port order. Built once per compute() so neither the BFS
+/// nor the candidate scan re-walks the port space through
+/// Topology::peer. Ports to HCAs are left out: a one-port device is
+/// never on a shortest path between two others, so it is never a
+/// switch's next hop except towards itself (the leaf's last hop, which
+/// compute() takes from Attachments).
 struct Adjacency {
   struct Edge {
     std::int32_t port;
@@ -27,12 +30,50 @@ struct Adjacency {
     first.reserve(static_cast<std::size_t>(n_dev) + 1);
     for (DeviceId dev = 0; dev < n_dev; ++dev) {
       first.push_back(static_cast<std::int32_t>(edges.size()));
+      if (topo.kind(dev) != DeviceKind::Switch) continue;
       for (std::int32_t p = 0; p < topo.port_count(dev); ++p) {
         const PortRef peer = topo.peer(PortRef{dev, p});
-        if (peer.valid()) edges.push_back({p, peer.device});
+        if (peer.valid() && topo.kind(peer.device) == DeviceKind::Switch) {
+          edges.push_back({p, peer.device});
+        }
       }
     }
     first.push_back(static_cast<std::int32_t>(edges.size()));
+  }
+};
+
+/// End nodes grouped by the device their one cable lands on (the
+/// "leaf"): the nodes of leaf `dev` are nodes[first[dev], first[dev+1]),
+/// in NodeId order, and leaf_port[node] is the leaf's port towards it.
+struct Attachments {
+  std::vector<std::int32_t> first;  // device -> index into nodes (n_dev + 1 entries)
+  std::vector<ib::NodeId> nodes;
+  std::vector<std::int32_t> leaf_port;
+
+  explicit Attachments(const Topology& topo) {
+    const std::int32_t n_dev = topo.device_count();
+    const std::int32_t n_nodes = topo.node_count();
+    std::vector<DeviceId> leaf(static_cast<std::size_t>(n_nodes));
+    leaf_port.resize(static_cast<std::size_t>(n_nodes));
+    first.assign(static_cast<std::size_t>(n_dev) + 1, 0);
+    for (ib::NodeId node = 0; node < n_nodes; ++node) {
+      const DeviceId hca = topo.hca_device(node);
+      const PortRef peer = topo.peer(PortRef{hca, 0});
+      IBSIM_ASSERT(topo.port_count(hca) == 1 && peer.valid(),
+                   "every HCA must have exactly one cabled port");
+      leaf[static_cast<std::size_t>(node)] = peer.device;
+      leaf_port[static_cast<std::size_t>(node)] = peer.port;
+      ++first[static_cast<std::size_t>(peer.device) + 1];
+    }
+    for (std::size_t dev = 0; dev < static_cast<std::size_t>(n_dev); ++dev) {
+      first[dev + 1] += first[dev];
+    }
+    nodes.resize(static_cast<std::size_t>(n_nodes));
+    std::vector<std::int32_t> fill(first.begin(), first.end() - 1);
+    for (ib::NodeId node = 0; node < n_nodes; ++node) {
+      nodes[static_cast<std::size_t>(fill[static_cast<std::size_t>(
+          leaf[static_cast<std::size_t>(node)])]++)] = node;
+    }
   }
 };
 
@@ -51,33 +92,54 @@ RoutingTables RoutingTables::compute(const Topology& topo, TieBreak tie_break) {
   rt.stride_ = static_cast<std::size_t>(n_nodes);
   rt.lft_.assign(n_switches * rt.stride_, -1);
 
+  // An HCA has exactly one cabled port, so every route to it ends with
+  // the hop from its leaf: its distance from any switch is one more
+  // than the leaf's, and every switch but the leaf sees the same
+  // candidate next hops for all nodes on that leaf. One BFS per leaf
+  // therefore serves all of its nodes; only the d-mod-k pick differs
+  // per destination.
   const Adjacency adj(topo);
+  const Attachments at(topo);
   constexpr std::int32_t kUnreached = std::numeric_limits<std::int32_t>::max();
   std::vector<std::int32_t> dist(static_cast<std::size_t>(n_dev));
-  std::deque<DeviceId> queue;
-  std::vector<std::int32_t> candidates;  // reused across (dst, switch) pairs
+  std::vector<DeviceId> queue;
+  queue.reserve(static_cast<std::size_t>(n_dev));
+  std::vector<std::int32_t> candidates;  // reused across (leaf, switch) pairs
 
-  for (ib::NodeId dst = 0; dst < n_nodes; ++dst) {
+  for (DeviceId leaf = 0; leaf < n_dev; ++leaf) {
+    const std::int32_t nodes_begin = at.first[static_cast<std::size_t>(leaf)];
+    const std::int32_t nodes_end = at.first[static_cast<std::size_t>(leaf) + 1];
+    if (nodes_begin == nodes_end) continue;  // no HCA attached
+
     std::fill(dist.begin(), dist.end(), kUnreached);
-    const DeviceId dst_dev = topo.hca_device(dst);
-    dist[static_cast<std::size_t>(dst_dev)] = 0;
-    queue.push_back(dst_dev);
-    while (!queue.empty()) {
-      const DeviceId dev = queue.front();
-      queue.pop_front();
+    dist[static_cast<std::size_t>(leaf)] = 0;
+    queue.clear();
+    queue.push_back(leaf);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const DeviceId dev = queue[head];
       const std::int32_t d = dist[static_cast<std::size_t>(dev)];
       for (std::int32_t e = adj.first[static_cast<std::size_t>(dev)];
            e < adj.first[static_cast<std::size_t>(dev) + 1]; ++e) {
-        auto& pd = dist[static_cast<std::size_t>(adj.edges[static_cast<std::size_t>(e)].peer)];
+        const DeviceId peer = adj.edges[static_cast<std::size_t>(e)].peer;
+        auto& pd = dist[static_cast<std::size_t>(peer)];
         if (pd == kUnreached) {
           pd = d + 1;
-          queue.push_back(adj.edges[static_cast<std::size_t>(e)].peer);
+          queue.push_back(peer);
         }
       }
     }
 
     for (std::size_t slot = 0; slot < n_switches; ++slot) {
+      std::int32_t* row = rt.lft_.data() + slot * rt.stride_;
       const DeviceId sw = topo.switches()[slot];
+      if (sw == leaf) {
+        // The last hop: straight down the node's own cable.
+        for (std::int32_t i = nodes_begin; i < nodes_end; ++i) {
+          const ib::NodeId dst = at.nodes[static_cast<std::size_t>(i)];
+          row[dst] = at.leaf_port[static_cast<std::size_t>(dst)];
+        }
+        continue;
+      }
       const std::int32_t d = dist[static_cast<std::size_t>(sw)];
       if (d == kUnreached) continue;  // disconnected: leave -1
       // Candidate ports, in port order, whose peer is one hop closer.
@@ -88,11 +150,15 @@ RoutingTables RoutingTables::compute(const Topology& topo, TieBreak tie_break) {
         if (dist[static_cast<std::size_t>(edge.peer)] == d - 1) candidates.push_back(edge.port);
       }
       IBSIM_ASSERT(!candidates.empty(), "BFS-reachable switch must have a next hop");
-      const std::size_t pick =
-          tie_break == TieBreak::DModK
-              ? static_cast<std::size_t>(dst) % candidates.size()  // d-mod-k spreading
-              : 0;                                                 // lowest port (DOR)
-      rt.lft_[slot * rt.stride_ + static_cast<std::size_t>(dst)] = candidates[pick];
+      const auto n_candidates = static_cast<std::uint32_t>(candidates.size());
+      for (std::int32_t i = nodes_begin; i < nodes_end; ++i) {
+        const ib::NodeId dst = at.nodes[static_cast<std::size_t>(i)];
+        const std::uint32_t pick =
+            tie_break == TieBreak::DModK
+                ? static_cast<std::uint32_t>(dst) % n_candidates  // d-mod-k spreading
+                : 0;                                               // lowest port (DOR)
+        row[dst] = candidates[pick];
+      }
     }
   }
   return rt;

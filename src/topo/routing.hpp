@@ -12,9 +12,12 @@ namespace ibsim::topo {
 /// (LFT) per switch, mapping destination NodeId to output port — exactly
 /// the "routing using linear forwarding tables" of the paper's model.
 ///
-/// Tables are computed with per-destination BFS; among equal-length
-/// next hops a switch picks candidate[dst % candidates], the d-mod-k rule
-/// that yields the standard non-blocking spreading on fat-trees.
+/// Tables are computed with one BFS per leaf (a device with HCAs
+/// attached): every route to an HCA ends on its single cable, so all
+/// nodes of a leaf share each other switch's shortest-path next hops.
+/// Among equal-length next hops a switch picks candidate[dst % candidates],
+/// the d-mod-k rule that yields the standard non-blocking spreading on
+/// fat-trees.
 ///
 /// Storage is one contiguous array, stride-indexed by dense switch slot:
 /// entry (slot, dst) lives at slot * stride + dst. Sweeps share one
@@ -34,7 +37,8 @@ class RoutingTables {
     FirstPort,
   };
 
-  /// Compute LFTs for every switch in `topo`.
+  /// Compute LFTs for every switch in `topo`. Asserts that every HCA has
+  /// exactly one cabled port.
   [[nodiscard]] static RoutingTables compute(const Topology& topo,
                                              TieBreak tie_break = TieBreak::DModK);
 

@@ -16,9 +16,8 @@ class AlgorithmsTest : public ::testing::Test {
  protected:
   AlgorithmsTest() : cct_(128, 13.5) { cct_.populate_linear(); }
 
-  std::unique_ptr<CcAlgorithm> make(const std::string& name, std::int32_t n_flows = 4) {
+  std::unique_ptr<CcAlgorithm> make(const std::string& name) {
     CcAlgoContext ctx;
-    ctx.n_flows = n_flows;
     ctx.params = ib::CcParams::paper_table1();
     ctx.cct = &cct_;
     return CcAlgorithmRegistry::instance().create(name, ctx);

@@ -122,6 +122,64 @@ TEST(IbaA10Golden, MovingHotspotsMatchesPreRefactorTree) {
                   0x1.f1d1dc47711dcp+7, 3593, 2764, 2760, 7006208, 86433});
 }
 
+// The same three scenarios under the rate-based algorithms, captured
+// 2026-10-17 at commit 0f5cc7f (the last tree with dense per-destination
+// flow state), g++ -O2 Release, default fabric fast path. They pin
+// RateBasedAlgorithm's flow bookkeeping across storage rewrites.
+TEST(DcqcnGolden, SilentForest) {
+  SimConfig c = silent_config();
+  c.cc_algo = "dcqcn";
+  expect_matches(run_sim(c),
+                 {0x1.3d31b9b66f933p+0, 0x1.36e71cda2b5a2p+0, 0x1.37f38c5436b9p+0,
+                  0x1.d3ed527e52158p+3, 0x1.d26654be7711cp-1, 0x1.388p+5,
+                  0x1.34ffa4367fa44p+6, 371, 194, 194, 1462272, 13388});
+}
+
+TEST(DcqcnGolden, WindyForest) {
+  SimConfig c = windy_config();
+  c.cc_algo = "dcqcn";
+  expect_matches(run_sim(c),
+                 {0x1.3a92a30553261p+0, 0x1.6e37154003255p+1, 0x1.4b64c9f5c98cfp+1,
+                  0x1.f1172ef0ae536p+4, 0x1.f3428a7e7db56p-1, 0x1.384b43ab9f79p+5,
+                  0x1.35343ab9f78ffp+6, 707, 453, 453, 3106816, 31494});
+}
+
+TEST(DcqcnGolden, MovingHotspots) {
+  SimConfig c = moving_config();
+  c.cc_algo = "dcqcn";
+  expect_matches(run_sim(c),
+                 {0x1.ea35935fc3b4fp+0, 0x1.07746887a8d65p+1, 0x1.046578b907ac5p+1,
+                  0x1.869835158b827p+4, 0x1.c02237901124dp-1, 0x1.388p+5,
+                  0x1.355aa180dbeb6p+6, 589, 391, 391, 2441216, 24551});
+}
+
+TEST(AimdGolden, SilentForest) {
+  SimConfig c = silent_config();
+  c.cc_algo = "aimd";
+  expect_matches(run_sim(c),
+                 {0x1.667b5f1bef49dp+2, 0x1.4df8b1572580dp+0, 0x1.02a61442f4b8fp+1,
+                  0x1.83f91e646f156p+4, 0x1.d2ffad35810cap-1, 0x1.388p+5,
+                  0x1.3555306eb3e45p+6, 370, 193, 193, 2424832, 18541});
+}
+
+TEST(AimdGolden, WindyForest) {
+  SimConfig c = windy_config();
+  c.cc_algo = "aimd";
+  expect_matches(run_sim(c),
+                 {0x1.54c985f06f694p+2, 0x1.11ada76d97b31p+1, 0x1.55a9382b78e2fp+1,
+                  0x1.003eea209aaa3p+5, 0x1.f7ae153cb4eadp-1, 0x1.388p+5,
+                  0x1.354d95eefa1b8p+6, 675, 423, 423, 3203072, 31531});
+}
+
+TEST(AimdGolden, MovingHotspots) {
+  SimConfig c = moving_config();
+  c.cc_algo = "aimd";
+  expect_matches(run_sim(c),
+                 {0x1.522a6f3f52fc2p+1, 0x1.5ca6ca03c4b0ap+1, 0x1.5ae7658db1bd4p+1,
+                  0x1.042d8c2a454dfp+5, 0x1.b923aea3e58bbp-1, 0x1.388p+5,
+                  0x1.3559f464982e7p+6, 613, 423, 423, 3252224, 28664});
+}
+
 // --- cross-algorithm properties --------------------------------------------
 
 TEST(CcAlgoSim, EveryAlgorithmIsDeterministic) {

@@ -158,12 +158,20 @@ class LegacyCaCcAgent final : public core::EventHandler {
 
 /// Drives a legacy and a refactored agent (each on its own scheduler, so
 /// timer events fire independently) through the same op sequence and
-/// checks every observable after every op.
+/// checks every observable after every op. On small fabrics every
+/// destination is compared after every op; on wide ones (more than
+/// kFullSweepNodes) each op compares every destination touched so far
+/// — untouched flows must read idle, which the full sweep every
+/// kFullSweepPeriod ops and at every drain checks.
 class Lockstep {
  public:
+  static constexpr std::int32_t kFullSweepNodes = 64;
+  static constexpr int kFullSweepPeriod = 256;
+
   Lockstep(const ib::CcParams& params, std::int32_t n_nodes)
       : n_nodes_(n_nodes),
         cct_(128, 13.5),
+        touched_mark_(static_cast<std::size_t>(n_nodes), false),
         legacy_(nullptr),
         agent_(nullptr) {
     cct_.populate_geometric(1.05);
@@ -179,17 +187,26 @@ class Lockstep {
     compare(t);
   }
 
+  void drain(core::Time t) {
+    advance_to(t);
+    compare_range(t, 0, n_nodes_);
+  }
+
   void becn(ib::NodeId dst, core::Time now) {
+    touch(dst);
     legacy_->on_becn(dst, now);
     agent_->on_becn(dst, now);
     compare(now);
   }
 
   void grant(ib::NodeId dst, std::int32_t bytes, core::Time end) {
+    touch(dst);
     legacy_->on_data_granted(dst, bytes, end);
     agent_->on_data_granted(dst, bytes, end);
     compare(end);
   }
+
+  [[nodiscard]] std::size_t touched_count() const { return touched_.size(); }
 
   void fecn(ib::NodeId src) {
     legacy_->on_fecn(src);
@@ -206,15 +223,32 @@ class Lockstep {
     ASSERT_EQ(legacy_->becn_received(), agent_->becn_received()) << "t=" << at;
     ASSERT_EQ(legacy_->cnps_sent(), agent_->cnps_sent()) << "t=" << at;
     ASSERT_EQ(legacy_sched_.pending(), agent_sched_.pending()) << "t=" << at;
-    for (ib::NodeId d = 0; d < n_nodes_; ++d) {
+    if (n_nodes_ <= kFullSweepNodes || ++ops_ % kFullSweepPeriod == 0) {
+      compare_range(at, 0, n_nodes_);
+      return;
+    }
+    for (const ib::NodeId d : touched_) compare_range(at, d, d + 1);
+  }
+
+  void compare_range(core::Time at, ib::NodeId begin, ib::NodeId end) {
+    for (ib::NodeId d = begin; d < end; ++d) {
       ASSERT_EQ(legacy_->ccti(d), agent_->ccti(d)) << "t=" << at << " dst=" << d;
       ASSERT_EQ(legacy_->flow_ready_at(d), agent_->flow_ready_at(d))
           << "t=" << at << " dst=" << d;
     }
   }
 
+  void touch(ib::NodeId dst) {
+    if (touched_mark_[static_cast<std::size_t>(dst)]) return;
+    touched_mark_[static_cast<std::size_t>(dst)] = true;
+    touched_.push_back(dst);
+  }
+
   std::int32_t n_nodes_;
   ib::CongestionControlTable cct_;
+  std::vector<bool> touched_mark_;
+  std::vector<ib::NodeId> touched_;
+  int ops_ = 0;
   core::Scheduler legacy_sched_;
   core::Scheduler agent_sched_;
   CountingCnpSender legacy_sender_;
@@ -232,33 +266,41 @@ ib::CcParams quick_params() {
 
 /// Random drive shaped like one of the paper's scenario kinds: a set of
 /// hot destinations attracting a `hot_bias` share of the BECNs, hotspots
-/// optionally moving to new destinations at a fixed period.
+/// optionally moving to new destinations at a fixed period. Destinations
+/// come from a pool of `pool` distinct nodes spread over the whole range
+/// (0 = every node), so a wide fabric can be driven through a few
+/// hundred flows the way one HCA of a large fabric talks to a few of its
+/// peers.
 void random_drive(Lockstep& ab, std::uint64_t seed, double hot_bias, int n_hotspots,
-                  core::Time hotspot_period) {
+                  core::Time hotspot_period, int pool = 0, int n_ops = 3000) {
   core::Rng rng(seed);
   const core::Time step = 2 * core::kMicrosecond;
-  std::vector<ib::NodeId> hot;
-  for (int h = 0; h < n_hotspots; ++h) {
-    hot.push_back(static_cast<ib::NodeId>(rng.next_below(
-        static_cast<std::uint64_t>(ab.n_nodes_))));
+  std::vector<ib::NodeId> dests;
+  if (pool == 0) {
+    for (ib::NodeId d = 0; d < ab.n_nodes_; ++d) dests.push_back(d);
+  } else {
+    std::vector<bool> taken(static_cast<std::size_t>(ab.n_nodes_), false);
+    while (static_cast<int>(dests.size()) < pool) {
+      const auto d = static_cast<ib::NodeId>(
+          rng.next_below(static_cast<std::uint64_t>(ab.n_nodes_)));
+      if (taken[static_cast<std::size_t>(d)]) continue;
+      taken[static_cast<std::size_t>(d)] = true;
+      dests.push_back(d);
+    }
   }
+  const auto any_dest = [&] { return dests[rng.next_below(dests.size())]; };
+  std::vector<ib::NodeId> hot;
+  for (int h = 0; h < n_hotspots; ++h) hot.push_back(any_dest());
   core::Time now = 0;
   core::Time next_move = hotspot_period;
-  for (int op = 0; op < 3000; ++op) {
+  for (int op = 0; op < n_ops; ++op) {
     now += static_cast<core::Time>(rng.next_below(step));
     if (hotspot_period > 0 && now >= next_move) {
       next_move += hotspot_period;
-      for (ib::NodeId& h : hot) {
-        h = static_cast<ib::NodeId>(rng.next_below(
-            static_cast<std::uint64_t>(ab.n_nodes_)));
-      }
+      for (ib::NodeId& h : hot) h = any_dest();
     }
     ab.advance_to(now);
-    const ib::NodeId dst =
-        rng.chance(hot_bias)
-            ? hot[rng.next_below(hot.size())]
-            : static_cast<ib::NodeId>(rng.next_below(
-                  static_cast<std::uint64_t>(ab.n_nodes_)));
+    const ib::NodeId dst = rng.chance(hot_bias) ? hot[rng.next_below(hot.size())] : any_dest();
     switch (rng.next_below(4)) {
       case 0:
         ab.becn(dst, now);
@@ -274,7 +316,7 @@ void random_drive(Lockstep& ab, std::uint64_t seed, double hot_bias, int n_hotsp
     }
   }
   // Drain both timer chains completely.
-  ab.advance_to(now + 1000 * core::kMillisecond);
+  ab.drain(now + 1000 * core::kMillisecond);
 }
 
 TEST(IbaA10Equivalence, ScriptedBecnTimerInterleaving) {
@@ -341,6 +383,36 @@ TEST(IbaA10Equivalence, RandomizedMovingHotspotDrive) {
   Lockstep ab(quick_params(), 12);
   random_drive(ab, /*seed=*/11, /*hot_bias=*/0.7, /*n_hotspots=*/2,
                /*hotspot_period=*/200 * core::kMicrosecond);
+}
+
+// One HCA of a wide fabric: 4096 destinations, of which a few hundred
+// ever see traffic. The agent's flow table grows from empty through
+// several doublings while the dense legacy table holds all 4096 flows.
+TEST(IbaA10Equivalence, RandomizedWideFabricDrive) {
+  Lockstep ab(quick_params(), 4096);
+  random_drive(ab, /*seed=*/2024, /*hot_bias=*/0.3, /*n_hotspots=*/8,
+               /*hotspot_period=*/300 * core::kMicrosecond, /*pool=*/400,
+               /*n_ops=*/8000);
+  EXPECT_GE(ab.touched_count(), 300u);
+  EXPECT_LE(ab.touched_count(), 400u);
+}
+
+// SL-level CC: every destination shares one flow, so BECNs to any
+// destination throttle all of them and grants overwrite one ready time.
+TEST(IbaA10Equivalence, RandomizedSlLevelDrive) {
+  ib::CcParams p = quick_params();
+  p.sl_level = true;
+  Lockstep ab(p, 12);
+  random_drive(ab, /*seed=*/5, /*hot_bias=*/0.6, /*n_hotspots=*/3,
+               /*hotspot_period=*/150 * core::kMicrosecond);
+}
+
+TEST(IbaA10Equivalence, RandomizedWideSlLevelDrive) {
+  ib::CcParams p = quick_params();
+  p.sl_level = true;
+  Lockstep ab(p, 4096);
+  random_drive(ab, /*seed=*/99, /*hot_bias=*/0.5, /*n_hotspots=*/4,
+               /*hotspot_period=*/0, /*pool=*/300);
 }
 
 }  // namespace

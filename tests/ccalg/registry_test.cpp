@@ -10,7 +10,6 @@ namespace {
 
 CcAlgoContext make_ctx(const ib::CongestionControlTable* cct) {
   CcAlgoContext ctx;
-  ctx.n_flows = 4;
   ctx.params = ib::CcParams::paper_table1();
   ctx.cct = cct;
   return ctx;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -246,6 +248,88 @@ TEST(SweepService, StatusTracksProgressAndDoneFires) {
   EXPECT_EQ(jobs[0].cells, 2u);
   EXPECT_EQ(jobs[0].done, 2u);
   EXPECT_TRUE(jobs[0].complete);
+}
+
+/// Probes the order of a two-cell job's callbacks. The first on_cell to
+/// enter holds its delivery open until the other cell's on_cell has
+/// returned, then gives a premature on_done time to show up before it
+/// returns itself. on_done records how many on_cell calls had returned.
+struct DeliveryOrderProbe {
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  int returned = 0;
+  int returned_at_done = -1;
+  bool other_timed_out = false;
+
+  SweepService::CellCallback on_cell() {
+    return [this](const SweepService::CellOutcome&) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (entered++ == 0) {
+        other_timed_out =
+            !cv.wait_for(lock, std::chrono::seconds(30), [&] { return returned == 1; });
+        (void)cv.wait_for(lock, std::chrono::milliseconds(250),
+                          [&] { return returned_at_done >= 0; });
+      }
+      ++returned;
+      cv.notify_all();
+    };
+  }
+
+  SweepService::DoneCallback on_done() {
+    return [this](std::uint64_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      returned_at_done = returned;
+      cv.notify_all();
+    };
+  }
+
+  void expect_done_after_both_cells() {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(other_timed_out) << "the second cell was never delivered";
+    EXPECT_EQ(returned, 2);
+    EXPECT_EQ(returned_at_done, 2) << "done overtook a cell delivery";
+  }
+};
+
+TEST(SweepService, DoneWaitsForEveryWorkerDelivery) {
+  // Two workers each finish one cell. The worker that completes the job
+  // is not the one whose delivery returns last.
+  SweepService service({"", 2});
+  DeliveryOrderProbe probe;
+  service.submit("race", tiny_cells(2), probe.on_cell(), probe.on_done());
+  service.drain();
+  probe.expect_done_after_both_cells();
+}
+
+TEST(SweepService, DoneWaitsForStoreHitDelivery) {
+  // Cell 1 is a store hit that submit delivers itself; cell 2 runs on a
+  // worker, long enough that submit's delivery of the hit enters first.
+  const fs::path dir = fs::path(::testing::TempDir()) / "ibsim_sweep_service_order";
+  fs::remove_all(dir);
+  {
+    SweepService service({dir.string(), 1});
+    std::vector<SweepCell> cells = tiny_cells(2);
+    cells[1].config.sim_time = 10 * core::kMillisecond;
+    Sink warmup;
+    service.submit("fill", {cells[0]}, warmup.callback());
+    service.drain();
+    DeliveryOrderProbe probe;
+    service.submit("mixed", std::move(cells), probe.on_cell(), probe.on_done());
+    service.drain();
+    probe.expect_done_after_both_cells();
+  }
+  fs::remove_all(dir);
+  store::StoreRegistry::instance().clear();
+}
+
+TEST(SweepService, EmptyJobIsDoneAtSubmit) {
+  SweepService service({"", 1});
+  int done = 0;
+  service.submit("empty", {}, nullptr, [&](std::uint64_t) { ++done; });
+  EXPECT_EQ(done, 1);
+  service.drain();
+  EXPECT_EQ(done, 1);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Allocation-count regression guard for the fabric hot path.
+// Allocation-count regression guard for the fabric hot path, and an
+// allocation-size guard for per-HCA CC state.
 //
 // The PR 7 layout refactor (SoA port/VL banks + the packet arena) promises
 // that once a simulation reaches steady state, the per-packet path performs
@@ -11,6 +12,10 @@
 // geometric O(log) process over the whole run, not O(packets). The packet
 // arena itself must not grow at all.
 //
+// The allocator also counts bytes: a CC agent must not size its flow
+// state by the fabric's node count, so building one for a million
+// nodes may allocate no more than building one for 64.
+//
 // Kept in its own test binary so the counting allocator cannot interact
 // with any other suite.
 
@@ -20,15 +25,18 @@
 #include <cstdlib>
 #include <new>
 
+#include "cc/ca_cc.hpp"
 #include "sim/simulation.hpp"
 #include "topo/builders.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -36,6 +44,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                (size + static_cast<std::size_t>(align) - 1) &
                                    ~(static_cast<std::size_t>(align) - 1));
@@ -131,6 +140,51 @@ TEST(AllocAudit, ArenaPreSizedForTopology) {
   EXPECT_GE(sim.fabric().arena().capacity(),
             static_cast<std::size_t>(sim.topology().node_count()) * 16u);
   EXPECT_EQ(sim.fabric().arena().live(), 0);
+}
+
+class NullCnpSender : public cc::CnpSender {
+ public:
+  void send_cnp(ib::NodeId to, ib::NodeId flow_dst) override {
+    (void)to;
+    (void)flow_dst;
+  }
+};
+
+/// Bytes allocated while constructing a CC agent for an `n_nodes`
+/// fabric, and further while it sends one packet to each of its first
+/// `flows_used` destinations.
+struct AgentBytes {
+  std::uint64_t construct;
+  std::uint64_t flows;
+};
+
+AgentBytes agent_bytes(std::int32_t n_nodes, const char* algo, std::int32_t flows_used) {
+  ib::CongestionControlTable cct;
+  cct.populate_linear();
+  core::Scheduler sched;
+  NullCnpSender sender;
+  const std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  cc::CaCcAgent agent(0, n_nodes, ib::CcParams::paper_table1(), &cct, &sched, &sender, algo);
+  const std::uint64_t built = g_heap_bytes.load(std::memory_order_relaxed);
+  for (ib::NodeId dst = 0; dst < flows_used; ++dst) {
+    agent.on_data_granted(dst, ib::kMtuBytes, core::kMicrosecond);
+  }
+  return {built - before, g_heap_bytes.load(std::memory_order_relaxed) - built};
+}
+
+TEST(AllocAudit, CcAgentStateDoesNotScaleWithTheFabric) {
+  for (const char* algo : {"iba_a10", "dcqcn"}) {
+    (void)agent_bytes(64, algo, 0);  // first-use allocations of the registry
+    const AgentBytes small = agent_bytes(64, algo, 0);
+    const AgentBytes huge = agent_bytes(1 << 20, algo, 0);
+    EXPECT_LE(huge.construct, small.construct)
+        << algo << ": building an agent for 1M nodes allocated " << huge.construct
+        << " bytes, for 64 nodes " << small.construct;
+    // State follows the flows in use: 100 flows stay within a few KiB
+    // of table, whatever the fabric's size.
+    const AgentBytes used = agent_bytes(1 << 20, algo, 100);
+    EXPECT_LE(used.flows, 32u * 1024u) << algo;
+  }
 }
 
 }  // namespace

@@ -2,12 +2,182 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
 #include <set>
 
+#include "core/assert.hpp"
 #include "topo/builders.hpp"
 
 namespace ibsim::topo {
 namespace {
+
+// --- reference: the per-destination BFS ------------------------------------
+//
+// RoutingTables::compute used to run one BFS per destination node. It now
+// runs one per leaf and shares the result among the leaf's nodes. The
+// original algorithm is kept here verbatim as the oracle: the two must
+// produce byte-equal flat() tables on every builder.
+
+/// Flat adjacency of the cabled ports: for device `dev`, the entries
+/// [first[dev], first[dev+1]) list its connected ports in port order.
+struct Adjacency {
+  struct Edge {
+    std::int32_t port;
+    DeviceId peer;
+  };
+  std::vector<std::int32_t> first;  // device -> index into edges (n_dev + 1 entries)
+  std::vector<Edge> edges;
+
+  explicit Adjacency(const Topology& topo) {
+    const std::int32_t n_dev = topo.device_count();
+    first.reserve(static_cast<std::size_t>(n_dev) + 1);
+    for (DeviceId dev = 0; dev < n_dev; ++dev) {
+      first.push_back(static_cast<std::int32_t>(edges.size()));
+      for (std::int32_t p = 0; p < topo.port_count(dev); ++p) {
+        const PortRef peer = topo.peer(PortRef{dev, p});
+        if (peer.valid()) edges.push_back({p, peer.device});
+      }
+    }
+    first.push_back(static_cast<std::int32_t>(edges.size()));
+  }
+};
+
+/// The flat LFT (switch rows in Topology::switches() order, `node_count`
+/// entries each) the per-destination BFS computes.
+std::vector<std::int32_t> reference_lfts(const Topology& topo, RoutingTables::TieBreak tie_break) {
+  const std::int32_t n_dev = topo.device_count();
+  const std::int32_t n_nodes = topo.node_count();
+  const std::size_t n_switches = topo.switches().size();
+  const auto stride = static_cast<std::size_t>(n_nodes);
+  std::vector<std::int32_t> lft(n_switches * stride, -1);
+
+  const Adjacency adj(topo);
+  constexpr std::int32_t kUnreached = std::numeric_limits<std::int32_t>::max();
+  std::vector<std::int32_t> dist(static_cast<std::size_t>(n_dev));
+  std::deque<DeviceId> queue;
+  std::vector<std::int32_t> candidates;  // reused across (dst, switch) pairs
+
+  for (ib::NodeId dst = 0; dst < n_nodes; ++dst) {
+    std::fill(dist.begin(), dist.end(), kUnreached);
+    const DeviceId dst_dev = topo.hca_device(dst);
+    dist[static_cast<std::size_t>(dst_dev)] = 0;
+    queue.push_back(dst_dev);
+    while (!queue.empty()) {
+      const DeviceId dev = queue.front();
+      queue.pop_front();
+      const std::int32_t d = dist[static_cast<std::size_t>(dev)];
+      for (std::int32_t e = adj.first[static_cast<std::size_t>(dev)];
+           e < adj.first[static_cast<std::size_t>(dev) + 1]; ++e) {
+        auto& pd = dist[static_cast<std::size_t>(adj.edges[static_cast<std::size_t>(e)].peer)];
+        if (pd == kUnreached) {
+          pd = d + 1;
+          queue.push_back(adj.edges[static_cast<std::size_t>(e)].peer);
+        }
+      }
+    }
+
+    for (std::size_t slot = 0; slot < n_switches; ++slot) {
+      const DeviceId sw = topo.switches()[slot];
+      const std::int32_t d = dist[static_cast<std::size_t>(sw)];
+      if (d == kUnreached) continue;  // disconnected: leave -1
+      // Candidate ports, in port order, whose peer is one hop closer.
+      candidates.clear();
+      for (std::int32_t e = adj.first[static_cast<std::size_t>(sw)];
+           e < adj.first[static_cast<std::size_t>(sw) + 1]; ++e) {
+        const Adjacency::Edge& edge = adj.edges[static_cast<std::size_t>(e)];
+        if (dist[static_cast<std::size_t>(edge.peer)] == d - 1) candidates.push_back(edge.port);
+      }
+      IBSIM_ASSERT(!candidates.empty(), "BFS-reachable switch must have a next hop");
+      const std::size_t pick =
+          tie_break == RoutingTables::TieBreak::DModK
+              ? static_cast<std::size_t>(dst) % candidates.size()  // d-mod-k spreading
+              : 0;                                                 // lowest port (DOR)
+      lft[slot * stride + static_cast<std::size_t>(dst)] = candidates[pick];
+    }
+  }
+  return lft;
+}
+
+void expect_matches_reference(const Topology& topo, RoutingTables::TieBreak tie_break) {
+  const RoutingTables rt = RoutingTables::compute(topo, tie_break);
+  const std::vector<std::int32_t> want = reference_lfts(topo, tie_break);
+  ASSERT_EQ(rt.stride(), static_cast<std::size_t>(topo.node_count()));
+  ASSERT_EQ(rt.flat().size(), want.size());
+  // Byte-equal, not just equal paths: the whole table is compared.
+  EXPECT_EQ(rt.flat(), want);
+}
+
+TEST(RoutingReference, SingleSwitch) {
+  expect_matches_reference(single_switch(7), RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, FoldedClosSmall) {
+  expect_matches_reference(folded_clos(FoldedClosParams::scaled(4, 2, 3)),
+                           RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, FoldedClosSunDcs648) {
+  expect_matches_reference(folded_clos(FoldedClosParams::sun_dcs_648()),
+                           RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, FatTree3Default) {
+  expect_matches_reference(fat_tree3(FatTree3Params{}), RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, FatTree3Scale2k) {
+  expect_matches_reference(fat_tree3(FatTree3Params::scale_2k()),
+                           RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, LinearChain) {
+  expect_matches_reference(linear_chain(5, 2), RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, Dumbbell) {
+  expect_matches_reference(dumbbell(3), RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, Mesh2dFirstPort) {
+  expect_matches_reference(mesh2d(4, 5, 2), RoutingTables::TieBreak::FirstPort);
+}
+
+TEST(RoutingReference, Mesh2dDModK) {
+  expect_matches_reference(mesh2d(3, 4, 3), RoutingTables::TieBreak::DModK);
+}
+
+TEST(RoutingReference, ParallelLinksAndAnUnreachableIsland) {
+  // Two switches joined by two parallel cables (two equal next hops),
+  // plus a switch with its own HCA and no uplink (entries stay -1).
+  Topology topo;
+  const DeviceId sw0 = topo.add_switch(4);
+  const DeviceId sw1 = topo.add_switch(4);
+  const DeviceId island = topo.add_switch(2);
+  topo.connect({sw0, 2}, {sw1, 2});
+  topo.connect({sw0, 3}, {sw1, 3});
+  topo.connect({topo.add_hca(), 0}, {sw0, 0});
+  topo.connect({topo.add_hca(), 0}, {sw1, 0});
+  topo.connect({topo.add_hca(), 0}, {sw0, 1});
+  topo.connect({topo.add_hca(), 0}, {island, 1});
+  topo.connect({topo.add_hca(), 0}, {sw1, 1});
+  expect_matches_reference(topo, RoutingTables::TieBreak::DModK);
+  expect_matches_reference(topo, RoutingTables::TieBreak::FirstPort);
+  const RoutingTables rt = RoutingTables::compute(topo);
+  EXPECT_EQ(rt.out_port(island, 0), -1);
+  EXPECT_EQ(rt.out_port(island, 3), 1);
+  EXPECT_NE(rt.out_port(sw0, 1), rt.out_port(sw0, 4));  // d-mod-k over the pair
+}
+
+TEST(RoutingDeathTest, EveryHcaNeedsItsCable) {
+  Topology topo;
+  const DeviceId sw = topo.add_switch(2);
+  topo.connect({topo.add_hca(), 0}, {sw, 0});
+  (void)topo.add_hca();  // never cabled
+  EXPECT_DEATH((void)RoutingTables::compute(topo), "exactly one cabled port");
+}
+
+// --- behaviour --------------------------------------------------------------
 
 TEST(Routing, SingleSwitchDirect) {
   const Topology topo = single_switch(4);
