@@ -54,7 +54,7 @@ void BM_SchedulerPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerPushPop)->Arg(1024)->Arg(16384)->Arg(131072);
 
-void scheduler_churn(benchmark::State& state, core::QueueKind kind) {
+void BM_SchedulerChurn(benchmark::State& state) {
   // Steady-state schedule+execute churn at a given queue depth.
   const auto depth = static_cast<std::size_t>(state.range(0));
   class Churn final : public core::EventHandler {
@@ -67,7 +67,7 @@ void scheduler_churn(benchmark::State& state, core::QueueKind kind) {
    private:
     core::Rng rng_;
   };
-  core::Scheduler sched(kind);
+  core::Scheduler sched;
   Churn churn(core::Rng(7));
   for (std::size_t i = 0; i < depth; ++i) sched.schedule_at(static_cast<core::Time>(i), &churn, 0);
   std::uint64_t done = 0;
@@ -76,17 +76,7 @@ void scheduler_churn(benchmark::State& state, core::QueueKind kind) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(done));
 }
-
-void BM_SchedulerChurn(benchmark::State& state) {
-  scheduler_churn(state, core::QueueKind::kTwoTier);
-}
 BENCHMARK(BM_SchedulerChurn)->Arg(1024)->Arg(16384);
-
-// Reference heap, same workload: the A/B pair for the calendar queue.
-void BM_SchedulerChurnHeap(benchmark::State& state) {
-  scheduler_churn(state, core::QueueKind::kHeap);
-}
-BENCHMARK(BM_SchedulerChurnHeap)->Arg(1024)->Arg(16384);
 
 void BM_RngDraw(benchmark::State& state) {
   core::Rng rng(3);
@@ -160,8 +150,7 @@ void BM_RoutingTablesSunDcs648(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingTablesSunDcs648);
 
-void simulation_event_throughput(benchmark::State& state, core::QueueKind kind,
-                                 bool fast_path = true) {
+void simulation_event_throughput(benchmark::State& state, bool fast_path) {
   // End-to-end events/second of a congested 72-node fabric — the number
   // the paper-figure wall-clock estimates scale from. Items processed
   // counts *executed* events, so the fast-path variant reports fewer
@@ -179,7 +168,6 @@ void simulation_event_throughput(benchmark::State& state, core::QueueKind kind,
     config.scenario.fraction_b = 0.0;
     config.scenario.fraction_c_of_rest = 0.8;
     config.scenario.n_hotspots = 2;
-    config.scheduler_queue = kind;
     config.fabric.fast_path = fast_path;
     const sim::SimResult r = sim::run_sim(config);
     events += r.events_executed;
@@ -189,20 +177,15 @@ void simulation_event_throughput(benchmark::State& state, core::QueueKind kind,
 }
 
 void BM_SimulationEventThroughput(benchmark::State& state) {
-  simulation_event_throughput(state, core::QueueKind::kTwoTier);
+  simulation_event_throughput(state, /*fast_path=*/true);
 }
 BENCHMARK(BM_SimulationEventThroughput)->Unit(benchmark::kMillisecond);
-
-void BM_SimulationEventThroughputHeap(benchmark::State& state) {
-  simulation_event_throughput(state, core::QueueKind::kHeap);
-}
-BENCHMARK(BM_SimulationEventThroughputHeap)->Unit(benchmark::kMillisecond);
 
 void BM_SimulationEventThroughputSlowPath(benchmark::State& state) {
   // Reference one-event-per-action fabric chain (fabric_fast_path off):
   // the per-iteration wall gap against BM_SimulationEventThroughput is
   // the lazy-wakeup/coalescing win on this host.
-  simulation_event_throughput(state, core::QueueKind::kTwoTier, /*fast_path=*/false);
+  simulation_event_throughput(state, /*fast_path=*/false);
 }
 BENCHMARK(BM_SimulationEventThroughputSlowPath)->Unit(benchmark::kMillisecond);
 

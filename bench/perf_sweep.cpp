@@ -1,15 +1,11 @@
 // Perf-regression harness for the event core. Runs busy-fabric
-// scenarios under both pending-event structures (the default two-tier
-// calendar queue and the reference heap), measures events/second, wall
-// time, and peak RSS, and emits the numbers as JSON (BENCH_core.json).
-// A second sweep-engine cell (sweep_cold_vs_warm) runs a Table II-shaped
-// batch on the full 648-node fabric with the topology/routing snapshot
-// cache off ("cold": every run rebuilds) and on ("warm": one build,
-// shared), reporting runs/second for each. A third cell
-// (sweep_store_warm) runs the same batch against the on-disk result
-// store: cold simulates every run, warm serves the whole batch from a
-// populated store, and the warm/cold runs-per-second ratio gates the
-// store's read path.
+// scenarios with the fabric event fast path on ("fast") and off
+// ("slow"), measures events/second, wall time, and peak RSS, and emits
+// the numbers as JSON (BENCH_core.json). A result-store cell
+// (sweep_store_warm) runs a Table II-shaped batch on the full 648-node
+// fabric against the on-disk result store: cold simulates every run,
+// warm serves the whole batch from a populated store, and the warm/cold
+// runs-per-second ratio gates the store's read path.
 //
 // Usage:
 //   perf_sweep [--json=PATH] [--baseline=PATH] [--max-regress=0.20]
@@ -17,48 +13,45 @@
 //
 // --json=PATH       write results as JSON (stdout always gets a table).
 // --baseline=PATH   compare against a previously written JSON file;
-//                   exit 1 if any scenario's speedup ratio — two_tier
-//                   over heap, fast over slow, or warm over cold —
+//                   exit 1 if any baseline row has no (scenario, queue)
+//                   match in this run, or if a gated ratio — fast over
+//                   slow events per packet, or store warm over cold —
 //                   dropped by more than --max-regress. The ratios (not
 //                   raw events/sec, which is printed informational only)
 //                   are what gate CI: they cancel out host speed, so the
 //                   committed baseline stays valid on any runner.
 // --max-regress=F   allowed fractional ratio regression (default 0.20).
 // --repeat=N        runs per cell, best-of (default 3; 1 with --quick).
-// --threads-csv=PATH  write a warm-sweep thread-scaling curve
-//                   (threads, runs/sec, utilization) as CSV.
+// --threads-csv=PATH  write a sweep thread-scaling curve (threads,
+//                   runs/sec, utilization) as CSV.
 // --shards-csv=PATH write the intra-run shard-scaling curve (shards,
 //                   events/sec, speedup, cross-shard mailbox counters)
 //                   as CSV. The shard_scaling cells always run; on
 //                   hosts with >= 4 hardware threads they also gate
 //                   >= 1.5x events/sec at 4 shards over serial.
 //
-// Three gates need no baseline. The scale_10k cell's footprint must stay
-// within kMaxBytesPerEndpoint and the warm sweep must build exactly
-// kWarmSweepBuilds snapshots (a byte count and a build count, so both
-// host-independent), plus the shard gate above. All three fail the run
-// only after --json, the CSVs and the --baseline comparison are
-// written, so a tripped gate still leaves the numbers behind.
+// Two gates need no baseline: the scale_10k cell's footprint must stay
+// within kMaxBytesPerEndpoint (a byte count, so host-independent), and
+// the shard gate above. Both fail the run only after --json, the CSVs
+// and the --baseline comparison are written, so a tripped gate still
+// leaves the numbers behind.
 //
-// The sweep doubles as an A/B determinism guard: for every scenario the
-// two queues must execute the same number of events and deliver the
-// same bytes (and the cold and warm sweeps must agree likewise), or the
-// harness aborts — a perf number from a divergent simulation would be
-// meaningless. A second pair per scenario runs the fabric event fast
-// path on ("fast") vs. off ("slow") on the default queue: bytes and
-// packets must match exactly while events must strictly drop, and each
-// cell reports events-per-delivered-packet plus a per-kind breakdown.
-// The fast/slow pair gates on the events-per-packet ratio rather than
-// wall time: event counts are bit-deterministic, so the ratio is
-// host-independent in the strongest sense and can never flake on a
-// loaded runner. Two uncontended cells carry the headline win (lazy
-// wakeups elide nearly every switch kEvLinkFree when queues drain);
-// the congested cells document the smaller but still-real reduction.
+// Every cell builds its topology/routing snapshot once, outside the
+// timed region, and passes it to each of its runs. The fast/slow pair
+// is a behavioural guard: bytes and packets must match exactly while
+// events must strictly drop, or the harness aborts — a perf number from
+// a divergent simulation would be meaningless. Each cell reports
+// events-per-delivered-packet plus a per-kind breakdown. The pair gates
+// on the events-per-packet ratio rather than wall time: event counts are
+// bit-deterministic, so the ratio is host-independent in the strongest
+// sense and can never flake on a loaded runner. Two uncontended cells
+// carry the headline win (lazy wakeups elide nearly every switch
+// kEvLinkFree when queues drain); the congested cells document the
+// smaller but still-real reduction.
 
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -66,6 +59,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -84,10 +78,6 @@ using namespace ibsim;
 /// Nothing at this scale may be sized by node count squared; dense
 /// per-destination CC state alone used to cost ~240 KB per endpoint.
 constexpr long kMaxBytesPerEndpoint = 32768;
-
-/// Snapshot builds (cache misses) in one warm sweep: the batch shares one
-/// fabric, so one topology and one routing build serve all its runs.
-constexpr std::uint64_t kWarmSweepBuilds = 2;
 
 struct Scenario {
   const char* name;
@@ -176,9 +166,6 @@ struct Cell {
   std::array<std::uint64_t, core::Scheduler::kKindSlots> by_kind{};
   long peak_rss_kib = 0;
   long bytes_per_endpoint = 0;  ///< scale cells only: RSS delta / endpoints
-  /// Sweep cells only: snapshot-cache misses in one sweep (the most any
-  /// repeat saw).
-  std::uint64_t snapshot_misses = 0;
 };
 
 long peak_rss_kib() {
@@ -187,19 +174,18 @@ long peak_rss_kib() {
   return usage.ru_maxrss;  // KiB on Linux
 }
 
-/// Best-of-`repeat` timed runs of one (scenario, variant) cell. Fabric
-/// construction is excluded: the number under guard is event-loop
-/// throughput, not topology/routing setup.
-Cell run_cell(const Scenario& scenario, core::QueueKind kind, bool fast_path,
-              const char* label, int repeat) {
+/// Best-of-`repeat` timed runs of one (scenario, variant) cell on a
+/// shared snapshot. Fabric construction is excluded: the number under
+/// guard is event-loop throughput, not topology/routing setup.
+Cell run_cell(const Scenario& scenario, const std::shared_ptr<const sim::RoutingSnapshot>& snapshot,
+              bool fast_path, const char* label, int repeat) {
   Cell cell;
   cell.scenario = scenario.name;
   cell.queue = label;
   for (int i = 0; i < repeat; ++i) {
     sim::SimConfig config = scenario.config;
-    config.scheduler_queue = kind;
     config.fabric.fast_path = fast_path;
-    sim::Simulation simulation(config);
+    sim::Simulation simulation(config, snapshot);
     const auto start = std::chrono::steady_clock::now();
     const sim::SimResult result = simulation.run();
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
@@ -241,9 +227,8 @@ void print_by_kind(const Cell& cell) {
 /// run *fits* — peak RSS and bytes-per-endpoint land in the JSON — and
 /// tracks event-loop throughput at a working set that no cache level can
 /// hold, which is exactly where the SoA layout earns its keep. The
-/// snapshot cache shares the routing build (one BFS per leaf switch,
-/// ~0.1 s) across repeats and the fast/slow pair, so the harness pays
-/// for it once.
+/// harness builds the snapshot (routing is one BFS per leaf switch,
+/// ~0.1 s) once and shares it across repeats and the fast/slow pair.
 Scenario make_scale_scenario(bool quick) {
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FatTree3;
@@ -255,15 +240,13 @@ Scenario make_scale_scenario(bool quick) {
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.8;
   config.scenario.n_hotspots = 8;
-  config.snapshot_cache = true;
   return {"scale_10k", config};
 }
 
 /// The Table II batch on the full sun_dcs_648 fabric, with the window
 /// shortened so per-run setup (topology + routing + fabric build) is a
-/// realistic share of the cost — the regime the snapshot cache targets.
-/// Three seeds by four {C active} x {CC} variants = 12 runs per sweep,
-/// all sharing one topology/routing pair.
+/// realistic share of the cost. Three seeds by four {C active} x {CC}
+/// variants = 12 runs per sweep, each on its own snapshot.
 std::vector<sim::SimConfig> make_sweep_configs(bool quick) {
   sim::ExperimentPreset preset = sim::ExperimentPreset::quick();
   preset.static_sim_time = (quick ? 10 : 15) * core::kMicrosecond;
@@ -287,75 +270,23 @@ std::vector<sim::SimConfig> make_sweep_configs(bool quick) {
   return configs;
 }
 
-/// Best-of-`repeat` timed sweeps of the Table II batch, with the
-/// snapshot cache either bypassed (cold) or enabled (warm). The cache is
-/// cleared before every repeat, so a warm sweep pays for exactly one
-/// snapshot build amortised across the batch — never a free ride from a
-/// previous repeat. events_per_sec carries *runs* per second: the sweep
-/// cell benchmarks batch turnaround, not the event loop.
-Cell run_sweep_cell(bool warm, bool quick, int repeat, std::int32_t threads) {
-  std::vector<sim::SimConfig> configs = make_sweep_configs(quick);
-  for (sim::SimConfig& config : configs) config.snapshot_cache = warm;
-  Cell cell;
-  cell.scenario = "sweep_cold_vs_warm";
-  cell.queue = warm ? "warm" : "cold";
-  for (int i = 0; i < repeat; ++i) {
-    sim::SnapshotCache::instance().clear();
-    sim::SnapshotCache::instance().reset_stats();
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<sim::SimResult> results = sim::run_parallel(configs, threads);
-    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-    cell.snapshot_misses =
-        std::max(cell.snapshot_misses, sim::SnapshotCache::instance().stats().misses);
-    std::uint64_t events = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t packets = 0;
-    for (const sim::SimResult& r : results) {
-      events += r.events_executed;
-      bytes += r.delivered_bytes;
-      packets += r.delivered_packets;
-    }
-    if (i == 0 || wall.count() < cell.wall_seconds) {
-      cell.wall_seconds = wall.count();
-      cell.events = events;
-      cell.delivered_bytes = bytes;
-      cell.delivered_packets = packets;
-    }
-  }
-  cell.events_per_sec = cell.wall_seconds > 0.0
-                            ? static_cast<double>(configs.size()) / cell.wall_seconds
-                            : 0.0;
-  cell.events_per_packet = cell.delivered_packets > 0
-                               ? static_cast<double>(cell.events) /
-                                     static_cast<double>(cell.delivered_packets)
-                               : 0.0;
-  cell.peak_rss_kib = peak_rss_kib();
-  return cell;
-}
-
 /// Result-store cell: the Table II batch simulated outright (cold, no
 /// store) versus served entirely from a freshly populated on-disk store
 /// (warm: a one-off untimed pass fills the store, then every timed
 /// repeat is pure hits — parse + deserialize, zero event-loop work).
 /// events_per_sec carries runs per second; the warm/cold ratio is the
 /// resumable-campaign turnaround win and gates against the committed
-/// baseline exactly like the snapshot-cache pair. Both variants keep the
-/// snapshot cache on so the ratio isolates the store.
+/// baseline.
 Cell run_store_cell(bool warm, bool quick, int repeat, const std::string& store_dir) {
   std::vector<sim::SimConfig> configs = make_sweep_configs(quick);
   for (sim::SimConfig& config : configs) {
-    config.snapshot_cache = true;
     config.result_store = warm ? store_dir : std::string();
   }
-  if (warm) {
-    sim::SnapshotCache::instance().clear();
-    (void)sim::run_parallel(configs, /*threads=*/1);  // populate, untimed
-  }
+  if (warm) (void)sim::run_parallel(configs, /*threads=*/1);  // populate, untimed
   Cell cell;
   cell.scenario = "sweep_store_warm";
   cell.queue = warm ? "warm" : "cold";
   for (int i = 0; i < repeat; ++i) {
-    sim::SnapshotCache::instance().clear();
     const auto start = std::chrono::steady_clock::now();
     const std::vector<sim::SimResult> results = sim::run_parallel(configs, /*threads=*/1);
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
@@ -395,7 +326,6 @@ sim::SimConfig make_shard_config(bool quick) {
   config.scenario.fraction_b = 1.0;
   config.scenario.p = 0.5;
   config.scenario.n_hotspots = 2;
-  config.snapshot_cache = true;
   return config;
 }
 
@@ -408,7 +338,8 @@ struct ShardCell {
   std::int64_t absorbed_events = 0;
 };
 
-ShardCell run_shard_cell(bool quick, std::int32_t shards, int repeat) {
+ShardCell run_shard_cell(const std::shared_ptr<const sim::RoutingSnapshot>& snapshot,
+                         bool quick, std::int32_t shards, int repeat) {
   ShardCell sc;
   sc.cell.scenario = "shard_scaling";
   sc.cell.queue = "shards" + std::to_string(shards);
@@ -417,7 +348,7 @@ ShardCell run_shard_cell(bool quick, std::int32_t shards, int repeat) {
     config.shards = shards;
     config.threads = shards;
     config.telemetry.counters = true;  // carries the sched.shard.* gauges out
-    sim::Simulation simulation(config);
+    sim::Simulation simulation(config, snapshot);
     const auto start = std::chrono::steady_clock::now();
     const sim::SimResult result = simulation.run();
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
@@ -471,7 +402,7 @@ bool write_shards_csv(const std::string& path, const std::vector<ShardCell>& cel
   return static_cast<bool>(out);
 }
 
-/// Warm-sweep thread-scaling curve: runs/sec and worker utilization per
+/// Sweep thread-scaling curve: runs/sec and worker utilization per
 /// thread count, written as CSV for the CI artifact.
 bool write_threads_csv(const std::string& path, bool quick, int repeat) {
   std::vector<sim::SimConfig> configs = make_sweep_configs(quick);
@@ -482,7 +413,6 @@ bool write_threads_csv(const std::string& path, bool quick, int repeat) {
     double best_wall = 0.0;
     double utilization = 0.0;
     for (int i = 0; i < repeat; ++i) {
-      sim::SnapshotCache::instance().clear();
       sim::SweepReport report;
       const auto start = std::chrono::steady_clock::now();
       (void)sim::run_parallel(configs, threads, &report);
@@ -620,30 +550,12 @@ int main(int argc, char** argv) {
   std::printf("%-16s %-9s %12s %10s %14s %10s\n", "scenario", "queue", "events", "wall_s",
               "events/sec", "rss_kib");
   for (const Scenario& scenario : make_scenarios(quick)) {
-    const Cell two_tier =
-        run_cell(scenario, core::QueueKind::kTwoTier, /*fast_path=*/true, "two_tier", repeat);
-    const Cell heap =
-        run_cell(scenario, core::QueueKind::kHeap, /*fast_path=*/true, "heap", repeat);
-    // A/B determinism guard: same simulation, different queue.
-    if (two_tier.events != heap.events || two_tier.delivered_bytes != heap.delivered_bytes) {
-      std::fprintf(stderr,
-                   "FATAL: queues diverged on '%s' (events %llu vs %llu, bytes %llu vs %llu)\n",
-                   scenario.name, static_cast<unsigned long long>(two_tier.events),
-                   static_cast<unsigned long long>(heap.events),
-                   static_cast<unsigned long long>(two_tier.delivered_bytes),
-                   static_cast<unsigned long long>(heap.delivered_bytes));
-      return 1;
-    }
-
-    // Fabric fast-path A/B pair on the default queue. The fast cell is
-    // the two_tier measurement relabelled — same variant, zero extra
-    // runtime. Event counts differ by design (that is the
-    // optimisation), so the guard here is behavioural: identical bytes
-    // and packets, strictly fewer events.
-    Cell fast = two_tier;
-    fast.queue = "fast";
-    const Cell slow =
-        run_cell(scenario, core::QueueKind::kTwoTier, /*fast_path=*/false, "slow", repeat);
+    // Fabric fast-path A/B pair. Event counts differ by design (that is
+    // the optimisation), so the guard here is behavioural: identical
+    // bytes and packets, strictly fewer events.
+    const auto snapshot = sim::build_snapshot(scenario.config);
+    const Cell fast = run_cell(scenario, snapshot, /*fast_path=*/true, "fast", repeat);
+    const Cell slow = run_cell(scenario, snapshot, /*fast_path=*/false, "slow", repeat);
     if (fast.delivered_bytes != slow.delivered_bytes ||
         fast.delivered_packets != slow.delivered_packets || fast.events >= slow.events) {
       std::fprintf(stderr,
@@ -657,14 +569,12 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(slow.delivered_packets));
       return 1;
     }
-    for (const Cell& cell : {two_tier, heap, fast, slow}) {
+    for (const Cell& cell : {fast, slow}) {
       std::printf("%-16s %-9s %12llu %10.4f %14.0f %10ld\n", cell.scenario.c_str(),
                   cell.queue.c_str(), static_cast<unsigned long long>(cell.events),
                   cell.wall_seconds, cell.events_per_sec, cell.peak_rss_kib);
       cells.push_back(cell);
     }
-    std::printf("%-16s speedup two_tier/heap: %.2fx\n", scenario.name,
-                heap.wall_seconds > 0.0 ? two_tier.events_per_sec / heap.events_per_sec : 0.0);
     // The headline fast-path metric: events per delivered packet, whose
     // slow/fast ratio is the deterministic "how many fewer events for
     // the same simulated work" improvement.
@@ -677,20 +587,19 @@ int main(int argc, char** argv) {
     print_by_kind(slow);
   }
 
-  // 10k-endpoint scale cell. One fast/slow pair on the default queue —
-  // the evt/pkt ratio gives the scale cell a deterministic gated ratio
-  // like every other scenario — with the per-endpoint footprint measured
-  // as the cell's peak-RSS delta. Repeats are capped at 2: each repeat
-  // re-builds a 10240-HCA fabric, and best-of-2 on a ~1.3M-event run is
-  // already stable.
+  // 10k-endpoint scale cell. One fast/slow pair — the evt/pkt ratio
+  // gives the scale cell a deterministic gated ratio like every other
+  // scenario — with the per-endpoint footprint measured as the cell's
+  // peak-RSS delta, snapshot included. Repeats are capped at 2: each
+  // repeat re-builds a 10240-HCA fabric, and best-of-2 on a ~1.3M-event
+  // run is already stable.
   {
     const long rss_before_scale = peak_rss_kib();
     const Scenario scale = make_scale_scenario(quick);
+    const auto snapshot = sim::build_snapshot(scale.config);
     const int scale_repeat = repeat < 2 ? repeat : 2;
-    Cell scale_fast =
-        run_cell(scale, core::QueueKind::kTwoTier, /*fast_path=*/true, "fast", scale_repeat);
-    const Cell scale_slow =
-        run_cell(scale, core::QueueKind::kTwoTier, /*fast_path=*/false, "slow", scale_repeat);
+    Cell scale_fast = run_cell(scale, snapshot, /*fast_path=*/true, "fast", scale_repeat);
+    const Cell scale_slow = run_cell(scale, snapshot, /*fast_path=*/false, "slow", scale_repeat);
     if (scale_fast.delivered_bytes != scale_slow.delivered_bytes ||
         scale_fast.delivered_packets != scale_slow.delivered_packets ||
         scale_fast.events >= scale_slow.events) {
@@ -732,47 +641,9 @@ int main(int argc, char** argv) {
     print_by_kind(scale_slow);
   }
 
-  // Sweep-engine cell: the same Table II batch with per-run snapshot
-  // rebuilds (cold) versus one cached build shared by the batch (warm).
-  // Single worker, so the cell isolates the cache benefit from
-  // parallelism (the thread-scaling CSV covers the latter).
-  const Cell cold = run_sweep_cell(/*warm=*/false, quick, repeat, /*threads=*/1);
-  const Cell warm = run_sweep_cell(/*warm=*/true, quick, repeat, /*threads=*/1);
-  if (cold.events != warm.events || cold.delivered_bytes != warm.delivered_bytes) {
-    std::fprintf(stderr,
-                 "FATAL: snapshot cache changed results (events %llu vs %llu, "
-                 "bytes %llu vs %llu)\n",
-                 static_cast<unsigned long long>(cold.events),
-                 static_cast<unsigned long long>(warm.events),
-                 static_cast<unsigned long long>(cold.delivered_bytes),
-                 static_cast<unsigned long long>(warm.delivered_bytes));
-    return 1;
-  }
-  for (const Cell& cell : {cold, warm}) {
-    std::printf("%-18s %-7s %12llu %10.4f %10.2f runs/sec %10ld\n", cell.scenario.c_str(),
-                cell.queue.c_str(), static_cast<unsigned long long>(cell.events),
-                cell.wall_seconds, cell.events_per_sec, cell.peak_rss_kib);
-    cells.push_back(cell);
-  }
-  std::printf("%-18s speedup warm/cold: %.2fx\n", "sweep_cold_vs_warm",
-              cold.events_per_sec > 0.0 ? warm.events_per_sec / cold.events_per_sec : 0.0);
-  // The cache gate: counts, not times. The warm/cold ratio above also
-  // gates against the baseline, but with routing this cheap it no
-  // longer separates a working cache from a broken one.
-  if (warm.snapshot_misses != kWarmSweepBuilds) {
-    std::fprintf(stderr, "FATAL: sweep_cold_vs_warm warm sweep built %llu snapshots, not %llu\n",
-                 static_cast<unsigned long long>(warm.snapshot_misses),
-                 static_cast<unsigned long long>(kWarmSweepBuilds));
-    gate_failed = true;
-  } else {
-    std::printf("%-18s gate: warm sweep built %llu snapshots for %zu runs  ok\n",
-                "sweep_cold_vs_warm", static_cast<unsigned long long>(warm.snapshot_misses),
-                make_sweep_configs(quick).size());
-  }
-
   // Result-store cell: cold simulates the batch, warm serves it all
-  // from disk. Cached results round-trip bit-exactly, so the same
-  // events/bytes guard as the snapshot-cache pair applies.
+  // from disk. Cached results round-trip bit-exactly, so both arms must
+  // agree on events and bytes.
   {
     const std::string store_dir =
         (std::filesystem::temp_directory_path() /
@@ -814,8 +685,9 @@ int main(int argc, char** argv) {
     const std::vector<std::int32_t> shard_counts = {1, 2, 4, 8};
     std::vector<ShardCell> shard_cells;
     const int shard_repeat = repeat < 2 ? repeat : 2;
+    const auto snapshot = sim::build_snapshot(make_shard_config(quick));
     for (const std::int32_t s : shard_counts) {
-      shard_cells.push_back(run_shard_cell(quick, s, shard_repeat));
+      shard_cells.push_back(run_shard_cell(snapshot, quick, s, shard_repeat));
       const ShardCell& sc = shard_cells.back();
       std::printf("%-16s %-9s %12llu %10.4f %14.0f %10ld\n", sc.cell.scenario.c_str(),
                   sc.cell.queue.c_str(), static_cast<unsigned long long>(sc.cell.events),
@@ -875,62 +747,63 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "no baseline rows in '%s'\n", baseline_path.c_str());
       return 1;
     }
-    const auto events_per_sec = [](const std::vector<Cell>& rows, const std::string& scenario,
-                                   const char* queue) {
+    const auto find = [](const std::vector<Cell>& rows, const std::string& scenario,
+                         const std::string& queue) -> const Cell* {
       for (const Cell& cell : rows) {
-        if (cell.scenario == scenario && cell.queue == queue) return cell.events_per_sec;
+        if (cell.scenario == scenario && cell.queue == queue) return &cell;
       }
-      return 0.0;
+      return nullptr;
     };
-    // Raw events/sec rows are informational — they track host speed as
-    // much as code speed.
+    // Every baseline row must still be measured: a cell that vanished
+    // would otherwise take its gate with it unnoticed. Raw events/sec
+    // rows are informational — they track host speed as much as code
+    // speed.
+    int missing = 0;
     for (const Cell& then : baseline) {
-      const double now = events_per_sec(cells, then.scenario, then.queue.c_str());
-      if (now > 0.0) {
-        std::printf("baseline %-16s %-9s %14.0f -> %14.0f (%+.0f%%, informational)\n",
-                    then.scenario.c_str(), then.queue.c_str(), then.events_per_sec, now,
-                    100.0 * (now / then.events_per_sec - 1.0));
+      const Cell* now = find(cells, then.scenario, then.queue);
+      if (now == nullptr) {
+        std::fprintf(stderr, "FATAL: baseline row %s/%s has no match in this run\n",
+                     then.scenario.c_str(), then.queue.c_str());
+        ++missing;
+        continue;
       }
+      std::printf("baseline %-16s %-9s %14.0f -> %14.0f (%+.0f%%, informational)\n",
+                  then.scenario.c_str(), then.queue.c_str(), then.events_per_sec,
+                  now->events_per_sec, 100.0 * (now->events_per_sec / then.events_per_sec - 1.0));
     }
-    // The gate: host-independent ratios. two_tier/heap and warm/cold
-    // compare within-host events/sec (cancelling host speed); fast/slow
-    // compares events-per-packet — a pure event-count ratio, so it is
-    // exactly reproducible on any runner. Note the inversion: the
-    // improvement is slow-events-per-packet over fast.
-    const auto events_per_packet = [](const std::vector<Cell>& rows,
-                                      const std::string& scenario, const char* queue) {
-      for (const Cell& cell : rows) {
-        if (cell.scenario == scenario && cell.queue == queue) return cell.events_per_packet;
-      }
-      return 0.0;
-    };
-    bool failed = false;
+    // The gate: host-independent ratios. warm/cold compares within-host
+    // runs/sec (cancelling host speed); fast/slow compares
+    // events-per-packet — a pure event-count ratio, so it is exactly
+    // reproducible on any runner. Note the inversion: the improvement is
+    // slow-events-per-packet over fast. A partner missing from this run
+    // was already reported above.
+    bool regressed = false;
     for (const Cell& then : baseline) {
       const char* denom = nullptr;
-      if (then.queue == "two_tier") denom = "heap";
       if (then.queue == "warm") denom = "cold";
       if (then.queue == "fast") denom = "slow";
       if (denom == nullptr) continue;
+      const Cell* then_denom = find(baseline, then.scenario, denom);
+      const Cell* now_numer = find(cells, then.scenario, then.queue);
+      const Cell* now_denom = find(cells, then.scenario, denom);
+      if (then_denom == nullptr || now_numer == nullptr || now_denom == nullptr) continue;
       const bool count_gate = then.queue == "fast";
       double then_ratio = 0.0;
       double now_ratio = 0.0;
       if (count_gate) {
-        const double then_slow = events_per_packet(baseline, then.scenario, denom);
-        const double now_fast = events_per_packet(cells, then.scenario, "fast");
-        const double now_slow = events_per_packet(cells, then.scenario, denom);
-        if (then.events_per_packet <= 0.0 || then_slow <= 0.0 || now_fast <= 0.0 ||
-            now_slow <= 0.0) {
+        if (then.events_per_packet <= 0.0 || then_denom->events_per_packet <= 0.0 ||
+            now_numer->events_per_packet <= 0.0 || now_denom->events_per_packet <= 0.0) {
           continue;
         }
-        then_ratio = then_slow / then.events_per_packet;
-        now_ratio = now_slow / now_fast;
+        then_ratio = then_denom->events_per_packet / then.events_per_packet;
+        now_ratio = now_denom->events_per_packet / now_numer->events_per_packet;
       } else {
-        const double then_denom = events_per_sec(baseline, then.scenario, denom);
-        const double now_numer = events_per_sec(cells, then.scenario, then.queue.c_str());
-        const double now_denom = events_per_sec(cells, then.scenario, denom);
-        if (then_denom <= 0.0 || now_numer <= 0.0 || now_denom <= 0.0) continue;
-        then_ratio = then.events_per_sec / then_denom;
-        now_ratio = now_numer / now_denom;
+        if (then_denom->events_per_sec <= 0.0 || now_numer->events_per_sec <= 0.0 ||
+            now_denom->events_per_sec <= 0.0) {
+          continue;
+        }
+        then_ratio = then.events_per_sec / then_denom->events_per_sec;
+        now_ratio = now_numer->events_per_sec / now_denom->events_per_sec;
       }
       // The store cell's warm pass is sub-millisecond (12 record parses
       // from page cache), so its raw warm/cold ratio is timer noise
@@ -944,12 +817,15 @@ int main(int argc, char** argv) {
       std::printf("%s %-18s %s/%s %.3fx -> %.3fx  %s\n",
                   count_gate ? "evt/pkt " : "speedup ", then.scenario.c_str(),
                   then.queue.c_str(), denom, then_ratio, now_ratio, ok ? "ok" : "REGRESSED");
-      if (!ok) failed = true;
+      if (!ok) regressed = true;
     }
-    if (failed) {
+    if (missing > 0) {
+      std::fprintf(stderr, "%d baseline row(s) missing from this run\n", missing);
+    }
+    if (regressed) {
       std::fprintf(stderr, "speedup ratio regressed beyond %.0f%%\n", max_regress * 100.0);
-      return 1;
     }
+    if (missing > 0 || regressed) return 1;
   }
   return gate_failed ? 1 : 0;
 }

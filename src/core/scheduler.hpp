@@ -12,9 +12,7 @@ namespace ibsim::core {
 
 /// Discrete-event scheduler over a two-tier event queue: a calendar
 /// wheel for the short-horizon events that dominate a busy fabric,
-/// backed by a 4-ary min-heap for far-future timers (see EventQueue).
-/// The reference heap-only queue remains selectable for A/B testing —
-/// both orderings are bit-for-bit identical by construction.
+/// backed by a 4-ary min-heap for far-future timers (see CalendarQueue).
 ///
 /// This is the replacement for the OMNeT++ kernel the paper's model ran
 /// on. It is deliberately minimal: schedule, run, stop. Determinism is a
@@ -30,13 +28,10 @@ class Scheduler {
   /// path is one indexed increment — no strings, no hashing.
   static constexpr std::size_t kKindSlots = 7;
 
-  explicit Scheduler(QueueKind kind = QueueKind::kTwoTier) : queue_(kind) {}
+  Scheduler() = default;
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  /// Which pending-event structure this scheduler runs on.
-  [[nodiscard]] QueueKind queue_kind() const { return queue_.kind(); }
 
   /// Current simulation time. Advances only while events execute.
   [[nodiscard]] Time now() const { return now_; }
@@ -73,8 +68,8 @@ class Scheduler {
   void note_external_event() { ++external_events_; }
 
   /// Events injected via note_external_event() since construction or the
-  /// last clear(). Per-run state: clear() resets it so snapshot-cache
-  /// replays stay bit-identical run to run.
+  /// last clear(). Per-run state: clear() resets it so a reused
+  /// scheduler replays bit-identically run to run.
   [[nodiscard]] std::uint64_t external_events() const { return external_events_; }
 
   /// Schedule an event at absolute time `at` (must not be in the past).
@@ -144,7 +139,7 @@ class Scheduler {
   void clear();
 
  private:
-  EventQueue queue_;
+  CalendarQueue queue_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

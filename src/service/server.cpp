@@ -234,10 +234,12 @@ void SweepServer::stop() {
     connections_.clear();
     connection_threads_.clear();
   }
-  // shutdown() (not just close) wakes a blocked accept()/read().
+  // shutdown() (not just close) wakes a blocked accept()/read(). The
+  // listener closes only after the accept loop has exited: until then
+  // that thread still reads the fd.
   if (listener_.valid()) ::shutdown(listener_.get(), SHUT_RDWR);
-  listener_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   for (const auto& conn : connections) {
     if (conn->fd.valid()) ::shutdown(conn->fd.get(), SHUT_RDWR);
   }

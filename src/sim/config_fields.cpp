@@ -32,16 +32,9 @@ constexpr Spelling<ib::CctFill> kCctFillSpellings[] = {
     {ib::CctFill::Geometric, "geometric"},
     {ib::CctFill::Linear, "linear"},
 };
-constexpr Spelling<core::QueueKind> kQueueKindSpellings[] = {
-    {core::QueueKind::kTwoTier, "two_tier"},
-    {core::QueueKind::kHeap, "heap"},
-};
 
 std::span<const Spelling<TopologyKind>> spellings(TopologyKind) { return kTopologySpellings; }
 std::span<const Spelling<ib::CctFill>> spellings(ib::CctFill) { return kCctFillSpellings; }
-std::span<const Spelling<core::QueueKind>> spellings(core::QueueKind) {
-  return kQueueKindSpellings;
-}
 
 template <typename E>
 std::string spelling_of(E value) {
@@ -199,8 +192,6 @@ constexpr ConfigField kFields[] = {
      "warm-up excluded from the metrics"},
     {"seed", IBSIM_MEMBER(seed), kPlain, kKeyed, "random seed"},
     {"latency_hist_max_us", IBSIM_MEMBER(latency_hist_max_us), kPlain, kKeyOnly, ""},
-    {"snapshot_cache", IBSIM_MEMBER(snapshot_cache), kPlain, kKeyOnly, ""},
-    {"scheduler_queue", IBSIM_MEMBER(scheduler_queue), kPlain, kKeyOnly, ""},
     {"shards", IBSIM_MEMBER(shards), kCount, kKeyed,
      "fabric shards (1 = serial engine, 0 = one per resolved thread)"},
     {"threads", IBSIM_MEMBER(threads), kCount, kUnkeyed,

@@ -40,8 +40,7 @@ struct ConfigField {
   std::variant<FieldMember<bool>, FieldMember<std::uint8_t>, FieldMember<std::uint16_t>,
                FieldMember<std::int32_t>, FieldMember<std::int64_t>,
                FieldMember<std::uint64_t>, FieldMember<double>, FieldMember<std::string>,
-               FieldMember<TopologyKind>, FieldMember<ib::CctFill>,
-               FieldMember<core::QueueKind>>
+               FieldMember<TopologyKind>, FieldMember<ib::CctFill>>
       member;
   FieldUnit unit;
   FieldScope scope;

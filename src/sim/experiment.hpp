@@ -109,8 +109,8 @@ struct SweepReport {
 /// run executes on its own scheduler, and results stream into pre-sized
 /// slots positionally matched to `configs` (move-assigned from
 /// worker-local storage, bounding peak memory to one in-flight result
-/// per worker). Topology/routing snapshots are shared through the
-/// SnapshotCache for every config that enables it.
+/// per worker). Each run builds its own topology/routing snapshot and
+/// frees it when it ends, so a worker holds at most one at a time.
 ///
 /// Configs with a non-empty result_store first consult the on-disk
 /// store (src/store): cached runs fill their slots without scheduling,

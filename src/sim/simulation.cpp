@@ -14,12 +14,6 @@
 namespace ibsim::sim {
 
 namespace {
-std::shared_ptr<const RoutingSnapshot> resolve_snapshot(const SimConfig& config) {
-  if (config.snapshot_cache) return SnapshotCache::instance().routing(config);
-  return build_routing_snapshot(build_topology_snapshot(config),
-                                tie_break_for(config.topology));
-}
-
 workload::WorkloadSpec resolve_workload_spec(const SimConfig& config) {
   const WorkloadSettings& w = config.workload;
   if (w.name == "file") {
@@ -43,12 +37,11 @@ workload::WorkloadSpec resolve_workload_spec(const SimConfig& config) {
 }
 }  // namespace
 
-Simulation::Simulation(const SimConfig& config)
-    : Simulation(config, resolve_snapshot(config)) {}
+Simulation::Simulation(const SimConfig& config) : Simulation(config, build_snapshot(config)) {}
 
 Simulation::Simulation(const SimConfig& config,
                        std::shared_ptr<const RoutingSnapshot> snapshot)
-    : config_(config), sched_(config.scheduler_queue), snapshot_(std::move(snapshot)) {
+    : config_(config), snapshot_(std::move(snapshot)) {
   IBSIM_ASSERT(snapshot_ != nullptr && snapshot_->topology != nullptr,
                "Simulation needs a complete snapshot");
   IBSIM_ASSERT(snapshot_->topology->topo.node_count() == config_.node_count(),
@@ -160,7 +153,7 @@ const fabric::Fabric::ShardLayout* Simulation::prepare_shards(const topo::Topolo
   shard_plan_ = topo::make_shard_plan(topo, want);
   if (shard_plan_.n_shards <= 1) return nullptr;
   for (std::int32_t s = 0; s < shard_plan_.n_shards; ++s) {
-    shard_scheds_.push_back(std::make_unique<core::Scheduler>(config_.scheduler_queue));
+    shard_scheds_.push_back(std::make_unique<core::Scheduler>());
     shard_layout_.scheds.push_back(shard_scheds_.back().get());
   }
   shard_layout_.shard_of_device = &shard_plan_.shard_of_device;

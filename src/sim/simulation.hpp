@@ -83,14 +83,14 @@ struct SimResult {
 /// scenario, metrics — built from a SimConfig, run once.
 class Simulation {
  public:
-  /// Build from `config`, drawing the topology/routing pair from the
-  /// process-wide SnapshotCache (or building a private copy when
-  /// `config.snapshot_cache` is false).
+  /// Build from `config` onto a topology/routing snapshot of its own,
+  /// freed with the Simulation.
   explicit Simulation(const SimConfig& config);
 
-  /// Build onto an explicit pre-computed snapshot (sweep harnesses that
-  /// manage sharing themselves). The snapshot must match the config's
-  /// topology description.
+  /// Build onto a pre-computed snapshot, so runs on one fabric can share
+  /// a single immutable topology and LFT set. The snapshot must match
+  /// the config's topology description; results are bit-identical to a
+  /// run on its own snapshot.
   Simulation(const SimConfig& config, std::shared_ptr<const RoutingSnapshot> snapshot);
 
   ~Simulation();
@@ -111,10 +111,6 @@ class Simulation {
   [[nodiscard]] MetricsCollector& metrics() { return *metrics_; }
   [[nodiscard]] const topo::Topology& topology() const { return snapshot_->topology->topo; }
   [[nodiscard]] const topo::RoutingTables& routing() const { return snapshot_->tables; }
-  /// The immutable topology/routing pair this run shares with its sweep.
-  [[nodiscard]] const std::shared_ptr<const RoutingSnapshot>& snapshot_ref() const {
-    return snapshot_;
-  }
   [[nodiscard]] const SimConfig& config() const { return config_; }
 
   /// Effective shard count this run executes with (1 = serial engine;

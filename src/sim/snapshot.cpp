@@ -1,54 +1,14 @@
 #include "sim/snapshot.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "core/assert.hpp"
 
 namespace ibsim::sim {
 
-std::string topology_snapshot_key(const SimConfig& config) {
-  char buf[128];
-  buf[0] = '\0';
-  switch (config.topology) {
-    case TopologyKind::SingleSwitch:
-      std::snprintf(buf, sizeof(buf), "single_switch:%d", config.single_switch_nodes);
-      break;
-    case TopologyKind::FoldedClos:
-      std::snprintf(buf, sizeof(buf), "folded_clos:%d:%d:%d", config.clos.leaves,
-                    config.clos.spines, config.clos.nodes_per_leaf);
-      break;
-    case TopologyKind::FatTree3:
-      std::snprintf(buf, sizeof(buf), "fat_tree3:%d:%d:%d:%d:%d", config.fat_tree3.pods,
-                    config.fat_tree3.leaves_per_pod, config.fat_tree3.aggs_per_pod,
-                    config.fat_tree3.cores, config.fat_tree3.nodes_per_leaf);
-      break;
-    case TopologyKind::LinearChain:
-      std::snprintf(buf, sizeof(buf), "linear_chain:%d:%d", config.chain_switches,
-                    config.chain_nodes_per_switch);
-      break;
-    case TopologyKind::Dumbbell:
-      std::snprintf(buf, sizeof(buf), "dumbbell:%d", config.dumbbell_nodes_per_side);
-      break;
-    case TopologyKind::Mesh2D:
-      std::snprintf(buf, sizeof(buf), "mesh2d:%d:%d:%d", config.mesh_rows, config.mesh_cols,
-                    config.mesh_nodes_per_switch);
-      break;
-  }
-  IBSIM_ASSERT(buf[0] != '\0', "unknown topology kind");
-  return buf;
-}
-
 topo::RoutingTables::TieBreak tie_break_for(TopologyKind kind) {
   return kind == TopologyKind::Mesh2D ? topo::RoutingTables::TieBreak::FirstPort
                                       : topo::RoutingTables::TieBreak::DModK;
-}
-
-std::string routing_snapshot_key(const SimConfig& config) {
-  const char* rule = tie_break_for(config.topology) == topo::RoutingTables::TieBreak::DModK
-                         ? "dmodk"
-                         : "first_port";
-  return topology_snapshot_key(config) + "|" + rule;
 }
 
 namespace {
@@ -74,7 +34,6 @@ topo::Topology build_topology(const SimConfig& config) {
 
 std::shared_ptr<const TopologySnapshot> build_topology_snapshot(const SimConfig& config) {
   auto snap = std::make_shared<TopologySnapshot>();
-  snap->key = topology_snapshot_key(config);
   snap->topo = build_topology(config);
   return snap;
 }
@@ -83,84 +42,13 @@ std::shared_ptr<const RoutingSnapshot> build_routing_snapshot(
     std::shared_ptr<const TopologySnapshot> topology,
     topo::RoutingTables::TieBreak tie_break) {
   auto snap = std::make_shared<RoutingSnapshot>();
-  snap->key = topology->key + "|" +
-              (tie_break == topo::RoutingTables::TieBreak::DModK ? "dmodk" : "first_port");
   snap->tables = topo::RoutingTables::compute(topology->topo, tie_break);
   snap->topology = std::move(topology);
   return snap;
 }
 
-SnapshotCache& SnapshotCache::instance() {
-  static SnapshotCache cache;
-  return cache;
-}
-
-std::shared_ptr<const TopologySnapshot> SnapshotCache::topology(const SimConfig& config) {
-  const std::string key = topology_snapshot_key(config);
-  std::promise<std::shared_ptr<const TopologySnapshot>> promise;
-  std::shared_future<std::shared_ptr<const TopologySnapshot>> future;
-  bool miss = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = topologies_.find(key);
-    if (it == topologies_.end()) {
-      miss = true;
-      future = promise.get_future().share();
-      topologies_.emplace(key, future);
-    } else {
-      future = it->second;
-    }
-  }
-  if (miss) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    auto snap = build_topology_snapshot(config);
-    promise.set_value(snap);
-    return snap;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return future.get();  // blocks while another worker computes it
-}
-
-std::shared_ptr<const RoutingSnapshot> SnapshotCache::routing(const SimConfig& config) {
-  const std::string key = routing_snapshot_key(config);
-  std::promise<std::shared_ptr<const RoutingSnapshot>> promise;
-  std::shared_future<std::shared_ptr<const RoutingSnapshot>> future;
-  bool miss = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = routings_.find(key);
-    if (it == routings_.end()) {
-      miss = true;
-      future = promise.get_future().share();
-      routings_.emplace(key, future);
-    } else {
-      future = it->second;
-    }
-  }
-  if (miss) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    auto snap = build_routing_snapshot(topology(config), tie_break_for(config.topology));
-    promise.set_value(snap);
-    return snap;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return future.get();
-}
-
-void SnapshotCache::reset_stats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-}
-
-void SnapshotCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  topologies_.clear();
-  routings_.clear();
-}
-
-std::size_t SnapshotCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return topologies_.size() + routings_.size();
+std::shared_ptr<const RoutingSnapshot> build_snapshot(const SimConfig& config) {
+  return build_routing_snapshot(build_topology_snapshot(config), tie_break_for(config.topology));
 }
 
 }  // namespace ibsim::sim

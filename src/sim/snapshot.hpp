@@ -1,12 +1,6 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "sim/sim_config.hpp"
 #include "topo/routing.hpp"
@@ -14,89 +8,34 @@
 
 namespace ibsim::sim {
 
-/// Immutable, shareable topology: built once per distinct topology
-/// description, then referenced by every run of a sweep through a
-/// shared_ptr. Nothing in the simulator mutates a Topology after
-/// construction, so sharing is safe across run_parallel workers.
+/// Immutable, shareable topology. Nothing in the simulator mutates a
+/// Topology after construction, so any number of Simulations, on any
+/// threads, may hold the same snapshot through a shared_ptr.
 struct TopologySnapshot {
-  std::string key;      ///< content key it is cached under
   topo::Topology topo;  ///< the cabling, identical for every holder
 };
 
-/// Immutable, shareable all-pairs routing: one flattened LFT set computed
-/// per distinct (topology, tie-break) pair. Holds its topology snapshot
-/// so a RoutingSnapshot alone keeps everything a Fabric borrows alive.
+/// Immutable, shareable all-pairs routing: one flattened LFT set for one
+/// (topology, tie-break) pair. Holds its topology snapshot so a
+/// RoutingSnapshot alone keeps everything a Fabric borrows alive.
 struct RoutingSnapshot {
-  std::string key;
   std::shared_ptr<const TopologySnapshot> topology;
   topo::RoutingTables tables;
 };
-
-/// Canonical content key of a config's topology: every parameter that
-/// feeds the builder, nothing else. Two configs with equal keys build
-/// byte-for-byte identical topologies.
-[[nodiscard]] std::string topology_snapshot_key(const SimConfig& config);
 
 /// The tie-break Simulation uses for a topology kind: meshes route
 /// dimension-ordered (deadlock freedom), everything else spreads d-mod-k.
 [[nodiscard]] topo::RoutingTables::TieBreak tie_break_for(TopologyKind kind);
 
-/// Routing key: topology key plus the tie-break rule.
-[[nodiscard]] std::string routing_snapshot_key(const SimConfig& config);
-
-/// Build a fresh (uncached) snapshot pair for `config`.
+/// Build the topology `config` describes. A caller running several
+/// configs on one fabric builds it once, routes it once, and passes the
+/// RoutingSnapshot to each Simulation(config, snapshot).
 [[nodiscard]] std::shared_ptr<const TopologySnapshot> build_topology_snapshot(
     const SimConfig& config);
 [[nodiscard]] std::shared_ptr<const RoutingSnapshot> build_routing_snapshot(
     std::shared_ptr<const TopologySnapshot> topology, topo::RoutingTables::TieBreak tie_break);
 
-/// Process-wide content-keyed cache of topology/routing snapshots.
-///
-/// A sweep's runs differ in seeds, scenarios and CC parameters but share
-/// one fabric; the cache computes each distinct topology and LFT set
-/// once and hands every Simulation the same immutable object. Lookups
-/// are thread-safe: concurrent run_parallel workers that miss the same
-/// key block on one in-flight computation instead of duplicating it
-/// (per-key shared_future under a registry mutex; the build itself runs
-/// outside the lock so distinct keys compute concurrently).
-class SnapshotCache {
- public:
-  static SnapshotCache& instance();
-
-  /// The shared topology for `config` (computed on first request).
-  [[nodiscard]] std::shared_ptr<const TopologySnapshot> topology(const SimConfig& config);
-
-  /// The shared routing tables for `config` (computes the topology too
-  /// on a cold cache).
-  [[nodiscard]] std::shared_ptr<const RoutingSnapshot> routing(const SimConfig& config);
-
-  /// Hit/miss accounting: one lookup per topology() / routing() call.
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  [[nodiscard]] Stats stats() const {
-    return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed)};
-  }
-  void reset_stats();
-
-  /// Drop every cached snapshot (outstanding shared_ptrs stay valid).
-  /// Test/bench hook — a cleared cache is "cold".
-  void clear();
-
-  /// Distinct (topology + routing) entries currently cached.
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  SnapshotCache() = default;
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_future<std::shared_ptr<const TopologySnapshot>>>
-      topologies_;
-  std::unordered_map<std::string, std::shared_future<std::shared_ptr<const RoutingSnapshot>>>
-      routings_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
+/// Both builds for `config`, with the tie-break Simulation uses.
+[[nodiscard]] std::shared_ptr<const RoutingSnapshot> build_snapshot(const SimConfig& config);
 
 }  // namespace ibsim::sim

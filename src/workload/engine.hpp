@@ -42,7 +42,7 @@ struct WorkloadProgress {
 /// dependents resolve in op-id order, and the only randomness (the
 /// background senders) uses named Rng forks — so a workload run is a
 /// pure function of (spec, config, seed), independent of wall clock,
-/// thread placement and snapshot-cache hits.
+/// thread placement and whether the topology snapshot is shared.
 class WorkloadEngine final : public fabric::SinkObserver {
  public:
   struct Options {

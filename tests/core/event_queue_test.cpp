@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -116,27 +118,36 @@ TEST(CalendarQueue, SizeTracksAllTiers) {
 TEST(CalendarQueue, MatchesHeapOnRandomWorkload) {
   // The determinism contract, exercised adversarially: interleaved
   // pushes and pops with times spanning bucket, rotation, and horizon
-  // scales must extract in exactly the heap's (at, seq) order.
+  // scales must extract in exactly the heap's (at, seq) order. Besides
+  // fresh pushes, the workload issues every push Scheduler can: a
+  // sequence number reserved earlier and pushed late, as
+  // schedule_at_reserved does. Late pushes tie on `at` with events
+  // already queued under higher sequence numbers — at `now` (the
+  // draining bucket's overlay), on bucket edges, and past the wheel
+  // horizon — and the older sequence must still come out first.
+  constexpr Time kWidth = CalendarQueue::kBucketWidth;
+  constexpr Time kHorizon = kWidth * static_cast<Time>(CalendarQueue::kNumBuckets);
   CalendarQueue cal;
   HeapQueue heap;
   Rng rng(2024);
   Time now = 0;
   std::uint64_t seq = 0;
+  std::vector<std::uint64_t> reserved;  // handed out, not yet pushed
+  std::vector<Time> recent;             // recent push times: tie targets
+  const auto push = [&](Time at, std::uint64_t s) {
+    cal.push(make_event(at, s));
+    heap.push(make_event(at, s));
+    recent.push_back(at);
+    if (recent.size() > 64) recent.erase(recent.begin());
+  };
+  // The last picosecond of a bucket or the first of the next, `ahead`
+  // buckets past the one holding `now`.
+  const auto bucket_edge = [&](Time ahead) {
+    return (now / kWidth + ahead) * kWidth - static_cast<Time>(rng.next_below(2));
+  };
   for (int round = 0; round < 20000; ++round) {
-    const std::uint64_t action = rng.next_below(3);
-    if (action != 0 || cal.empty()) {
-      // Mixed horizons: same-bucket, near, far, very far.
-      static constexpr Time kSpans[] = {
-          1, CalendarQueue::kBucketWidth / 2, CalendarQueue::kBucketWidth * 20,
-          CalendarQueue::kBucketWidth * static_cast<Time>(CalendarQueue::kNumBuckets) * 4};
-      const Time span = kSpans[rng.next_below(4)];
-      const Time at = now + static_cast<Time>(rng.next_below(
-                                static_cast<std::uint64_t>(span))) +
-                      1;
-      cal.push(make_event(at, seq));
-      heap.push(make_event(at, seq));
-      ++seq;
-    } else {
+    const std::uint64_t action = rng.next_below(6);
+    if (action < 2 && !cal.empty()) {
       const Event* front = cal.peek();
       ASSERT_NE(front, nullptr);
       ASSERT_FALSE(heap.empty());
@@ -145,6 +156,39 @@ TEST(CalendarQueue, MatchesHeapOnRandomWorkload) {
       now = front->at;  // simulation time advances monotonically
       cal.pop();
       heap.pop();
+    } else if (action == 2) {
+      reserved.push_back(seq++);
+    } else if (action == 3 && !reserved.empty()) {
+      const std::size_t pick = rng.next_below(reserved.size());
+      const std::uint64_t late_seq = reserved[pick];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
+      Time at = 0;
+      switch (rng.next_below(3)) {
+        case 0:  // tie with a recent push; one already popped past means `now`
+          at = recent.empty() ? now : std::max(now, recent[rng.next_below(recent.size())]);
+          break;
+        case 1:
+          at = bucket_edge(1 + static_cast<Time>(rng.next_below(4)));
+          break;
+        default:
+          at = bucket_edge(static_cast<Time>(CalendarQueue::kNumBuckets) + 1 +
+                           static_cast<Time>(rng.next_below(4)));
+          break;
+      }
+      push(at, late_seq);
+    } else if (action == 4) {
+      // Fresh pushes onto the same edges, so late pushes find ties there.
+      const Time ahead = rng.next_below(2) == 0
+                             ? 1 + static_cast<Time>(rng.next_below(4))
+                             : static_cast<Time>(CalendarQueue::kNumBuckets) + 1 +
+                                   static_cast<Time>(rng.next_below(4));
+      push(bucket_edge(ahead), seq++);
+    } else {
+      // Mixed horizons: same-bucket, near, far, very far.
+      static constexpr Time kSpans[] = {1, kWidth / 2, kWidth * 20, kHorizon * 4};
+      const Time span = kSpans[rng.next_below(4)];
+      push(now + static_cast<Time>(rng.next_below(static_cast<std::uint64_t>(span))) + 1,
+           seq++);
     }
     ASSERT_EQ(cal.size(), heap.size());
   }

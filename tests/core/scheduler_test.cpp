@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/event_queue.hpp"
 #include "core/rng.hpp"
 
 namespace ibsim::core {
@@ -22,18 +26,19 @@ class Recorder : public EventHandler {
   std::vector<std::uint64_t> payloads;
 };
 
-/// Handler that schedules a follow-up event on itself.
+/// Handler that schedules a follow-up event on itself, `step` ahead.
 class Chainer : public EventHandler {
  public:
-  explicit Chainer(int remaining) : remaining_(remaining) {}
+  explicit Chainer(int remaining, Time step = 10) : remaining_(remaining), step_(step) {}
   void on_event(Scheduler& sched, const Event&) override {
     ++fired;
-    if (--remaining_ > 0) sched.schedule_in(10, this, 0);
+    if (--remaining_ > 0) sched.schedule_in(step_, this, 0);
   }
   int fired = 0;
 
  private:
   int remaining_;
+  Time step_;
 };
 
 TEST(Scheduler, StartsAtTimeZeroEmpty) {
@@ -251,55 +256,77 @@ TEST(Scheduler, LargeRandomBatchStaysSorted) {
 }
 
 // ---------------------------------------------------------------------------
-// Every ordering property must hold for both pending-event structures;
-// the heap is the reference the calendar queue is checked against.
+// Every ordering property must hold on both tiers of the scheduler's
+// queue. `TwoTier` schedules inside the calendar wheel's horizon, the
+// path nearly every fabric event takes; `Heap` shifts every time past
+// it, so the events wait in the far-tier 4-ary heap and reach their
+// bucket by migration as the wheel turns.
 // ---------------------------------------------------------------------------
-class SchedulerQueueKind : public ::testing::TestWithParam<QueueKind> {};
+enum class QueueTier : std::uint8_t { kTwoTier, kHeap };
+
+/// The wheel's horizon at time 0: the earliest time the far heap holds.
+constexpr Time kWheelHorizon =
+    CalendarQueue::kBucketWidth * static_cast<Time>(CalendarQueue::kNumBuckets);
+
+class SchedulerQueueKind : public ::testing::TestWithParam<QueueTier> {
+ protected:
+  /// Added to every time a test schedules at.
+  [[nodiscard]] Time base() const { return GetParam() == QueueTier::kHeap ? kWheelHorizon : 0; }
+};
 
 INSTANTIATE_TEST_SUITE_P(BothQueues, SchedulerQueueKind,
-                         ::testing::Values(QueueKind::kTwoTier, QueueKind::kHeap),
+                         ::testing::Values(QueueTier::kTwoTier, QueueTier::kHeap),
                          [](const auto& info) {
-                           return info.param == QueueKind::kTwoTier ? "TwoTier" : "Heap";
+                           return info.param == QueueTier::kTwoTier ? "TwoTier" : "Heap";
                          });
 
 TEST_P(SchedulerQueueKind, ExecutesInTimeThenInsertionOrder) {
-  Scheduler sched(GetParam());
+  Scheduler sched;
   Recorder rec;
-  sched.schedule_at(30, &rec, 0, 4);
-  sched.schedule_at(10, &rec, 0, 1);
-  sched.schedule_at(10, &rec, 0, 2);
-  sched.schedule_at(20, &rec, 0, 3);
+  sched.schedule_at(base() + 30, &rec, 0, 4);
+  sched.schedule_at(base() + 10, &rec, 0, 1);
+  sched.schedule_at(base() + 10, &rec, 0, 2);
+  sched.schedule_at(base() + 20, &rec, 0, 3);
   sched.run();
   EXPECT_EQ(rec.payloads, (std::vector<std::uint64_t>{1, 2, 3, 4}));
 }
 
 TEST_P(SchedulerQueueKind, MixedHorizonsReplayIdentically) {
-  // Same seeded workload through both structures: times span from
-  // sub-bucket to beyond the calendar horizon, with handler-driven
-  // inserts at the current time. The observable execution order is the
-  // contract; it must not depend on the queue.
-  auto replay = [](QueueKind kind) {
-    Scheduler sched(kind);
-    Recorder rec;
-    Rng rng(7);
-    for (int i = 0; i < 5000; ++i) {
-      // Up to ~286 µs: crosses the 67 µs wheel horizon regularly.
-      sched.schedule_at(static_cast<Time>(rng.next_below(1u << 28)), &rec, 0,
-                        static_cast<std::uint64_t>(i));
-    }
-    sched.run();
-    return rec.payloads;
-  };
-  EXPECT_EQ(replay(QueueKind::kTwoTier), replay(QueueKind::kHeap));
+  // Times span from sub-bucket to beyond the calendar horizon. The
+  // observable execution order is the contract: ascending time, ties in
+  // scheduling order — exactly a stable sort of the scheduled list.
+  Scheduler sched;
+  Recorder rec;
+  Rng rng(7);
+  std::vector<std::pair<Time, std::uint64_t>> scheduled;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    // Up to ~286 µs: crosses the 67 µs wheel horizon regularly. A narrow
+    // range every fourth event forces same-time ties.
+    const Time at = base() + static_cast<Time>(rng.next_below(i % 4 == 0 ? 64 : 1u << 28));
+    sched.schedule_at(at, &rec, 0, i);
+    scheduled.emplace_back(at, i);
+  }
+  sched.run();
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  ASSERT_EQ(rec.payloads.size(), scheduled.size());
+  for (std::size_t k = 0; k < scheduled.size(); ++k) {
+    ASSERT_EQ(rec.times[k], scheduled[k].first) << "event " << k;
+    ASSERT_EQ(rec.payloads[k], scheduled[k].second) << "event " << k;
+  }
 }
 
 TEST_P(SchedulerQueueKind, ChainedSchedulingAdvances) {
-  Scheduler sched(GetParam());
-  Chainer chain(1000);
-  sched.schedule_at(0, &chain, 0);
+  // With `Heap`, every follow-up also lands past the wheel horizon as
+  // seen from the event that schedules it.
+  const Time step = base() + 10;
+  Scheduler sched;
+  Chainer chain(1000, step);
+  sched.schedule_at(base(), &chain, 0);
   sched.run();
   EXPECT_EQ(chain.fired, 1000);
   EXPECT_EQ(sched.executed(), 1000u);
+  EXPECT_EQ(sched.now(), base() + 999 * step);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,13 +338,13 @@ TEST_P(SchedulerQueueKind, ReservedSeqKeepsItsSlotInSameTimeTies) {
   // A slot reserved early but scheduled late must still execute where
   // its eager twin would have: before every same-timestamp event with a
   // higher sequence, even though those were pushed into the queue first.
-  Scheduler sched(GetParam());
+  Scheduler sched;
   Recorder rec;
-  sched.schedule_at(100, &rec, 0, 1);
+  sched.schedule_at(base() + 100, &rec, 0, 1);
   const std::uint64_t reserved = sched.reserve_seq();
-  sched.schedule_at(100, &rec, 0, 3);
-  sched.schedule_at(100, &rec, 0, 4);
-  sched.schedule_at_reserved(100, reserved, &rec, 0, 2);  // materialize late
+  sched.schedule_at(base() + 100, &rec, 0, 3);
+  sched.schedule_at(base() + 100, &rec, 0, 4);
+  sched.schedule_at_reserved(base() + 100, reserved, &rec, 0, 2);  // materialize late
   sched.run();
   EXPECT_EQ(rec.payloads, (std::vector<std::uint64_t>{1, 2, 3, 4}));
 }
@@ -326,11 +353,11 @@ TEST_P(SchedulerQueueKind, ReserveSeqBurnsExactlyOneSequence) {
   // Interleaving reservations must not shift the sequence numbering the
   // surrounding schedule_at calls observe — parity with a run that
   // scheduled a real event in each slot.
-  Scheduler sched(GetParam());
+  Scheduler sched;
   Recorder rec;
-  const std::uint64_t s0 = sched.schedule_at(10, &rec, 0);
+  const std::uint64_t s0 = sched.schedule_at(base() + 10, &rec, 0);
   const std::uint64_t r0 = sched.reserve_seq();
-  const std::uint64_t s1 = sched.schedule_at(10, &rec, 0);
+  const std::uint64_t s1 = sched.schedule_at(base() + 10, &rec, 0);
   EXPECT_EQ(r0, s0 + 1);
   EXPECT_EQ(s1, r0 + 1);
   sched.run();  // an unmaterialized reservation simply never fires

@@ -1,7 +1,7 @@
 // Scale-path invariants for the SoA/arena fabric (DESIGN.md §13).
 //
 // The layout refactor must be observationally invisible at the
-// ~2k-endpoint scale the CI smoke job exercises: snapshot-cache sharing,
+// ~2k-endpoint scale the CI smoke job exercises: a shared snapshot,
 // sweep-level parallelism and scheduler reuse may not perturb a single
 // bit of any SimResult. These run the scale_2k fat-tree with short
 // windows — large enough to light up every arbitration mask and arena
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "../fabric/fabric_fixture.hpp"
+#include "../sim/expect_identical.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 #include "sim/snapshot.hpp"
@@ -35,36 +36,18 @@ SimConfig scale2k_config() {
   return config;
 }
 
-void expect_identical(const SimResult& a, const SimResult& b, const std::string& what) {
-  EXPECT_EQ(a.hotspot_rcv_gbps, b.hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.non_hotspot_rcv_gbps, b.non_hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.all_rcv_gbps, b.all_rcv_gbps) << what;
-  EXPECT_EQ(a.total_throughput_gbps, b.total_throughput_gbps) << what;
-  EXPECT_EQ(a.jain_non_hotspot, b.jain_non_hotspot) << what;
-  EXPECT_EQ(a.median_latency_us, b.median_latency_us) << what;
-  EXPECT_EQ(a.p99_latency_us, b.p99_latency_us) << what;
-  EXPECT_EQ(a.fecn_marked, b.fecn_marked) << what;
-  EXPECT_EQ(a.cnps_sent, b.cnps_sent) << what;
-  EXPECT_EQ(a.becn_received, b.becn_received) << what;
-  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes) << what;
-  EXPECT_EQ(a.events_executed, b.events_executed) << what;
-}
-
-TEST(ScaleInvariants, SnapshotCacheOnOffBitIdenticalAt2k) {
-  SnapshotCache::instance().clear();
-  SimConfig cached = scale2k_config();
-  cached.snapshot_cache = true;
-  SimConfig fresh = scale2k_config();
-  fresh.snapshot_cache = false;
-  const SimResult warm = run_sim(cached);
-  const SimResult cold = run_sim(fresh);
-  const SimResult warm2 = run_sim(cached);  // second run really hits the cache
-  expect_identical(warm, cold, "2k scale, cache on vs off");
-  expect_identical(warm, warm2, "2k scale, cold vs warm cache");
+TEST(ScaleInvariants, SharedSnapshotBitIdenticalAt2k) {
+  // Two runs on one snapshot and one on a private build.
+  const SimConfig config = scale2k_config();
+  const auto snapshot = build_snapshot(config);
+  const SimResult shared = Simulation(config, snapshot).run();
+  const SimResult shared2 = Simulation(config, snapshot).run();
+  const SimResult own = run_sim(config);
+  expect_identical(shared, own, "2k scale, shared vs own snapshot");
+  expect_identical(shared, shared2, "2k scale, first vs second run on one snapshot");
 }
 
 TEST(ScaleInvariants, RunParallelThreadCountsBitIdenticalAt2k) {
-  SnapshotCache::instance().clear();
   std::vector<SimConfig> configs;
   configs.push_back(scale2k_config());
   configs.push_back(scale2k_config());

@@ -3,8 +3,8 @@
 // The conservative-lookahead engine must be invisible three ways:
 //  - shards=1 routes through the untouched serial engine, bit-identical
 //    to a config that never mentions shards (and to every golden);
-//  - a fixed shard count is deterministic: worker-thread count and
-//    repeated runs (snapshot cache warm or cold) change nothing;
+//  - a fixed shard count is deterministic: worker-thread count,
+//    repeated runs and a shared or private snapshot change nothing;
 //  - sharded vs serial is *stats*-equivalent — cross-shard interleaving
 //    may legitimately reorder same-timestamp arbitration, so headline
 //    rates agree within a tolerance rather than bitwise.
@@ -13,6 +13,7 @@
 
 #include <string>
 
+#include "expect_identical.hpp"
 #include "sim/shard_engine.hpp"
 #include "sim/simulation.hpp"
 #include "sim/snapshot.hpp"
@@ -20,21 +21,6 @@
 
 namespace ibsim::sim {
 namespace {
-
-void expect_identical(const SimResult& a, const SimResult& b, const std::string& what) {
-  EXPECT_EQ(a.hotspot_rcv_gbps, b.hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.non_hotspot_rcv_gbps, b.non_hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.all_rcv_gbps, b.all_rcv_gbps) << what;
-  EXPECT_EQ(a.total_throughput_gbps, b.total_throughput_gbps) << what;
-  EXPECT_EQ(a.jain_non_hotspot, b.jain_non_hotspot) << what;
-  EXPECT_EQ(a.median_latency_us, b.median_latency_us) << what;
-  EXPECT_EQ(a.p99_latency_us, b.p99_latency_us) << what;
-  EXPECT_EQ(a.fecn_marked, b.fecn_marked) << what;
-  EXPECT_EQ(a.cnps_sent, b.cnps_sent) << what;
-  EXPECT_EQ(a.becn_received, b.becn_received) << what;
-  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes) << what;
-  EXPECT_EQ(a.events_executed, b.events_executed) << what;
-}
 
 void expect_near_rel(double a, double b, double tol, const std::string& what) {
   const double scale = std::max(std::abs(a), std::abs(b));
@@ -155,23 +141,20 @@ TEST(ShardEquivalence, ShardedDeterministicWithMovingHotspots) {
 }
 
 TEST(ShardEquivalence, ShardReplayBitIdentical) {
-  // Snapshot-cache replay regression (satellite of DESIGN.md §15): the
-  // per-shard schedulers and the sharded fabric must reset/construct to
-  // the same state whether the topology snapshot is shared or rebuilt,
-  // so cache on/off (and warm vs cold cache) stays bit-identical with
-  // shards > 1 exactly as ScaleInvariants pins for the serial engine.
-  SnapshotCache::instance().clear();
-  SimConfig cached = small_clos_config();
-  cached.shards = 4;
-  cached.threads = 2;
-  cached.snapshot_cache = true;
-  SimConfig fresh = cached;
-  fresh.snapshot_cache = false;
-  const SimResult warm = run_sim(cached);
-  const SimResult cold = run_sim(fresh);
-  const SimResult warm2 = run_sim(cached);  // second run really hits the cache
-  expect_identical(warm, cold, "shards=4, cache on vs off");
-  expect_identical(warm, warm2, "shards=4, cold vs warm cache");
+  // The per-shard schedulers and the sharded fabric must construct to
+  // the same state whether the topology snapshot is shared or built
+  // privately, so two runs on one snapshot and one on its own stay
+  // bit-identical with shards > 1, as ScaleInvariants pins for the
+  // serial engine.
+  SimConfig config = small_clos_config();
+  config.shards = 4;
+  config.threads = 2;
+  const auto snapshot = build_snapshot(config);
+  const SimResult shared = Simulation(config, snapshot).run();
+  const SimResult shared2 = Simulation(config, snapshot).run();
+  const SimResult own = run_sim(config);
+  expect_identical(shared, own, "shards=4, shared vs own snapshot");
+  expect_identical(shared, shared2, "shards=4, first vs second run on one snapshot");
 }
 
 TEST(ShardEquivalence, ShardedStatsEquivalentSmallClos) {

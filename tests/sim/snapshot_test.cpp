@@ -1,13 +1,14 @@
-// Snapshot-layer semantics: sharing cached topology/routing snapshots
+// Snapshot-layer semantics: sharing one topology/routing snapshot
 // across runs must be observationally invisible. SimResults are compared
-// field-for-field (EXPECT_EQ, no tolerance) between cache-on and
-// cache-off runs and across run_parallel thread counts — the "gated on
-// bit-identical results" guarantee of the sweep-engine overhaul.
+// field-for-field (EXPECT_EQ, no tolerance) between runs on a shared
+// snapshot and on a private build, and across run_parallel thread
+// counts.
 
 #include "sim/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include "expect_identical.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 
@@ -47,108 +48,35 @@ std::vector<SimConfig> taxonomy_configs() {
   return configs;
 }
 
-void expect_identical(const SimResult& a, const SimResult& b, const std::string& what) {
-  EXPECT_EQ(a.hotspot_rcv_gbps, b.hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.non_hotspot_rcv_gbps, b.non_hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.all_rcv_gbps, b.all_rcv_gbps) << what;
-  EXPECT_EQ(a.total_throughput_gbps, b.total_throughput_gbps) << what;
-  EXPECT_EQ(a.jain_non_hotspot, b.jain_non_hotspot) << what;
-  EXPECT_EQ(a.median_latency_us, b.median_latency_us) << what;
-  EXPECT_EQ(a.p99_latency_us, b.p99_latency_us) << what;
-  EXPECT_EQ(a.fecn_marked, b.fecn_marked) << what;
-  EXPECT_EQ(a.cnps_sent, b.cnps_sent) << what;
-  EXPECT_EQ(a.becn_received, b.becn_received) << what;
-  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes) << what;
-  EXPECT_EQ(a.events_executed, b.events_executed) << what;
-  EXPECT_EQ(a.counters, b.counters) << what;
-}
-
-TEST(SnapshotKeys, EncodeEveryTopologyParameterAndTieBreak) {
-  SimConfig a = small_base();
-  SimConfig b = a;
-  EXPECT_EQ(topology_snapshot_key(a), topology_snapshot_key(b));
-  b.clos.spines = 3;
-  EXPECT_NE(topology_snapshot_key(a), topology_snapshot_key(b));
-
-  // Scenario / CC / seed / timing are not part of the fabric's identity.
-  b = a;
-  b.seed = 99;
-  b.scenario.p = 0.9;
-  b.cc.enabled = false;
-  b.sim_time = 2 * core::kMillisecond;
-  EXPECT_EQ(routing_snapshot_key(a), routing_snapshot_key(b));
-
-  SimConfig mesh = small_base();
-  mesh.topology = TopologyKind::Mesh2D;
-  EXPECT_NE(topology_snapshot_key(a), topology_snapshot_key(mesh));
-  EXPECT_EQ(tie_break_for(mesh.topology), topo::RoutingTables::TieBreak::FirstPort);
-  EXPECT_NE(routing_snapshot_key(mesh).find("first_port"), std::string::npos);
-  EXPECT_NE(routing_snapshot_key(a).find("dmodk"), std::string::npos);
-}
-
-TEST(SnapshotCacheTest, CacheOnOffBitIdenticalAcrossTaxonomy) {
-  SnapshotCache::instance().clear();
-  for (SimConfig config : taxonomy_configs()) {
-    config.telemetry.counters = true;  // compare counter snapshots too
-    SimConfig cached = config;
-    cached.snapshot_cache = true;
-    SimConfig fresh = config;
-    fresh.snapshot_cache = false;
-    const SimResult warm = run_sim(cached);
-    const SimResult cold = run_sim(fresh);
-    // Run the cached variant again: the second run really hits the cache.
-    const SimResult warm2 = run_sim(cached);
-    expect_identical(warm, cold, config.scenario.describe() + " (cache on vs off)");
-    expect_identical(warm, warm2, config.scenario.describe() + " (cold vs warm cache)");
+TEST(SnapshotBuild, TieBreakFollowsTopologyKind) {
+  // Meshes route dimension-ordered, every other kind spreads d-mod-k;
+  // callers that build a shared snapshot themselves rely on this.
+  EXPECT_EQ(tie_break_for(TopologyKind::Mesh2D), topo::RoutingTables::TieBreak::FirstPort);
+  for (const TopologyKind kind :
+       {TopologyKind::FoldedClos, TopologyKind::SingleSwitch, TopologyKind::LinearChain,
+        TopologyKind::Dumbbell, TopologyKind::FatTree3}) {
+    EXPECT_EQ(tie_break_for(kind), topo::RoutingTables::TieBreak::DModK);
   }
 }
 
-TEST(SnapshotCacheTest, SimulationsShareOneSnapshotInstance) {
-  SnapshotCache::instance().clear();
-  const SimConfig config = small_base();
-  Simulation a(config);
-  Simulation b(config);
-  EXPECT_EQ(a.snapshot_ref().get(), b.snapshot_ref().get());
-  EXPECT_EQ(&a.topology(), &b.topology());
-  EXPECT_EQ(&a.routing(), &b.routing());
-
-  SimConfig other = config;
-  other.snapshot_cache = false;
-  Simulation c(other);
-  EXPECT_NE(a.snapshot_ref().get(), c.snapshot_ref().get());
-}
-
-TEST(SnapshotCacheTest, HitMissAccounting) {
-  SnapshotCache& cache = SnapshotCache::instance();
-  cache.clear();
-  cache.reset_stats();
-  const SimConfig config = small_base();
-
-  { Simulation sim(config); }  // cold: topology miss + routing miss
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.size(), 2u);
-
-  { Simulation sim(config); }  // warm: one routing-level hit
-  { Simulation sim(config); }
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 2u);
-
-  SimConfig other = config;
-  other.clos = topo::FoldedClosParams::scaled(2, 1, 2);
-  { Simulation sim(other); }  // distinct key: two fresh misses
-  EXPECT_EQ(cache.stats().misses, 4u);
-  EXPECT_EQ(cache.size(), 4u);
-
-  SimConfig uncached = config;
-  uncached.snapshot_cache = false;
-  { Simulation sim(uncached); }  // bypasses the cache entirely
-  EXPECT_EQ(cache.stats().misses, 4u);
-  EXPECT_EQ(cache.stats().hits, 2u);
+TEST(SharedSnapshot, BitIdenticalAcrossTaxonomy) {
+  // Two runs on one snapshot and one on a private build: sharing the
+  // immutable topology and LFTs must not move a single result bit.
+  for (SimConfig config : taxonomy_configs()) {
+    config.telemetry.counters = true;  // compare counter snapshots too
+    const auto snapshot = build_snapshot(config);
+    Simulation first(config, snapshot);
+    Simulation second(config, snapshot);
+    EXPECT_EQ(&first.routing(), &second.routing());  // one LFT set, really shared
+    const SimResult shared = first.run();
+    const SimResult shared2 = second.run();
+    const SimResult own = run_sim(config);
+    expect_identical(shared, own, config.scenario.describe() + " (shared vs own snapshot)");
+    expect_identical(shared, shared2, config.scenario.describe() + " (first vs second run)");
+  }
 }
 
 TEST(RunParallelInvariance, AnyThreadCountYieldsIdenticalOrderedResults) {
-  SnapshotCache::instance().clear();
   // Mixed scenario classes and seeds → wildly different run lengths, the
   // case a static partition handles worst and work-stealing must not
   // reorder or cross-seed.

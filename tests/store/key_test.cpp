@@ -137,11 +137,9 @@ TEST(RunKey, NamedFieldsChangeTheKey) {
       {"sim_time", [](sim::SimConfig* c) { c->sim_time += 1; }},
       {"warmup", [](sim::SimConfig* c) { c->warmup += 1; }},
       {"latency_hist_max_us", [](sim::SimConfig* c) { c->latency_hist_max_us += 1; }},
-      // Proven bit-identical variants are still keyed conservatively: a
+      // A proven bit-identical variant is still keyed conservatively: a
       // conservative key costs a miss, never a wrong result.
-      {"scheduler_queue", [](sim::SimConfig* c) { c->scheduler_queue = core::QueueKind::kHeap; }},
       {"fabric.fast_path", [](sim::SimConfig* c) { c->fabric.fast_path = !c->fabric.fast_path; }},
-      {"snapshot_cache", [](sim::SimConfig* c) { c->snapshot_cache = !c->snapshot_cache; }},
       // Cross-shard interleaving may legitimately differ between shard
       // counts, so the shard count is simulation-affecting.
       {"shards", [](sim::SimConfig* c) { c->shards = 4; }},

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "../sim/expect_identical.hpp"
 #include "ccalg/registry.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
@@ -125,12 +126,16 @@ TEST(WorkloadEngine, NoBackgroundLeavesVictimsSilent) {
   EXPECT_DOUBLE_EQ(r.non_hotspot_rcv_gbps, 0.0);
 }
 
-TEST(WorkloadEngine, ResultsIdenticalAcrossSnapshotCacheModes) {
-  sim::SimConfig cached = clos_config();
-  cached.snapshot_cache = true;
-  sim::SimConfig rebuilt = clos_config();
-  rebuilt.snapshot_cache = false;
-  expect_same_workload(sim::run_sim(cached), sim::run_sim(rebuilt));
+TEST(WorkloadEngine, ResultsIdenticalOnSharedSnapshot) {
+  // Two runs on one snapshot and one on a private build.
+  const sim::SimConfig config = clos_config();
+  const auto snapshot = sim::build_snapshot(config);
+  const sim::SimResult shared = sim::Simulation(config, snapshot).run();
+  const sim::SimResult shared2 = sim::Simulation(config, snapshot).run();
+  const sim::SimResult own = sim::run_sim(config);
+  ASSERT_TRUE(shared.workload.completed);
+  sim::expect_identical(shared, own, "incast, shared vs own snapshot");
+  sim::expect_identical(shared, shared2, "incast, first vs second run on one snapshot");
 }
 
 TEST(WorkloadEngine, ResultsIdenticalAcrossRunParallelThreadCounts) {
