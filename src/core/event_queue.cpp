@@ -1,6 +1,7 @@
 #include "core/event_queue.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "core/assert.hpp"
 
@@ -66,20 +67,52 @@ void CalendarQueue::push(const Event& ev) {
     return;
   }
   if (ev.at < horizon()) {
-    // Future bucket: O(1) append, sorted only when the wheel gets there.
-    buckets_[(static_cast<std::uint64_t>(ev.at) >> kBucketBits) &
-             (kNumBuckets - 1)]
-        .push_back(ev);
+    // Future bucket: O(1) append to its tail chunk, sorted only when the
+    // wheel gets there.
+    Bucket& bucket = buckets_[(static_cast<std::uint64_t>(ev.at) >> kBucketBits) &
+                              (kNumBuckets - 1)];
+    const std::size_t slot = bucket.size % kChunkEvents;
+    if (slot == 0) {
+      Chunk* chunk = take_chunk();
+      if (bucket.tail == nullptr) {
+        bucket.head = chunk;
+      } else {
+        bucket.tail->next = chunk;
+      }
+      bucket.tail = chunk;
+    }
+    bucket.tail->events[slot] = ev;
+    ++bucket.size;
     ++wheel_count_;
     return;
   }
   far_.push(ev);
 }
 
+CalendarQueue::Chunk* CalendarQueue::take_chunk() {
+  Chunk* chunk = free_;
+  if (chunk == nullptr) {
+    chunks_.push_back(std::make_unique<Chunk>());
+    chunk = chunks_.back().get();
+  } else {
+    free_ = chunk->next;
+  }
+  chunk->next = nullptr;
+  return chunk;
+}
+
+void CalendarQueue::release(Bucket& bucket) {
+  if (bucket.head != nullptr) {
+    bucket.tail->next = free_;
+    free_ = bucket.head;
+  }
+  bucket = Bucket{};
+}
+
 void CalendarQueue::advance() {
-  IBSIM_ASSERT(pos_ == buckets_[cur_].size() && overlay_.empty(),
+  IBSIM_ASSERT(pos_ == current_.size() && overlay_.empty(),
                "advancing a wheel bucket that still holds events");
-  buckets_[cur_].clear();
+  current_.clear();
   pos_ = 0;
   if (wheel_count_ == 0) {
     // Every bucket is empty: jump straight to the bucket of the earliest
@@ -91,23 +124,33 @@ void CalendarQueue::advance() {
     base_ += kBucketWidth;
     cur_ = (cur_ + 1) & (kNumBuckets - 1);
   }
+  // Copy the bucket out and hand its chunks straight back: the next
+  // pushes reuse the lines this copy just read.
+  Bucket& bucket = buckets_[cur_];
+  std::size_t left = bucket.size;
+  for (const Chunk* chunk = bucket.head; chunk != nullptr; chunk = chunk->next) {
+    const std::size_t n = std::min(left, kChunkEvents);
+    current_.insert(current_.end(), chunk->events.begin(),
+                    chunk->events.begin() + static_cast<std::ptrdiff_t>(n));
+    left -= n;
+  }
+  release(bucket);
   // Far events that now fall inside this bucket join it before the sort,
   // which is what makes their ordering indistinguishable from events
   // scheduled into the wheel directly.
-  std::vector<Event>& bucket = buckets_[cur_];
   const Time end = base_ + kBucketWidth;
   while (!far_.empty() && far_.top().at < end) {
-    bucket.push_back(far_.top());
+    current_.push_back(far_.top());
     far_.pop();
     ++wheel_count_;
   }
-  std::sort(bucket.begin(), bucket.end(), event_before);
+  std::sort(current_.begin(), current_.end(),
+            [](const Event& lhs, const Event& rhs) { return event_before(lhs, rhs); });
 }
 
 const Event* CalendarQueue::peek() {
   for (;;) {
-    const Event* bucket_front =
-        pos_ < buckets_[cur_].size() ? &buckets_[cur_][pos_] : nullptr;
+    const Event* bucket_front = pos_ < current_.size() ? &current_[pos_] : nullptr;
     if (!overlay_.empty()) {
       const Event& o = overlay_.top();
       if (bucket_front == nullptr || event_before(o, *bucket_front)) {
@@ -129,14 +172,15 @@ void CalendarQueue::pop() {
     overlay_.pop();
     return;
   }
-  IBSIM_ASSERT(pos_ < buckets_[cur_].size() && wheel_count_ > 0,
+  IBSIM_ASSERT(pos_ < current_.size() && wheel_count_ > 0,
                "calendar pop without a preceding peek");
   ++pos_;
   --wheel_count_;
 }
 
 void CalendarQueue::clear() {
-  for (auto& bucket : buckets_) bucket.clear();
+  for (Bucket& bucket : buckets_) release(bucket);
+  current_.clear();
   cur_ = 0;
   pos_ = 0;
   base_ = 0;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/event.hpp"
@@ -45,6 +47,13 @@ class HeapQueue {
 /// relocations at ms scale) overflow into the heap and migrate into
 /// their bucket when the wheel reaches them.
 ///
+/// Future buckets keep their events in fixed-size chunks drawn from one
+/// LIFO free list. When the wheel reaches a bucket, its events are copied
+/// into one reused drain array and its chunks go straight back to the
+/// list, so the next pushes write the lines just read. Chunk storage
+/// is bounded by the peak pending count plus one partial chunk per
+/// non-empty bucket, not by each bucket's own busiest moment.
+///
 /// Determinism contract: extraction order is exactly ascending (at, seq)
 /// — identical, bit for bit, to a plain HeapQueue — because every
 /// bucket is sorted by (at, seq) before it drains, migrated heap events
@@ -62,8 +71,13 @@ class CalendarQueue {
   /// link-layer delay yet small enough that a full rotation of empty
   /// buckets is a trivial scan.
   static constexpr std::size_t kNumBuckets = 1024;
+  /// Events per pool chunk: 32 x 48 B = 1.5 KiB.
+  static constexpr std::size_t kChunkEvents = 32;
 
   CalendarQueue() : buckets_(kNumBuckets) {}
+
+  CalendarQueue(const CalendarQueue&) = delete;
+  CalendarQueue& operator=(const CalendarQueue&) = delete;
 
   [[nodiscard]] std::size_t size() const {
     return wheel_count_ + overlay_.size() + far_.size();
@@ -80,9 +94,27 @@ class CalendarQueue {
   /// Remove the event returned by the immediately preceding peek().
   void pop();
 
+  /// Drop every pending event. The chunk pool keeps its chunks.
   void clear();
 
+  /// Chunks the pool has allocated, in buckets or on the free list. The
+  /// pool grows only when every chunk is in use, so this is the peak
+  /// number of chunks the wheel has held at once.
+  [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
+
  private:
+  struct Chunk {
+    std::array<Event, kChunkEvents> events;
+    Chunk* next = nullptr;
+  };
+
+  /// A future bucket: a list of chunks, all full except the tail.
+  struct Bucket {
+    Chunk* head = nullptr;
+    Chunk* tail = nullptr;
+    std::size_t size = 0;  ///< events in the bucket
+  };
+
   /// Advance to the next bucket that can hold the earliest event:
   /// one step forward when the wheel still holds events, or a direct
   /// jump to the heap-top's bucket when it does not. Migrates heap
@@ -93,9 +125,18 @@ class CalendarQueue {
     return base_ + static_cast<Time>(kNumBuckets) * kBucketWidth;
   }
 
-  std::vector<std::vector<Event>> buckets_;
+  /// Pop a chunk off the free list, allocating one when it is empty.
+  Chunk* take_chunk();
+
+  /// Return `bucket`'s chunks to the free list and empty it.
+  void release(Bucket& bucket);
+
+  std::vector<Bucket> buckets_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  ///< owns every chunk
+  Chunk* free_ = nullptr;        ///< LIFO free list through Chunk::next
+  std::vector<Event> current_;   ///< the draining bucket, sorted
   std::size_t cur_ = 0;          ///< index of the bucket starting at base_
-  std::size_t pos_ = 0;          ///< drain position within buckets_[cur_]
+  std::size_t pos_ = 0;          ///< drain position within current_
   Time base_ = 0;                ///< start time of the current bucket
   std::size_t wheel_count_ = 0;  ///< undrained events across all buckets
   bool front_in_overlay_ = false;  ///< where the last peek() found the min

@@ -13,7 +13,7 @@ bool value_text(const Json& v, std::string* out, std::string* error) {
   switch (v.kind()) {
     case Json::Kind::String: *out = v.as_string(); return true;
     case Json::Kind::Number: *out = v.number_text(); return true;
-    case Json::Kind::Bool: *out = v.as_bool() ? "1" : "0"; return true;
+    case Json::Kind::Bool: *out = v.as_bool() ? '1' : '0'; return true;
     default:
       *error = "expected a string, number, or bool value";
       return false;

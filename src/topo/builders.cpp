@@ -1,8 +1,25 @@
 #include "topo/builders.hpp"
 
+#include <string>
+
 #include "core/assert.hpp"
 
 namespace ibsim::topo {
+
+namespace {
+
+/// A fat-tree switch name such as "p3leaf7": pod, role, index in the pod.
+/// Built by appending: `"p" + std::to_string(pod) + ...` trips a GCC 12
+/// -Wrestrict false positive.
+std::string pod_switch_name(std::int32_t pod, const char* role, std::int32_t index) {
+  std::string name = "p";
+  name += std::to_string(pod);
+  name += role;
+  name += std::to_string(index);
+  return name;
+}
+
+}  // namespace
 
 Topology single_switch(std::int32_t nodes) {
   IBSIM_ASSERT(nodes >= 2, "single switch needs at least two nodes");
@@ -99,7 +116,7 @@ Topology fat_tree3(const FatTree3Params& params) {
   for (std::int32_t p = 0; p < params.pods; ++p) {
     for (std::int32_t l = 0; l < params.leaves_per_pod; ++l) {
       leaves.push_back(topo.add_switch(params.nodes_per_leaf + params.aggs_per_pod,
-                                       "p" + std::to_string(p) + "leaf" + std::to_string(l)));
+                                       pod_switch_name(p, "leaf", l)));
       // Pods are the natural shard unit: all intra-pod links stay inside
       // one partition group, only agg<->core links cross groups.
       topo.set_partition_group(leaves.back(), p);
@@ -108,7 +125,7 @@ Topology fat_tree3(const FatTree3Params& params) {
   for (std::int32_t p = 0; p < params.pods; ++p) {
     for (std::int32_t a = 0; a < params.aggs_per_pod; ++a) {
       aggs.push_back(topo.add_switch(params.leaves_per_pod + params.cores,
-                                     "p" + std::to_string(p) + "agg" + std::to_string(a)));
+                                     pod_switch_name(p, "agg", a)));
       topo.set_partition_group(aggs.back(), p);
     }
   }

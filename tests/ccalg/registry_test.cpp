@@ -50,16 +50,16 @@ TEST(CcAlgorithmRegistry, CreateReturnsNamedInstance) {
   ib::CongestionControlTable cct(128, 13.5);
   cct.populate_linear();
   const auto& reg = CcAlgorithmRegistry::instance();
-  for (const std::string& name : {"iba_a10", "dcqcn", "aimd", "none"}) {
+  for (const char* name : {"iba_a10", "dcqcn", "aimd", "none"}) {
     const auto algo = reg.create(name, make_ctx(&cct));
     ASSERT_NE(algo, nullptr);
-    EXPECT_STREQ(algo->name(), name.c_str());
+    EXPECT_STREQ(algo->name(), name);
   }
 }
 
 TEST(CcAlgorithmRegistry, RateBasedAlgorithmsWorkWithoutCct) {
   const auto& reg = CcAlgorithmRegistry::instance();
-  for (const std::string& name : {"dcqcn", "aimd", "none"}) {
+  for (const char* name : {"dcqcn", "aimd", "none"}) {
     const auto algo = reg.create(name, make_ctx(nullptr));
     ASSERT_NE(algo, nullptr);
     EXPECT_EQ(algo->injection_delay(0, 2048), 0);

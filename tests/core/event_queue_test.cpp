@@ -204,6 +204,107 @@ TEST(CalendarQueue, MatchesHeapOnRandomWorkload) {
   EXPECT_TRUE(cal.empty());
 }
 
+TEST(CalendarQueue, MatchesHeapAcrossChunkBoundaries) {
+  // Bursts of up to five chunks' worth of events into one future bucket,
+  // often one that already holds an earlier burst's partial tail chunk.
+  // Pops keep the wheel turning over, so the same buckets are filled
+  // again after full rotations from chunks other buckets returned. Chunk
+  // boundaries, partial tails and recycled chunks all run in lockstep
+  // with the reference heap.
+  constexpr Time kWidth = CalendarQueue::kBucketWidth;
+  constexpr std::size_t kChunk = CalendarQueue::kChunkEvents;
+  CalendarQueue cal;
+  HeapQueue heap;
+  Rng rng(77);
+  Time now = 0;
+  std::uint64_t seq = 0;
+  std::size_t peak = 0;
+  const auto pop_in_lockstep = [&] {
+    const Event* front = cal.peek();
+    ASSERT_NE(front, nullptr);
+    ASSERT_FALSE(heap.empty());
+    ASSERT_EQ(front->at, heap.top().at);
+    ASSERT_EQ(front->seq, heap.top().seq);
+    now = front->at;
+    cal.pop();
+    heap.pop();
+  };
+  for (int round = 0; round < 3000; ++round) {
+    const Time bucket =
+        now / kWidth + 1 +
+        static_cast<Time>(rng.next_below(CalendarQueue::kNumBuckets - 1));
+    // Half the bursts sit on eight instants per bucket, so same-`at` ties
+    // straddle chunk boundaries.
+    const bool coarse = rng.next_below(2) == 0;
+    const std::uint64_t burst = 1 + rng.next_below(5 * kChunk);
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      const Time offset = coarse ? static_cast<Time>(rng.next_below(8)) * (kWidth / 8)
+                                 : static_cast<Time>(rng.next_below(kWidth));
+      const Event ev = make_event(bucket * kWidth + offset, seq++);
+      cal.push(ev);
+      heap.push(ev);
+    }
+    peak = std::max(peak, cal.size());
+    const std::uint64_t pops = rng.next_below(2 * burst);
+    for (std::uint64_t i = 0; i < pops && !heap.empty(); ++i) {
+      pop_in_lockstep();
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(cal.size(), heap.size());
+  }
+  while (!heap.empty()) {
+    pop_in_lockstep();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(cal.empty());
+  EXPECT_EQ(cal.peek(), nullptr);
+  EXPECT_GE(now / kWidth, static_cast<Time>(10 * CalendarQueue::kNumBuckets))
+      << "the wheel must turn over many times";
+  // Chunks in use never exceed pending / kChunk full chunks plus one
+  // partial chunk per non-empty bucket, and the pool grows only when
+  // every chunk is in use.
+  EXPECT_GE(cal.chunk_count(), peak / kChunk);
+  EXPECT_LE(cal.chunk_count(), peak / kChunk + std::min(peak, CalendarQueue::kNumBuckets));
+}
+
+TEST(CalendarQueue, ChunkPoolFollowsThePendingCount) {
+  // 200 bursts of 1000 events, each into a different bucket and drained
+  // before the next; the buckets wrap around the wheel. One
+  // burst's chunks serve every later one, so the pool stays at a single
+  // burst's worth however many buckets have been busy.
+  constexpr std::size_t kBurst = 1000;
+  constexpr Time kBursts = 200;
+  constexpr Time kStride = 7;  // buckets between bursts
+  constexpr std::size_t kBurstChunks =
+      (kBurst + CalendarQueue::kChunkEvents - 1) / CalendarQueue::kChunkEvents;
+  CalendarQueue q;
+  // A far-future event past every burst: a drain that lost events stops
+  // here instead of searching an empty wheel for them.
+  const Time sentinel = (kBursts + 1) * kStride * CalendarQueue::kBucketWidth;
+  q.push(make_event(sentinel, 0));
+  std::uint64_t seq = 1;
+  for (Time burst = 1; burst <= kBursts; ++burst) {
+    const Time start = burst * kStride * CalendarQueue::kBucketWidth;
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      q.push(make_event(start + static_cast<Time>(i % 97), seq++));
+    }
+    // Stop at the burst's last event: one more peek would jump the
+    // cursor to the sentinel, and the next burst would miss the wheel.
+    std::vector<std::pair<Time, std::uint64_t>> order;
+    while (order.size() < kBurst) {
+      const Event* front = q.peek();
+      if (front->at == sentinel) break;
+      order.emplace_back(front->at, front->seq);
+      q.pop();
+    }
+    ASSERT_EQ(order.size(), kBurst) << "burst " << burst;
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end())) << "burst " << burst;
+  }
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_GE(q.chunk_count(), kBurstChunks) << "the bursts must go through the wheel";
+  EXPECT_LE(q.chunk_count(), kBurstChunks + 2);
+}
+
 TEST(EventStruct, StaysWithinOneCacheLine) {
   // Queue operations copy events constantly; the layout must not creep
   // past a cache line. (at, seq) lead the struct so ordering compares
