@@ -20,12 +20,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
-  preset.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.result_store = cli.get_string("result-store");
+  preset.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  preset.base.result_store = cli.get_string("result-store");
   const std::string csv = cli.get_string("csv");
 
   std::printf("fig10: %d-node fat-tree, 8 moving hotspots, 100%% B nodes\n\n",
-              preset.clos.node_count());
+              preset.base.clos.node_count());
 
   const char* names[3] = {"_a_p30", "_b_p60", "_c_p90"};
   const double ps[3] = {0.3, 0.6, 0.9};
@@ -37,6 +37,6 @@ int main(int argc, char** argv) {
 
   std::printf("paper: CC improves performance at every p and lifetime, with the\n"
               "       advantage shrinking as the hotspot lifetime decreases.\n");
-  bench::report_store(preset.result_store);
+  bench::report_store(preset.base.result_store);
   return 0;
 }

@@ -25,12 +25,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
-  preset.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.result_store = cli.get_string("result-store");
+  preset.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  preset.base.result_store = cli.get_string("result-store");
   const std::string csv = cli.get_string("csv");
 
   std::printf("fig9: %d-node fat-tree, 8 moving hotspots, silent trees\n\n",
-              preset.clos.node_count());
+              preset.base.clos.node_count());
 
   const sim::MovingCurve fig9a = sim::run_moving_silent(preset, /*fraction_v=*/0.2);
   sim::print_moving_curve(fig9a);
@@ -43,6 +43,6 @@ int main(int argc, char** argv) {
   std::printf("paper: (a) CC wins 55%% at 10 ms lifetime shrinking to 4%% at 1 ms;\n"
               "       (b) CC wins 2.6x at 10 ms shrinking to 10%% at 1 ms;\n"
               "       receive rates rise as lifetimes shrink in both cases.\n");
-  bench::report_store(preset.result_store);
+  bench::report_store(preset.base.result_store);
   return 0;
 }

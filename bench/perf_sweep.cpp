@@ -249,8 +249,8 @@ Scenario make_scale_scenario(bool quick) {
 /// variants = 12 runs per sweep, each on its own snapshot.
 std::vector<sim::SimConfig> make_sweep_configs(bool quick) {
   sim::ExperimentPreset preset = sim::ExperimentPreset::quick();
-  preset.static_sim_time = (quick ? 10 : 15) * core::kMicrosecond;
-  preset.static_warmup = 0;
+  preset.base.sim_time = (quick ? 10 : 15) * core::kMicrosecond;
+  preset.base.warmup = 0;
   sim::SimConfig base = preset.base_config();
   base.scenario.fraction_b = 0.0;
   base.scenario.fraction_c_of_rest = 0.8;

@@ -30,13 +30,13 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
-  preset.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.fabric_fast_path = !cli.flag("no-fast-path");
-  preset.result_store = cli.get_string("result-store");
+  preset.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  preset.base.fabric.fast_path = !cli.flag("no-fast-path");
+  preset.base.result_store = cli.get_string("result-store");
 
   std::printf("Table II — performance numbers (Gbps), silent congestion trees\n");
   std::printf("topology: %d-node folded Clos (%d leaves x %d spines)\n\n",
-              preset.clos.node_count(), preset.clos.leaves, preset.clos.spines);
+              preset.base.clos.node_count(), preset.base.clos.leaves, preset.base.clos.spines);
 
   const sim::Table2Result result = sim::run_table2(preset);
   analysis::TextTable table = sim::format_table2(result);
@@ -59,6 +59,6 @@ int main(int argc, char** argv) {
       std::printf("CSV written to %s\n", csv.c_str());
     }
   }
-  bench::report_store(preset.result_store);
+  bench::report_store(preset.base.result_store);
   return 0;
 }

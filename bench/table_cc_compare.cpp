@@ -55,12 +55,12 @@ int main(int argc, char** argv) {
   }
 
   sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
-  preset.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.result_store = cli.get_string("result-store");
+  preset.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  preset.base.result_store = cli.get_string("result-store");
 
   std::printf("CC algorithm comparison (Gbps), %d-node folded Clos, seed %llu\n\n",
-              preset.clos.node_count(),
-              static_cast<unsigned long long>(preset.seed));
+              preset.base.clos.node_count(),
+              static_cast<unsigned long long>(preset.base.seed));
 
   const sim::CcCompareResult result = sim::run_cc_compare(preset, algos);
   analysis::TextTable table = sim::format_cc_compare(result);
@@ -75,6 +75,6 @@ int main(int argc, char** argv) {
       std::printf("CSV written to %s\n", csv.c_str());
     }
   }
-  bench::report_store(preset.result_store);
+  bench::report_store(preset.base.result_store);
   return 0;
 }

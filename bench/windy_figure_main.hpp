@@ -28,11 +28,11 @@ inline int run_windy_figure_main(int argc, char** argv, const char* figure_name,
   if (!cli.parse(argc, argv)) return 0;
 
   sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
-  preset.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.result_store = cli.get_string("result-store");
+  preset.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  preset.base.result_store = cli.get_string("result-store");
 
   std::printf("%s: %d-node fat-tree, %.0f%% B nodes, p = 0..100\n", figure_name,
-              preset.clos.node_count(), fraction_b * 100.0);
+              preset.base.clos.node_count(), fraction_b * 100.0);
   const sim::WindyFigure fig = sim::run_windy_figure(preset, fraction_b);
   sim::print_windy_figure(fig);
   std::printf("paper: %s\n", paper_notes);
@@ -42,7 +42,7 @@ inline int run_windy_figure_main(int argc, char** argv, const char* figure_name,
     sim::write_windy_csv(fig, csv);
     std::printf("CSV written with prefix %s\n", csv.c_str());
   }
-  report_store(preset.result_store);
+  report_store(preset.base.result_store);
   return 0;
 }
 

@@ -1,5 +1,6 @@
 // General-purpose simulation runner: every SimConfig key exposed on the
-// command line, results as a table and optional CSV timeline. This is
+// command line, results as a table, and a counter time series CSV with
+// --counters-csv=F --telemetry-sample-us=N. This is
 // the "use the library without writing C++" entry point for downstream
 // users.
 //
@@ -18,7 +19,6 @@
 #include "sim/cli.hpp"
 #include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
-#include "sim/timeline.hpp"
 #include "store/key.hpp"
 #include "store/result_store.hpp"
 #include "store/version.hpp"
@@ -101,8 +101,6 @@ int main(int argc, char** argv) {
   cli.add_string("ft3-preset", "",
                  "canned fat-tree3 shape, 2k | 10k (applied after --config; the ft3-* "
                  "flags refine it)");
-  cli.add_int("timeline-us", 0, "sampling interval for --timeline-csv (0 = off)");
-  cli.add_string("timeline-csv", "", "write a telemetry time series CSV");
   cli.add_flag("list-cc-algos", "print the registered CC algorithms and exit");
   cli.add_flag("list-workloads", "print the registered workloads and exit");
   cli.add_flag("version", "print the code version stamp and exit");
@@ -150,31 +148,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (config.workload.name == "file") {
-    if (config.workload.file.empty()) {
-      std::fprintf(stderr, "--workload=file needs --workload-file (or workload_file)\n");
-      return 2;
-    }
-    workload::WorkloadSpec spec;
-    const std::string err = workload::load_workload_file(config.workload.file, &spec);
-    if (!err.empty()) {
-      std::fprintf(stderr, "workload file error: %s\n", err.c_str());
-      return 2;
-    }
-  }
-  if (config.shards != 1 && cli.get_int("timeline-us") > 0) {
-    std::fprintf(stderr, "timeline sampling needs the serial engine; forcing --shards=1\n");
-    config.shards = 1;
+  if (const std::string err = sim::check_config(config); !err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
   }
 
-  // Result store. Timeline and telemetry outputs need a live simulation
-  // (they sample it as it runs), so those runs bypass the store rather
-  // than silently produce empty side files on a hit.
+  // Result store. Telemetry outputs need a live simulation (they sample
+  // it as it runs), so those runs bypass the store rather than silently
+  // produce empty side files on a hit.
   std::shared_ptr<store::ResultStore> result_store;
   if (!config.result_store.empty()) {
-    if (config.telemetry.active() || cli.get_int("timeline-us") > 0) {
-      std::fprintf(stderr,
-                   "result store bypassed: telemetry/timeline output needs a live run\n");
+    if (config.telemetry.active()) {
+      std::fprintf(stderr, "result store bypassed: telemetry output needs a live run\n");
     } else {
       result_store = store::StoreRegistry::instance().open(config.result_store);
       if (!result_store->error().empty()) {
@@ -198,13 +183,6 @@ int main(int argc, char** argv) {
     print_results(config, cached_result);
   } else {
     sim::Simulation simulation(config);
-    std::unique_ptr<sim::TimelineSampler> timeline;
-    if (cli.get_int("timeline-us") > 0) {
-      timeline = std::make_unique<sim::TimelineSampler>(
-          &simulation.fabric(), &simulation.metrics(),
-          cli.get_int("timeline-us") * core::kMicrosecond);
-      timeline->install(simulation.sched());
-    }
     const auto wall_start = std::chrono::steady_clock::now();
     const sim::SimResult r = simulation.run();
     const double wall_seconds =
@@ -214,12 +192,6 @@ int main(int argc, char** argv) {
     }
 
     print_results(config, r);
-
-    const std::string timeline_csv = cli.get_string("timeline-csv");
-    if (timeline != nullptr && !timeline_csv.empty()) {
-      timeline->write_csv(timeline_csv);
-      std::printf("timeline written to %s\n", timeline_csv.c_str());
-    }
 
     if (const telemetry::Telemetry* t = simulation.telemetry(); t != nullptr) {
       std::printf("\n%s",

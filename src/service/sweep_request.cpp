@@ -135,7 +135,9 @@ bool expand_sweep(const SweepRequest& request, const sim::SimConfig& base_config
     SweepCell cell;
     cell.label = label.empty() ? request.name : label;
     cell.config = with_base;
-    if (std::string err = sim::apply_config_text(axis_text, &cell.config); !err.empty()) {
+    std::string err = sim::apply_config_text(axis_text, &cell.config);
+    if (err.empty()) err = sim::check_config(cell.config);
+    if (!err.empty()) {
       *error = "cell '" + cell.label + "': " + err;
       cells->clear();
       return false;

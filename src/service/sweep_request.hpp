@@ -50,7 +50,8 @@ struct SweepCell {
 /// from `base_config`, applies the request's base keys, then its axis
 /// assignments — both through the config-file parser, so an invalid
 /// value or unknown key aborts the whole expansion with its diagnostic.
-/// An axes-less request expands to the single base cell.
+/// So does a cell that cannot be built (sim::check_config), naming the
+/// cell. An axes-less request expands to the single base cell.
 [[nodiscard]] bool expand_sweep(const SweepRequest& request,
                                 const sim::SimConfig& base_config,
                                 std::vector<SweepCell>* cells, std::string* error);

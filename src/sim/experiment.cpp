@@ -18,10 +18,10 @@ namespace ibsim::sim {
 
 ExperimentPreset ExperimentPreset::quick() {
   ExperimentPreset p;
-  p.static_sim_time = 10 * core::kMillisecond;
-  p.static_warmup = 5 * core::kMillisecond;
-  p.ccti_increase = 4;
-  p.ccti_timer = 38;  // ~150 / 4
+  p.base.sim_time = 10 * core::kMillisecond;
+  p.base.warmup = 5 * core::kMillisecond;
+  p.base.cc.ccti_increase = 4;
+  p.base.cc.ccti_timer = 38;  // ~150 / 4
   // Moving-hotspot axis scaled 1:4 against the paper (2.5 ms..0.25 ms
   // instead of 10 ms..1 ms), matching the 4x-faster CC loop above so
   // the lifetime-to-recovery ratio the sweep probes is preserved.
@@ -35,12 +35,10 @@ ExperimentPreset ExperimentPreset::quick() {
 
 ExperimentPreset ExperimentPreset::paper() {
   ExperimentPreset p;
-  p.static_sim_time = 60 * core::kMillisecond;
-  p.static_warmup = 30 * core::kMillisecond;
+  p.base.sim_time = 60 * core::kMillisecond;
+  p.base.warmup = 30 * core::kMillisecond;
   p.lifetimes = {10 * core::kMillisecond, 8 * core::kMillisecond, 6 * core::kMillisecond,
                  4 * core::kMillisecond,  2 * core::kMillisecond, 1 * core::kMillisecond};
-  p.ccti_increase = 1;
-  p.ccti_timer = 150;
   p.moving_min_sim_time = 10 * core::kMillisecond;
   p.moving_lifetimes_per_run = 10;
   return p;
@@ -50,20 +48,6 @@ ExperimentPreset ExperimentPreset::from_env(bool force_full) {
   const char* env = std::getenv("IBSIM_FULL");
   const bool full = force_full || (env != nullptr && env[0] == '1');
   return full ? paper() : quick();
-}
-
-SimConfig ExperimentPreset::base_config() const {
-  SimConfig config;
-  config.topology = TopologyKind::FoldedClos;
-  config.clos = clos;
-  config.sim_time = static_sim_time;
-  config.warmup = static_warmup;
-  config.seed = seed;
-  config.cc.ccti_increase = ccti_increase;
-  config.cc.ccti_timer = ccti_timer;
-  config.fabric.fast_path = fabric_fast_path;
-  config.result_store = result_store;
-  return config;
 }
 
 std::int32_t resolve_threads(std::int32_t threads) {
@@ -240,7 +224,7 @@ Table2Result run_table2(const ExperimentPreset& preset) {
       configs.push_back(config);
     }
   }
-  const std::vector<SimResult> r = run_parallel(configs, preset.threads);
+  const std::vector<SimResult> r = run_parallel(configs);
 
   Table2Result out;
   out.no_hotspot_off = r[0].all_rcv_gbps;
@@ -289,7 +273,7 @@ WindyFigure run_windy_figure(const ExperimentPreset& preset, double fraction_b) 
       configs.push_back(config);
     }
   }
-  const std::vector<SimResult> results = run_parallel(configs, preset.threads);
+  const std::vector<SimResult> results = run_parallel(configs);
 
   WindyFigure fig;
   fig.fraction_b = fraction_b;
@@ -302,7 +286,7 @@ WindyFigure run_windy_figure(const ExperimentPreset& preset, double fraction_b) 
   analysis::Series total_off{"total_cc_off", {}, {}};
   analysis::Series total_on{"total_cc_on", {}, {}};
 
-  const std::int32_t n = preset.clos.node_count();
+  const std::int32_t n = preset.base.node_count();
   const auto n_b = static_cast<std::int32_t>(std::llround(fraction_b * n));
   const std::int32_t rest = n - n_b;
   const auto n_c = static_cast<std::int32_t>(std::llround(0.8 * rest));
@@ -407,12 +391,12 @@ CcCompareResult run_cc_compare(const ExperimentPreset& preset,
         core::Time sim = lifetime * preset.moving_lifetimes_per_run;
         if (sim < preset.moving_min_sim_time) sim = preset.moving_min_sim_time;
         config.sim_time = sim;
-        config.warmup = lifetime < preset.static_warmup ? lifetime : preset.static_warmup;
+        config.warmup = lifetime < preset.base.warmup ? lifetime : preset.base.warmup;
       }
       configs.push_back(config);
     }
   }
-  std::vector<SimResult> results = run_parallel(configs, preset.threads);
+  std::vector<SimResult> results = run_parallel(configs);
 
   std::size_t next = 0;
   for (const Spec& spec : specs) {
@@ -460,11 +444,11 @@ MovingCurve run_moving(const ExperimentPreset& preset, const traffic::ScenarioSp
       core::Time sim = lifetime * preset.moving_lifetimes_per_run;
       if (sim < preset.moving_min_sim_time) sim = preset.moving_min_sim_time;
       config.sim_time = sim;
-      config.warmup = lifetime < preset.static_warmup ? lifetime : preset.static_warmup;
+      config.warmup = lifetime < preset.base.warmup ? lifetime : preset.base.warmup;
       configs.push_back(config);
     }
   }
-  const std::vector<SimResult> results = run_parallel(configs, preset.threads);
+  const std::vector<SimResult> results = run_parallel(configs);
 
   MovingCurve curve;
   curve.label = std::move(label);

@@ -20,11 +20,15 @@ namespace ibsim::sim {
 /// `ExperimentPreset::from_env()` honours IBSIM_FULL=1 for paper-scale
 /// windows.
 struct ExperimentPreset {
-  topo::FoldedClosParams clos = topo::FoldedClosParams::sun_dcs_648();
+  /// Every cell's starting config: topology, the static-hotspot window
+  /// (Table II, figures 5-8), CC control-loop scale, seed, fast path and
+  /// result store. The quick preset runs the whole CC loop 4x faster
+  /// (CCTI_Increase 4, CCTI_Timer 150/4) with hotspot lifetimes scaled
+  /// by the same factor, so the convergence-to-window and
+  /// lifetime-to-recovery ratios match the paper within windows that
+  /// fit a laptop run; the paper preset uses the exact Table I values.
+  SimConfig base;
 
-  // Static-hotspot experiments (Table II, figures 5-8).
-  core::Time static_sim_time = 2 * core::kMillisecond;
-  core::Time static_warmup = 500 * core::kMicrosecond;
   std::vector<double> p_values = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 
   // Moving-hotspot experiments (figures 9-10).
@@ -32,35 +36,12 @@ struct ExperimentPreset {
   core::Time moving_min_sim_time = 0;
   std::int32_t moving_lifetimes_per_run = 6;  ///< simulated hotspot periods
 
-  // CC control-loop scale. The quick preset runs the whole loop 4x
-  // faster (CCTI_Increase 4, CCTI_Timer 150/4) with hotspot lifetimes
-  // scaled by the same factor, so the convergence-to-window and
-  // lifetime-to-recovery ratios match the paper within windows that fit
-  // a laptop run; the paper preset uses the exact Table I values.
-  std::uint16_t ccti_increase = 1;
-  std::uint16_t ccti_timer = 150;
-
-  std::uint64_t seed = 1;
-  std::int32_t threads = 0;  ///< 0 = hardware concurrency
-
-  /// Fabric event fast path (lazy link wakeups, coalesced credit
-  /// returns). Bit-identical results either way; off only for A/B
-  /// timing runs such as `table2_silent --no-fast-path`.
-  bool fabric_fast_path = true;
-
-  /// On-disk result store directory ("" = none), propagated into every
-  /// config the preset builds so run_parallel serves repeated cells from
-  /// cache (see SimConfig::result_store). Benches expose it as
-  /// --result-store=DIR.
-  std::string result_store;
-
   [[nodiscard]] static ExperimentPreset quick();
   [[nodiscard]] static ExperimentPreset paper();
   /// quick() unless IBSIM_FULL=1 (or a bench was passed --full).
   [[nodiscard]] static ExperimentPreset from_env(bool force_full = false);
 
-  /// Base SimConfig with this preset's topology and timing.
-  [[nodiscard]] SimConfig base_config() const;
+  [[nodiscard]] SimConfig base_config() const { return base; }
 };
 
 /// Resolve a sweep's worker count: an explicit positive `threads` wins,

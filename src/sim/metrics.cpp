@@ -89,22 +89,6 @@ double MetricsCollector::total_throughput_gbps(core::Time now) const {
   return sum;
 }
 
-std::int64_t MetricsCollector::hotspot_bytes() const {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < rx_.size(); ++i) {
-    if (hotspot_[i]) total += rx_[i].bytes();
-  }
-  return total;
-}
-
-std::int64_t MetricsCollector::non_hotspot_bytes() const {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < rx_.size(); ++i) {
-    if (!hotspot_[i]) total += rx_[i].bytes();
-  }
-  return total;
-}
-
 double MetricsCollector::jain_non_hotspot(core::Time now) const {
   std::vector<double> rates;
   rates.reserve(rx_.size());

@@ -45,13 +45,6 @@ class MetricsCollector final : public fabric::SinkObserver {
   /// Jain fairness index over the given node class's receive rates.
   [[nodiscard]] double jain_non_hotspot(core::Time now) const;
 
-  /// Cumulative bytes delivered to each node class since the window
-  /// start (used by the timeline sampler for interval deltas).
-  [[nodiscard]] std::int64_t hotspot_bytes() const;
-  [[nodiscard]] std::int64_t non_hotspot_bytes() const;
-  [[nodiscard]] std::int32_t hotspot_count() const { return n_hotspots_; }
-  [[nodiscard]] std::int32_t node_count() const { return static_cast<std::int32_t>(rx_.size()); }
-
   [[nodiscard]] const core::Histogram& latency_us() const { return latency_us_; }
   /// Latency split by receiving-node class: packets arriving at hotspots
   /// vs at everyone else (victim latency is the HOL-blocking signature).

@@ -2,19 +2,10 @@
 
 #include <cstdio>
 
-namespace ibsim::sim {
+#include "sim/config_fields.hpp"
+#include "workload/spec.hpp"
 
-const char* topology_name(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::SingleSwitch: return "single-switch";
-    case TopologyKind::FoldedClos: return "folded-clos";
-    case TopologyKind::FatTree3: return "fat-tree3";
-    case TopologyKind::LinearChain: return "linear-chain";
-    case TopologyKind::Dumbbell: return "dumbbell";
-    case TopologyKind::Mesh2D: return "mesh2d";
-  }
-  return "?";
-}
+namespace ibsim::sim {
 
 std::int32_t SimConfig::node_count() const {
   switch (topology) {
@@ -43,12 +34,81 @@ std::string SimConfig::describe() const {
     traffic_desc = scenario.describe();
   }
   char buf[320];
+  const std::string topology_text = field_text(*find_config_field("topology"), *this);
   std::snprintf(buf, sizeof(buf), "%s (%d nodes), CC %s, %s, sim %s (warmup %s), seed %llu",
-                topology_name(topology), node_count(), cc_desc.c_str(),
+                topology_text.c_str(), node_count(), cc_desc.c_str(),
                 traffic_desc.c_str(), core::format_time(sim_time).c_str(),
                 core::format_time(warmup).c_str(),
                 static_cast<unsigned long long>(seed));
   return buf;
+}
+
+std::string check_config(const SimConfig& config) {
+  using std::to_string;
+  switch (config.topology) {
+    case TopologyKind::SingleSwitch:
+      if (config.single_switch_nodes < 2) return "single_nodes must be at least 2";
+      break;
+    case TopologyKind::FoldedClos:
+      if (config.clos.leaves < 1 || config.clos.spines < 1 || config.clos.nodes_per_leaf < 1) {
+        return "clos_leaves, clos_spines and clos_nodes_per_leaf must be at least 1";
+      }
+      break;
+    case TopologyKind::FatTree3: {
+      const topo::FatTree3Params& ft = config.fat_tree3;
+      if (ft.pods < 1 || ft.leaves_per_pod < 1 || ft.aggs_per_pod < 1 || ft.cores < 1 ||
+          ft.nodes_per_leaf < 1) {
+        return "ft3_pods, ft3_leaves_per_pod, ft3_aggs_per_pod, ft3_cores and "
+               "ft3_nodes_per_leaf must be at least 1";
+      }
+      break;
+    }
+    case TopologyKind::LinearChain:
+      if (config.chain_switches < 2) return "chain_switches must be at least 2";
+      if (config.chain_nodes_per_switch < 1) return "chain_nodes must be at least 1";
+      break;
+    case TopologyKind::Dumbbell:
+      if (config.dumbbell_nodes_per_side < 1) return "dumbbell_nodes must be at least 1";
+      break;
+    case TopologyKind::Mesh2D:
+      if (config.mesh_rows < 1 || config.mesh_cols < 1 ||
+          config.mesh_rows * config.mesh_cols < 2) {
+        return "mesh_rows and mesh_cols must be at least 1 and give at least 2 switches";
+      }
+      if (config.mesh_nodes_per_switch < 1) return "mesh_nodes must be at least 1";
+      break;
+  }
+
+  const std::int32_t nodes = config.node_count();
+  const std::string on_nodes = " on " + to_string(nodes) + " end nodes";
+  if (const WorkloadSettings& w = config.workload; w.active()) {
+    std::int32_t ranks = w.ranks > 0 ? w.ranks : nodes;
+    if (w.name == "file") {
+      if (w.file.empty()) return "workload = file needs workload_file";
+      workload::WorkloadSpec spec;
+      if (const std::string err = workload::load_workload_file(w.file, &spec); !err.empty()) {
+        return "workload_file: " + err;
+      }
+      ranks = spec.ranks;
+    }
+    if (ranks > nodes) return "the workload has " + to_string(ranks) + " ranks" + on_nodes;
+  } else {
+    const traffic::ScenarioSpec& sc = config.scenario;
+    if (nodes < 2) {
+      return "the traffic scenario needs at least 2 end nodes, not " + to_string(nodes);
+    }
+    if (!(sc.fraction_b >= 0.0 && sc.fraction_b <= 1.0)) return "fraction_b must be in [0, 1]";
+    if (!(sc.p >= 0.0 && sc.p <= 1.0)) return "p_percent must be in [0, 100]";
+    if (sc.n_hotspots < 0 || sc.n_hotspots > nodes) {
+      return "hotspots = " + to_string(sc.n_hotspots) + " does not fit" + on_nodes;
+    }
+  }
+  if (std::string err = config.cc.validate(); !err.empty()) return err;
+  if (std::string err = config.fabric.validate(); !err.empty()) return err;
+  if (!config.telemetry.counters_csv.empty() && config.telemetry.sample_interval <= 0) {
+    return "telemetry_sample_us must be at least 1 with counters_csv";
+  }
+  return {};
 }
 
 }  // namespace ibsim::sim

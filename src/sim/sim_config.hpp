@@ -21,8 +21,6 @@ enum class TopologyKind : std::uint8_t {
   Mesh2D,
 };
 
-[[nodiscard]] const char* topology_name(TopologyKind kind);
-
 /// Observability knobs of one run. Everything is off by default — the
 /// simulation then never constructs a Telemetry instance and the fabric
 /// hot paths pay a single null check.
@@ -34,9 +32,11 @@ struct TelemetrySettings {
   std::string trace_path;
   /// Comma-separated trace categories ("cc,credits,queues,arb"; "all").
   std::string trace_categories = "all";
-  /// Counter time-series CSV destination ("" = no sampler). NOTE: the
-  /// sampler schedules its own events, so events_executed differs from an
-  /// unsampled run (simulated behaviour still does not).
+  /// Counter time-series CSV destination ("" = no sampler): every
+  /// registry instrument, one row per sample_interval, including the
+  /// lifetime sink.rcv_bytes.* gauges per node class (DESIGN.md §7).
+  /// The sampler schedules its own events, so events_executed differs
+  /// from an unsampled run (simulated behaviour does not).
   std::string counters_csv;
   /// Sampling cadence of the CSV time series.
   core::Time sample_interval = 50 * core::kMicrosecond;
@@ -148,7 +148,17 @@ struct SimConfig {
   TelemetrySettings telemetry;
 
   [[nodiscard]] std::int32_t node_count() const;
+  /// One line naming the topology (in its config-file spelling), node
+  /// count, CC, traffic and timing.
   [[nodiscard]] std::string describe() const;
 };
+
+/// Why `config` cannot be built, or "" if it can: the first
+/// precondition it breaks among those that its topology builder,
+/// traffic scenario or workload, CC and fabric parameters, and counter
+/// sampler assert. Front ends call it before building a Simulation, so a
+/// bad key ends in an error message instead of an abort. Loads the
+/// workload file when workload = file.
+[[nodiscard]] std::string check_config(const SimConfig& config);
 
 }  // namespace ibsim::sim

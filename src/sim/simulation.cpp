@@ -81,17 +81,19 @@ Simulation::Simulation(const SimConfig& config,
     workload_ = std::make_unique<workload::WorkloadEngine>(
         resolve_workload_spec(config_), wopts, rng.fork("workload", 0));
     workload_->install(*fabric_, metrics_.get());
-    metrics_->set_hotspots(workload_->rank_nodes());
+    hotspot_nodes_ = workload_->rank_nodes();
+    metrics_->set_hotspots(hotspot_nodes_);
   } else {
     scenario_ = std::make_unique<traffic::Scenario>(topo.node_count(), config.scenario, rng);
-    metrics_->set_hotspots(scenario_->schedule().hotspots());
+    hotspot_nodes_ = scenario_->schedule().hotspots();
+    metrics_->set_hotspots(hotspot_nodes_);
     if (engine_ != nullptr) {
       // One collector per shard so delivery callbacks never touch shared
       // state from worker threads; merged into metrics_ after the run.
       for (std::int32_t s = 0; s < shard_plan_.n_shards; ++s) {
         shard_metrics_.push_back(std::make_unique<MetricsCollector>(
             topo.node_count(), config.latency_hist_max_us));
-        shard_metrics_.back()->set_hotspots(scenario_->schedule().hotspots());
+        shard_metrics_.back()->set_hotspots(hotspot_nodes_);
       }
       for (ib::NodeId node = 0; node < topo.node_count(); ++node) {
         const std::int32_t shard = fabric_->shard_of(topo.hca_device(node));
@@ -121,10 +123,13 @@ Simulation::Simulation(const SimConfig& config,
     // from worker threads would race); prepare_shards already forced the
     // serial engine for every telemetry mode beyond end-of-run counters.
     if (engine_ == nullptr) fabric_->attach_telemetry(telemetry_.get());
+    telemetry::CounterRegistry& reg = telemetry_->registry();
+    g_rcv_hotspot_ = reg.gauge("sink.rcv_bytes.hotspot");
+    g_rcv_non_hotspot_ = reg.gauge("sink.rcv_bytes.non_hotspot");
+    reg.set(reg.gauge("sink.hotspot_nodes"), static_cast<std::int64_t>(hotspot_nodes_.size()));
     if (!ts.counters_csv.empty()) {
       sampler_ = std::make_unique<telemetry::CounterSampler>(
-          &telemetry_->registry(), ts.sample_interval, ts.counters_csv,
-          [this](core::Time) { fabric_->refresh_gauges(); });
+          &reg, ts.sample_interval, ts.counters_csv, [this](core::Time) { refresh_gauges(); });
     }
   }
 }
@@ -209,6 +214,17 @@ SimResult Simulation::run() {
   return result;
 }
 
+void Simulation::refresh_gauges() const {
+  fabric_->refresh_gauges();
+  // Lifetime sink bytes, never reset at warmup: the difference of two
+  // samples is the interval's receive volume on either side of it.
+  std::int64_t hotspot = 0;
+  for (const ib::NodeId node : hotspot_nodes_) hotspot += fabric_->hca(node).delivered_bytes();
+  telemetry::CounterRegistry& reg = telemetry_->registry();
+  reg.set(g_rcv_hotspot_, hotspot);
+  reg.set(g_rcv_non_hotspot_, fabric_->total_delivered_bytes() - hotspot);
+}
+
 SimResult Simulation::snapshot() const { return snapshot_at(sched_.now()); }
 
 SimResult Simulation::snapshot_at(core::Time now) const {
@@ -245,7 +261,7 @@ SimResult Simulation::snapshot_at(core::Time now) const {
     r.workload.messages_total = p.messages_total;
   }
   if (telemetry_ != nullptr) {
-    fabric_->refresh_gauges();  // observability state only, never simulated state
+    refresh_gauges();  // observability state only, never simulated state
     telemetry::CounterRegistry& reg = telemetry_->registry();
     static constexpr const char* kKindGauges[core::Scheduler::kKindSlots] = {
         "sched.events.other0",       "sched.events.packet_arrive",

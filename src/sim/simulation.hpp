@@ -141,6 +141,11 @@ class Simulation {
   /// possible, and compatible with the run's features.
   const fabric::Fabric::ShardLayout* prepare_shards(const topo::Topology& topo);
 
+  /// Recompute the pull gauges: the fabric's, plus the bytes delivered
+  /// to each node class. Runs before every CSV row and every snapshot
+  /// while telemetry is active.
+  void refresh_gauges() const;
+
   SimConfig config_;
   core::Scheduler sched_;  ///< global scheduler (the only one when serial)
   std::shared_ptr<const RoutingSnapshot> snapshot_;  // owns topology + routing
@@ -158,6 +163,11 @@ class Simulation {
   std::unique_ptr<MetricsCollector> metrics_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
   std::unique_ptr<telemetry::CounterSampler> sampler_;
+  /// The node class MetricsCollector::set_hotspots received: the initial
+  /// hotspots, or the workload's rank nodes.
+  std::vector<ib::NodeId> hotspot_nodes_;
+  telemetry::CounterRegistry::Handle g_rcv_hotspot_;
+  telemetry::CounterRegistry::Handle g_rcv_non_hotspot_;
   bool ran_ = false;
 };
 

@@ -12,14 +12,15 @@
 namespace ibsim::telemetry {
 
 /// Periodic CSV sampler of a counter registry: one column per
-/// instrument, one row per sampling interval (the same cadence pattern
-/// as sim/timeline, but over the whole registry instead of a fixed
-/// schema). The column set is frozen at install time — instrument the
-/// fabric first, then install.
+/// instrument, one row per sampling interval, the first row one
+/// interval after install. It is the simulator's only time series;
+/// readers find a series by its column name and difference cumulative
+/// columns for rates. The column set is frozen at install time —
+/// instrument the fabric first, then install.
 ///
 /// The optional `refresh` hook runs before each row and lets the owner
-/// update pull-style gauges (e.g. fabric-wide queued bytes) that no hot
-/// path pushes.
+/// update pull-style gauges (e.g. fabric-wide queued bytes, bytes per
+/// node class) that no hot path pushes.
 class CounterSampler final : public core::EventHandler {
  public:
   CounterSampler(const CounterRegistry* registry, core::Time interval, std::string csv_path,

@@ -21,12 +21,23 @@ struct InvariantCase {
   std::uint64_t seed;
 };
 
+/// Instance-name prefixes, fixed here so the test names stay stable
+/// whatever the topologies are called elsewhere.
+const char* topology_label(TopologyKind kind) {
+  switch (kind) {
+    case TopologyKind::SingleSwitch: return "single_switch";
+    case TopologyKind::FoldedClos: return "folded_clos";
+    case TopologyKind::LinearChain: return "linear_chain";
+    case TopologyKind::Dumbbell: return "dumbbell";
+    case TopologyKind::FatTree3: return "fat_tree3";
+    case TopologyKind::Mesh2D: return "mesh2d";
+  }
+  return "unknown";
+}
+
 std::string case_name(const ::testing::TestParamInfo<InvariantCase>& info) {
   const InvariantCase& c = info.param;
-  std::string name = topology_name(c.topology);
-  for (auto& ch : name) {
-    if (ch == '-') ch = '_';
-  }
+  std::string name = topology_label(c.topology);
   name += "_b" + std::to_string(static_cast<int>(c.fraction_b * 100));
   name += "_p" + std::to_string(static_cast<int>(c.p * 100));
   name += "_h" + std::to_string(c.n_hotspots);

@@ -176,6 +176,14 @@ TEST_F(SweepServerTest, ProtocolErrorsKeepConnectionOpen) {
   events = client.roundtrip(R"({"op":"submit","name":"bad","base":{"hotspost":1}})", "error");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NE(events[0].find("message")->as_string().find("hotspost"), std::string::npos);
+  // So does a cell that cannot be built, before it is accepted: 8
+  // hotspots on 4 nodes.
+  events = client.roundtrip(
+      R"({"op":"submit","name":"bad","base":{"topology":"single","single_nodes":4,)"
+      R"("hotspots":8,"sim_time_us":100}})",
+      "error");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].find("message")->as_string().find("cell 'bad'"), std::string::npos);
   // Still alive.
   events = client.roundtrip(R"({"op":"ping"})", "pong");
   ASSERT_EQ(events.size(), 1u);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
+
+#include "sim/config_file.hpp"
 #include "sim/experiment.hpp"
 
 namespace ibsim::sim {
@@ -26,8 +32,7 @@ TEST(SimConfig, NodeCountPerTopology) {
 TEST(SimConfig, DescribeMentionsKeyFacts) {
   SimConfig config;
   const std::string desc = config.describe();
-  EXPECT_NE(desc.find("folded-clos"), std::string::npos);
-  EXPECT_NE(desc.find("648"), std::string::npos);
+  EXPECT_EQ(desc.rfind("clos (648 nodes)", 0), 0u) << desc;
   EXPECT_NE(desc.find("CC on"), std::string::npos);
   EXPECT_NE(desc.find("iba_a10"), std::string::npos);
 }
@@ -42,10 +47,18 @@ TEST(SimConfig, DescribeNamesTheSelectedAlgorithm) {
 }
 
 TEST(SimConfig, TopologyNames) {
-  EXPECT_STREQ(topology_name(TopologyKind::SingleSwitch), "single-switch");
-  EXPECT_STREQ(topology_name(TopologyKind::FoldedClos), "folded-clos");
-  EXPECT_STREQ(topology_name(TopologyKind::LinearChain), "linear-chain");
-  EXPECT_STREQ(topology_name(TopologyKind::Dumbbell), "dumbbell");
+  // describe() spells each kind as config files and flags do.
+  const std::pair<TopologyKind, std::string> kinds[] = {
+      {TopologyKind::SingleSwitch, "single"}, {TopologyKind::FoldedClos, "clos"},
+      {TopologyKind::LinearChain, "chain"},   {TopologyKind::Dumbbell, "dumbbell"},
+      {TopologyKind::Mesh2D, "mesh"},         {TopologyKind::FatTree3, "fat-tree3"},
+  };
+  for (const auto& [kind, text] : kinds) {
+    SimConfig config;
+    ASSERT_TRUE(apply_config_text("topology = " + text, &config).empty()) << text;
+    EXPECT_EQ(config.topology, kind) << text;
+    EXPECT_EQ(config.describe().rfind(text + " (", 0), 0u) << config.describe();
+  }
 }
 
 TEST(SimConfig, DefaultsMatchPaperSetup) {
@@ -57,12 +70,57 @@ TEST(SimConfig, DefaultsMatchPaperSetup) {
   EXPECT_DOUBLE_EQ(config.fabric.hca_drain_gbps, 13.6);
 }
 
+TEST(CheckConfig, BuildableConfigsPass) {
+  EXPECT_EQ(check_config(SimConfig{}), "");
+  EXPECT_EQ(check_config(ExperimentPreset::quick().base_config()), "");
+  SimConfig config;
+  ASSERT_EQ(apply_config_text("topology = single\nhotspots = 8\nworkload = incast\n", &config),
+            "");
+  EXPECT_EQ(check_config(config), "");
+}
+
+TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
+  const std::string sixteen_ranks = ::testing::TempDir() + "/check_config_16_ranks.wl";
+  std::ofstream(sixteen_ranks) << "ranks 16\nop src 0 dst 15 bytes 4096\n";
+  // One case per precondition a settable key can break: config text in
+  // the config-file vocabulary, and a fragment of the expected message.
+  const std::pair<std::string, std::string> cases[] = {
+      {"topology = single\nsingle_nodes = 1", "single_nodes"},
+      {"clos_spines = 0", "clos_spines"},
+      {"topology = chain\nchain_switches = 1", "chain_switches"},
+      {"topology = chain\nchain_nodes = 0", "chain_nodes"},
+      {"topology = dumbbell\ndumbbell_nodes = 0", "dumbbell_nodes"},
+      {"topology = fat-tree3\nft3_cores = 0", "ft3_cores"},
+      {"topology = mesh\nmesh_rows = 1\nmesh_cols = 1", "mesh_rows"},
+      {"topology = mesh\nmesh_nodes = 0", "mesh_nodes"},
+      {"clos_leaves = 1\nclos_nodes_per_leaf = 1", "at least 2 end nodes"},
+      {"fraction_b = 2", "fraction_b"},
+      {"p_percent = 150", "p_percent"},
+      {"topology = single\nsingle_nodes = 4", "hotspots = 8"},
+      {"workload = file", "workload_file"},
+      {"workload = file\nworkload_file = /nonexistent/w.wl", "workload_file: "},
+      {"topology = single\nworkload = file\nworkload_file = " + sixteen_ranks, "16 ranks"},
+      {"topology = single\nworkload = incast\nworkload_ranks = 16", "16 ranks"},
+      {"ccti_timer = 0", "ccti_timer"},
+      {"hca_inject_gbps = 100", "injection pacing"},
+      {"counters_csv = out.csv\ntelemetry_sample_us = 0", "telemetry_sample_us"},
+  };
+  for (const auto& [text, expected] : cases) {
+    SimConfig config;
+    ASSERT_EQ(apply_config_text(text, &config), "") << text;
+    const std::string err = check_config(config);
+    EXPECT_NE(err.find(expected), std::string::npos) << text << " -> '" << err << "'";
+  }
+  std::remove(sixteen_ranks.c_str());
+}
+
 TEST(ExperimentPreset, QuickScalesLoopConsistently) {
   const ExperimentPreset quick = ExperimentPreset::quick();
   const ExperimentPreset paper = ExperimentPreset::paper();
   // The quick preset's CCTI loop runs 4x faster...
-  EXPECT_EQ(quick.ccti_increase, 4 * paper.ccti_increase);
-  EXPECT_NEAR(static_cast<double>(paper.ccti_timer) / quick.ccti_timer, 4.0, 0.1);
+  EXPECT_EQ(quick.base.cc.ccti_increase, 4 * paper.base.cc.ccti_increase);
+  EXPECT_NEAR(static_cast<double>(paper.base.cc.ccti_timer) / quick.base.cc.ccti_timer, 4.0,
+              0.1);
   // ...and its lifetime axis is compressed by the same factor.
   ASSERT_EQ(quick.lifetimes.size(), paper.lifetimes.size());
   for (std::size_t i = 0; i < quick.lifetimes.size(); ++i) {
@@ -72,21 +130,21 @@ TEST(ExperimentPreset, QuickScalesLoopConsistently) {
 
 TEST(ExperimentPreset, PaperUsesTable1Values) {
   const ExperimentPreset paper = ExperimentPreset::paper();
-  EXPECT_EQ(paper.ccti_increase, 1);
-  EXPECT_EQ(paper.ccti_timer, 150);
   const SimConfig config = paper.base_config();
   EXPECT_EQ(config.cc.ccti_increase, 1);
+  EXPECT_EQ(config.cc.ccti_timer, 150);
   EXPECT_EQ(config.cc.ccti_limit, 127);
 }
 
 TEST(ExperimentPreset, BaseConfigCarriesTiming) {
   ExperimentPreset preset = ExperimentPreset::quick();
-  preset.seed = 77;
+  preset.base.seed = 77;
   const SimConfig config = preset.base_config();
-  EXPECT_EQ(config.sim_time, preset.static_sim_time);
-  EXPECT_EQ(config.warmup, preset.static_warmup);
+  EXPECT_EQ(config.sim_time, 10 * core::kMillisecond);
+  EXPECT_EQ(config.warmup, 5 * core::kMillisecond);
   EXPECT_EQ(config.seed, 77u);
   EXPECT_EQ(config.topology, TopologyKind::FoldedClos);
+  EXPECT_EQ(config.clos.node_count(), 648);
 }
 
 TEST(ExperimentPreset, PValuesCoverPaperAxis) {

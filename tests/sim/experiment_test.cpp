@@ -13,9 +13,9 @@ namespace {
 /// A preset small enough for unit tests: 12-node fabric, 3 p-points.
 ExperimentPreset tiny_preset() {
   ExperimentPreset preset = ExperimentPreset::quick();
-  preset.clos = topo::FoldedClosParams::scaled(4, 2, 3);
-  preset.static_sim_time = core::kMillisecond;
-  preset.static_warmup = 250 * core::kMicrosecond;
+  preset.base.clos = topo::FoldedClosParams::scaled(4, 2, 3);
+  preset.base.sim_time = core::kMillisecond;
+  preset.base.warmup = 250 * core::kMicrosecond;
   preset.p_values = {0.0, 0.5, 1.0};
   preset.lifetimes = {200 * core::kMicrosecond, 100 * core::kMicrosecond};
   preset.moving_min_sim_time = 600 * core::kMicrosecond;
@@ -162,8 +162,8 @@ TEST(MovingHarness, WindyVariantLabelsP) {
 
 TEST(Presets, FromEnvHonoursForceFlag) {
   const ExperimentPreset forced = ExperimentPreset::from_env(/*force_full=*/true);
-  EXPECT_EQ(forced.ccti_increase, ExperimentPreset::paper().ccti_increase);
-  EXPECT_EQ(forced.static_sim_time, ExperimentPreset::paper().static_sim_time);
+  EXPECT_EQ(forced.base.cc.ccti_increase, ExperimentPreset::paper().base.cc.ccti_increase);
+  EXPECT_EQ(forced.base.sim_time, ExperimentPreset::paper().base.sim_time);
 }
 
 }  // namespace
