@@ -19,7 +19,7 @@ namespace ibsim::service {
 /// Requests (client → server), dispatched on the "op" field:
 ///
 ///   {"op":"ping"}                          → {"event":"pong"}
-///   {"op":"submit","name":...,"base":{...},"axes":{...}[,"threads":N]}
+///   {"op":"submit","name":...,"base":{...},"axes":{...}}
 ///       → {"event":"accepted","job":J,"cells":N}
 ///       → one {"event":"cell","job":J,"index":I,"label":...,"key":...,
 ///              "cached":B,"shared":B,"all_rcv_gbps":X,...} per cell,

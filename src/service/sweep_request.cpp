@@ -38,14 +38,6 @@ bool parse_sweep_request(const Json& json, SweepRequest* request, std::string* e
       request->name = value.as_string();
       continue;
     }
-    if (key == "threads") {
-      if (!value.is_number() || value.as_double() < 0) {
-        *error = "'threads' must be a non-negative number";
-        return false;
-      }
-      request->threads = static_cast<std::int32_t>(value.as_int());
-      continue;
-    }
     if (key == "base") {
       if (!value.is_object()) {
         *error = "'base' must be an object of config keys";

@@ -13,8 +13,7 @@ namespace ibsim::service {
 ///
 ///   {"op": "submit", "name": "table2",
 ///    "base": {"topology": "clos", "sim_time_us": 2000, ...},
-///    "axes": {"p_percent": [0, 50, 100], "cc_enabled": [0, 1]},
-///    "threads": 4}
+///    "axes": {"p_percent": [0, 50, 100], "cc_enabled": [0, 1]}}
 ///
 /// `base` and `axes` use exactly the config-file key vocabulary
 /// (sim/config_file.hpp) — the request is a config file plus a Cartesian
@@ -26,10 +25,6 @@ struct SweepRequest {
   std::vector<std::pair<std::string, std::string>> base;
   /// Sweep axes in request order; each axis is (key, value-texts).
   std::vector<std::pair<std::string, std::vector<std::string>>> axes;
-  /// Advisory worker-thread request (0 = daemon default). The daemon's
-  /// pool size is fixed at startup; the field is accepted so clients can
-  /// carry it, and ignored by the current scheduler.
-  std::int32_t threads = 0;
 };
 
 /// One expanded sweep cell: the fully-resolved config plus a stable

@@ -12,10 +12,11 @@
 // key = value format as simulate --config); requests then layer their
 // own base and axes on top.
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "service/server.hpp"
 #include "sim/config_file.hpp"
@@ -46,7 +47,16 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--result-store=", 0) == 0) {
       options.service.store_dir = arg.substr(std::strlen("--result-store="));
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.service.threads = std::atoi(arg.c_str() + std::strlen("--threads="));
+      // Strict, as simulate --threads is: "abc" or "-4" must not quietly
+      // become the hardware default.
+      const std::string value = arg.substr(std::strlen("--threads="));
+      const char* last = value.data() + value.size();
+      const auto [end, ec] = std::from_chars(value.data(), last, options.service.threads);
+      if (ec != std::errc{} || end != last || options.service.threads < 0) {
+        std::fprintf(stderr, "sweepd: %s: expected a non-negative integer (0 = auto)\n",
+                     arg.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--config=", 0) == 0) {
       const std::string path = arg.substr(std::strlen("--config="));
       const std::string err = ibsim::sim::apply_config_file(path, &options.base_config);

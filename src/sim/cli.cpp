@@ -1,5 +1,6 @@
 #include "sim/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -71,15 +72,22 @@ bool Cli::parse(int argc, char** argv) {
       if (i + 1 >= argc) fail("option '--" + arg + "' needs a value");
       value = argv[++i];
     }
+    // An empty value or one the type cannot hold is as wrong as a
+    // non-number: strto* would read "" as 0 and clamp an overflow.
     char* end = nullptr;
+    errno = 0;
     switch (opt.kind) {
       case Kind::Int:
         opt.int_value = std::strtoll(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') fail("'--" + arg + "' expects an integer");
+        if (value.empty() || *end != '\0' || errno == ERANGE) {
+          fail("'--" + arg + "' expects an integer");
+        }
         break;
       case Kind::Double:
         opt.double_value = std::strtod(value.c_str(), &end);
-        if (end == nullptr || *end != '\0') fail("'--" + arg + "' expects a number");
+        if (value.empty() || *end != '\0' || errno == ERANGE) {
+          fail("'--" + arg + "' expects a number");
+        }
         break;
       case Kind::String:
         opt.string_value = value;

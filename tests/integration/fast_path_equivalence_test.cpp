@@ -5,16 +5,49 @@
 // to be bit-identical fast-on vs. fast-off across the paper's scenario
 // taxonomy, while events_executed must strictly drop (DESIGN.md §11
 // carries the determinism argument).
+//
+// The *Cell cases also pin both sides' exact event census: executed
+// events, every events_by_kind slot, and delivered bytes and packets,
+// on the busy-fabric scenarios the paper reproductions spend their
+// time in (72-node Clos) and on the 10240-HCA fat-tree. Any change to
+// how many events either path runs, or to what it delivers, fails here
+// and must land with its new counts.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
+#include <ostream>
 
 #include "fabric/events.hpp"
 #include "sim/simulation.hpp"
 
 namespace ibsim::sim {
 namespace {
+
+/// One run's event census and delivery, compared exactly.
+struct Counts {
+  std::uint64_t events;
+  std::array<std::uint64_t, core::Scheduler::kKindSlots> by_kind;
+  std::int64_t delivered_bytes;
+  std::uint64_t delivered_packets;
+  bool operator==(const Counts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Counts& c) {
+  os << "{events " << c.events << ", by_kind {";
+  for (std::size_t i = 0; i < c.by_kind.size(); ++i) os << (i ? ", " : "") << c.by_kind[i];
+  return os << "}, bytes " << c.delivered_bytes << ", packets " << c.delivered_packets << "}";
+}
+
+Counts counts_of(const SimResult& r) {
+  return {r.events_executed, r.events_by_kind, r.delivered_bytes, r.delivered_packets};
+}
+
+struct FastSlow {
+  Counts fast;
+  Counts slow;
+};
 
 SimConfig base_config(std::uint64_t seed) {
   SimConfig config;
@@ -28,8 +61,9 @@ SimConfig base_config(std::uint64_t seed) {
 
 /// Run `config` with the fast path on and off and require bit-identical
 /// behaviour. events_executed is the one field allowed — required — to
-/// differ: the fast path must execute strictly fewer events.
-void expect_fast_path_equivalent(SimConfig config) {
+/// differ: the fast path must execute strictly fewer events. Returns
+/// both runs' counts for the cases that pin them.
+FastSlow expect_fast_path_equivalent(SimConfig config) {
   config.fabric.fast_path = true;
   const SimResult fast = run_sim(config);
   config.fabric.fast_path = false;
@@ -68,6 +102,20 @@ void expect_fast_path_equivalent(SimConfig config) {
   };
   EXPECT_EQ(sum(fast), fast.events_executed);
   EXPECT_EQ(sum(slow), slow.events_executed);
+  return {counts_of(fast), counts_of(slow)};
+}
+
+/// The 72-node folded Clos of the busy-fabric cells: 500 us from a cold
+/// fabric with the scaled presets' fast CC loop.
+SimConfig clos72_cell() {
+  SimConfig config;
+  config.topology = TopologyKind::FoldedClos;
+  config.clos = topo::FoldedClosParams::scaled(12, 6, 6);
+  config.sim_time = 500 * core::kMicrosecond;
+  config.warmup = 0;
+  config.cc.ccti_increase = 4;
+  config.cc.ccti_timer = 38;
+  return config;
 }
 
 TEST(FastPathEquivalence, Table2SilentForest) {
@@ -116,6 +164,120 @@ TEST(FastPathEquivalence, WindyForestHalfPSecondSeed) {
   config.scenario.p = 0.5;
   config.scenario.n_hotspots = 2;
   expect_fast_path_equivalent(config);
+}
+
+TEST(FastPathEquivalence, BusyFabricCell) {
+  // Table II's silent forest: 80% of the non-B nodes hammer 2 hotspots.
+  SimConfig config = clos72_cell();
+  config.scenario.fraction_b = 0.0;
+  config.scenario.fraction_c_of_rest = 0.8;
+  config.scenario.n_hotspots = 2;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast, (Counts{44513, {0, 16016, 8784, 14564, 3760, 628, 761}, 5888000, 2875}));
+  EXPECT_EQ(counts.slow, (Counts{51735, {0, 16016, 16006, 14564, 3760, 628, 761}, 5888000, 2875}));
+}
+
+TEST(FastPathEquivalence, WindyP50Cell) {
+  // Figures 5-8: every background node windy with p = 0.5.
+  SimConfig config = clos72_cell();
+  config.scenario.fraction_b = 1.0;
+  config.scenario.p = 0.5;
+  config.scenario.n_hotspots = 2;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast, (Counts{51679, {0, 18471, 10236, 16917, 4363, 852, 840}, 6961152, 3399}));
+  EXPECT_EQ(counts.slow, (Counts{59909, {0, 18471, 18466, 16917, 4363, 852, 840}, 6961152, 3399}));
+}
+
+TEST(FastPathEquivalence, MovingHotspotsCell) {
+  // Figures 9-10: hotspots relocate every 200 us over a 1 ms window.
+  SimConfig config = clos72_cell();
+  config.sim_time = 1000 * core::kMicrosecond;
+  config.scenario.fraction_b = 0.5;
+  config.scenario.p = 0.4;
+  config.scenario.n_hotspots = 2;
+  config.scenario.hotspot_lifetime = 200 * core::kMicrosecond;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast,
+            (Counts{164033, {0, 57215, 34548, 55244, 14184, 1094, 1748}, 19771392, 9654}));
+  EXPECT_EQ(counts.slow,
+            (Counts{186675, {0, 57215, 57190, 55244, 14184, 1094, 1748}, 19771392, 9654}));
+}
+
+TEST(FastPathEquivalence, CcStormCell) {
+  // CC stress: every node aims at 4 hotspots, aggressive marking and a
+  // fast timer keep the BECN -> throttle -> recover loop hot.
+  SimConfig config = clos72_cell();
+  config.scenario.fraction_b = 1.0;
+  config.scenario.p = 0.9;
+  config.scenario.n_hotspots = 4;
+  config.cc.threshold_weight = 15;
+  config.cc.ccti_timer = 10;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast,
+            (Counts{62492, {0, 20824, 12974, 19283, 4948, 1374, 3089}, 6746112, 3294}));
+  EXPECT_EQ(counts.slow,
+            (Counts{70323, {0, 20824, 20805, 19283, 4948, 1374, 3089}, 6746112, 3294}));
+}
+
+TEST(FastPathEquivalence, Uncontended25Cell) {
+  // Uniform traffic at 25% of the 13.5 Gb/s cap: queues drain between
+  // packets, so nearly every switch link-free wakeup is elided.
+  SimConfig config = clos72_cell();
+  config.scenario.fraction_b = 0.0;
+  config.scenario.fraction_c_of_rest = 0.8;
+  config.scenario.n_hotspots = 0;
+  config.scenario.capacity_gbps = 3.375;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast,
+            (Counts{84076, {0, 28748, 11613, 28744, 7435, 7344, 192}, 15036416, 7342}));
+  EXPECT_EQ(counts.slow,
+            (Counts{101211, {0, 28748, 28748, 28744, 7435, 7344, 192}, 15036416, 7342}));
+}
+
+TEST(FastPathEquivalence, Uncontended11Cell) {
+  SimConfig config = clos72_cell();
+  config.scenario.fraction_b = 0.0;
+  config.scenario.fraction_c_of_rest = 0.8;
+  config.scenario.n_hotspots = 0;
+  config.scenario.capacity_gbps = 1.5;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast, (Counts{36761, {0, 12572, 5022, 12572, 3272, 3240, 83}, 6635520, 3240}));
+  EXPECT_EQ(counts.slow, (Counts{44311, {0, 12572, 12572, 12572, 3272, 3240, 83}, 6635520, 3240}));
+}
+
+TEST(FastPathEquivalence, WorkloadIncastCell) {
+  // The workload engine on the injection path: a 24-rank incast of
+  // 1 MiB messages that keeps the hot sink saturated all window.
+  SimConfig config = clos72_cell();
+  config.workload.name = "incast";
+  config.workload.ranks = 24;
+  config.workload.message_bytes = 1024 * 1024;
+  config.workload.iterations = 8;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast,
+            (Counts{299494, {0, 104025, 63824, 103241, 26548, 1062, 794}, 37666816, 18392}));
+  EXPECT_EQ(counts.slow,
+            (Counts{339596, {0, 104025, 103921, 103246, 26548, 1062, 794}, 37666816, 18392}));
+}
+
+TEST(FastPathEquivalence, Scale10kCell) {
+  // The 10240-HCA fat-tree (608 switches, 64-port aggregation and core)
+  // with 8 hotspots for 100 us from a cold fabric.
+  SimConfig config;
+  config.topology = TopologyKind::FatTree3;
+  config.fat_tree3 = topo::FatTree3Params::scale_10k();
+  config.sim_time = 100 * core::kMicrosecond;
+  config.warmup = 0;
+  config.cc.ccti_increase = 4;
+  config.cc.ccti_timer = 38;
+  config.scenario.fraction_b = 0.0;
+  config.scenario.fraction_c_of_rest = 0.8;
+  config.scenario.n_hotspots = 8;
+  const FastSlow counts = expect_fast_path_equivalent(config);
+  EXPECT_EQ(counts.fast,
+            (Counts{1283041, {0, 508532, 401388, 311171, 47357, 10376, 4217}, 51656704, 25223}));
+  EXPECT_EQ(counts.slow,
+            (Counts{1390008, {0, 508532, 508332, 311194, 47357, 10376, 4217}, 51656704, 25223}));
 }
 
 }  // namespace

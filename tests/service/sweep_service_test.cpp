@@ -39,7 +39,7 @@ sim::SimConfig tiny_base() {
 TEST(SweepRequest, ParsesBaseAxesAndName) {
   const Json json = parse_ok(
       R"({"op":"submit","name":"t2","base":{"hotspots":1,"fraction_c":0.8},)"
-      R"("axes":{"cc_enabled":[0,1],"seed":[1,2,3]},"threads":4})");
+      R"("axes":{"cc_enabled":[0,1],"seed":[1,2,3]}})");
   SweepRequest request;
   std::string error;
   ASSERT_TRUE(parse_sweep_request(json, &request, &error)) << error;
@@ -50,15 +50,23 @@ TEST(SweepRequest, ParsesBaseAxesAndName) {
   ASSERT_EQ(request.axes.size(), 2u);
   EXPECT_EQ(request.axes[0].first, "cc_enabled");
   EXPECT_EQ(request.axes[1].second, (std::vector<std::string>{"1", "2", "3"}));
-  EXPECT_EQ(request.threads, 4);
 }
 
 TEST(SweepRequest, RejectsUnknownRequestFields) {
-  SweepRequest request;
-  std::string error;
-  EXPECT_FALSE(parse_sweep_request(parse_ok(R"({"op":"submit","nmae":"typo"})"),
-                                   &request, &error));
-  EXPECT_NE(error.find("nmae"), std::string::npos);
+  // A worker count is the daemon's to choose (sweepd --threads); a
+  // submit that names one is refused like any other stray field.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"op":"submit","nmae":"typo"})", "nmae"},
+      {R"({"op":"submit","name":"x","threads":1e300})", "threads"},
+  };
+  for (const auto& [text, field] : cases) {
+    SweepRequest request;
+    std::string error;
+    EXPECT_FALSE(parse_sweep_request(parse_ok(text), &request, &error)) << text;
+    EXPECT_NE(error.find(std::string("unknown request field '") + field + "'"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(SweepRequest, ExpandsCartesianProductRowMajor) {

@@ -16,7 +16,10 @@
 //
 // The allocator also counts bytes: a CC agent must not size its flow
 // state by the fabric's node count, so building one for a million
-// nodes may allocate no more than building one for 64.
+// nodes may allocate no more than building one for 64; and building and
+// running the 10240-HCA fat-tree may allocate at most 32 KiB per HCA in
+// all (it takes about 11.8 KB), so a per-HCA table holding 4 bytes per
+// node cannot hide in it.
 //
 // Kept in its own test binary so the counting allocator cannot interact
 // with any other suite.
@@ -187,6 +190,37 @@ TEST(AllocAudit, CcAgentStateDoesNotScaleWithTheFabric) {
     const AgentBytes used = agent_bytes(1 << 20, algo, 100);
     EXPECT_LE(used.flows, 32u * 1024u) << algo;
   }
+}
+
+/// Footprint ceiling of the 10k fat-tree: bytes handed out by operator
+/// new per HCA over the snapshot, fabric build and a 100 us run. Nothing
+/// at this scale may be sized by node count squared: one 4-byte entry
+/// per (HCA, destination) alone is 40 KiB per HCA, and dense
+/// per-destination CC state used to cost ~240 KB.
+constexpr std::uint64_t kMaxBytesPerEndpoint = 32768;
+
+TEST(AllocAudit, Scale10kFootprintPerEndpoint) {
+  SimConfig config;
+  config.topology = TopologyKind::FatTree3;
+  config.fat_tree3 = topo::FatTree3Params::scale_10k();
+  config.sim_time = 100 * core::kMicrosecond;
+  config.warmup = 0;
+  config.cc.ccti_increase = 4;
+  config.cc.ccti_timer = 38;
+  config.scenario.fraction_b = 0.0;
+  config.scenario.fraction_c_of_rest = 0.8;
+  config.scenario.n_hotspots = 8;
+  const std::uint64_t endpoints = static_cast<std::uint64_t>(config.fat_tree3.node_count());
+
+  const std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  Simulation sim(config);
+  const SimResult result = sim.run();
+  const std::uint64_t per_endpoint =
+      (g_heap_bytes.load(std::memory_order_relaxed) - before) / endpoints;
+  ASSERT_GT(result.delivered_packets, 0u) << "the fabric carried no traffic";
+  EXPECT_LE(per_endpoint, kMaxBytesPerEndpoint)
+      << "building and running " << endpoints << " HCAs allocated " << per_endpoint
+      << " bytes per HCA";
 }
 
 }  // namespace

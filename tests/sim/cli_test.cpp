@@ -65,15 +65,32 @@ TEST(Cli, NegativeNumbers) {
   EXPECT_DOUBLE_EQ(cli.get_double("delta"), -0.5);
 }
 
+TEST(Cli, StringOptionAcceptsEmptyValue) {
+  Cli cli("test");
+  cli.add_string("result-store", "dir", "");
+  EXPECT_TRUE(parse(cli, {"--result-store="}));
+  EXPECT_EQ(cli.get_string("result-store"), "");
+}
+
 TEST(CliDeath, UnknownOptionExits) {
   Cli cli("test");
   EXPECT_DEATH(parse(cli, {"--nope"}), "unknown option");
 }
 
 TEST(CliDeath, BadIntegerExits) {
-  Cli cli("test");
-  cli.add_int("count", 0, "");
-  EXPECT_DEATH(parse(cli, {"--count=abc"}), "integer");
+  for (const char* arg : {"--count=abc", "--count=", "--count=99999999999999999999999"}) {
+    Cli cli("test");
+    cli.add_int("count", 0, "");
+    EXPECT_EXIT(parse(cli, {arg}), ::testing::ExitedWithCode(2), "expects an integer") << arg;
+  }
+}
+
+TEST(CliDeath, BadNumberExits) {
+  for (const char* arg : {"--rate=", "--rate=1e999"}) {
+    Cli cli("test");
+    cli.add_double("rate", 0, "");
+    EXPECT_EXIT(parse(cli, {arg}), ::testing::ExitedWithCode(2), "expects a number") << arg;
+  }
 }
 
 TEST(CliDeath, MissingValueExits) {

@@ -175,6 +175,44 @@ TEST(ShardEquivalence, ShardedStatsEquivalentFt3_2k) {
   expect_stats_equivalent(run_sim(serial), sim.run(), 0.15, "ft3-2k");
 }
 
+TEST(ShardEquivalence, ShardScalingCountsPinned) {
+  // perf_sweep's shard_scaling scenario: ft3-2k, windy p = 50%, two
+  // hotspots, 200 us from a cold fabric. Every shard count is
+  // deterministic but, while same-time ties are ordered by a
+  // per-scheduler sequence, each gives its own answer; all four are
+  // pinned exactly, so a change to the engine's windows, mailboxes or
+  // merges shows here. The worker count changes none of them
+  // (ShardedDeterministicAcrossWorkerCounts); two workers make the
+  // sharded runs race for real under TSan.
+  struct Row {
+    std::int32_t shards;
+    std::uint64_t events;
+    std::int64_t bytes;
+    std::uint64_t packets;
+  };
+  const Row rows[] = {
+      {1, 694165, 39995392, 19529},
+      {2, 694225, 39995392, 19529},
+      {4, 694107, 39993344, 19528},
+      {8, 694082, 39993344, 19528},
+  };
+  SimConfig base = ft3_2k_config();
+  base.sim_time = 200 * core::kMicrosecond;
+  base.warmup = 0;
+  const auto snapshot = build_snapshot(base);
+  for (const Row& row : rows) {
+    SimConfig config = base;
+    config.shards = row.shards;
+    config.threads = 2;
+    Simulation sim(config, snapshot);
+    EXPECT_EQ(sim.effective_shards(), row.shards);
+    const SimResult r = sim.run();
+    EXPECT_EQ(r.events_executed, row.events) << row.shards << " shards";
+    EXPECT_EQ(r.delivered_bytes, row.bytes) << row.shards << " shards";
+    EXPECT_EQ(r.delivered_packets, row.packets) << row.shards << " shards";
+  }
+}
+
 TEST(ShardEquivalence, ShardGaugesPublishedWithCountersTelemetry) {
   // End-of-run counters are the one telemetry mode the sharded engine
   // keeps; the run must label itself with the sched.shard.* gauges.

@@ -1,5 +1,6 @@
 #include "store/result_store.hpp"
 
+#include "../sim/expect_identical.hpp"
 #include "sim/experiment.hpp"
 #include "store/key.hpp"
 #include "store/version.hpp"
@@ -156,15 +157,16 @@ TEST_F(ResultStoreTest, RunParallelWarmSweepIsAllHits) {
   EXPECT_EQ(cold.store_hits, 0u);
   EXPECT_EQ(cold.store_misses, 3u);
 
+  // The warm pass starts no simulation at all: no worker is spawned, and
+  // every result comes back from disk field for field.
   sim::SweepReport warm;
   const std::vector<sim::SimResult> cached = sim::run_parallel(configs, 2, &warm);
   EXPECT_EQ(warm.store_hits, 3u);
   EXPECT_EQ(warm.store_misses, 0u);
+  EXPECT_TRUE(warm.workers.empty());
   ASSERT_EQ(cached.size(), fresh.size());
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(cached[i].delivered_bytes, fresh[i].delivered_bytes);
-    EXPECT_EQ(cached[i].events_executed, fresh[i].events_executed);
-    EXPECT_EQ(cached[i].total_throughput_gbps, fresh[i].total_throughput_gbps);
+    sim::expect_identical(cached[i], fresh[i], "seed " + std::to_string(i + 1));
   }
 }
 
