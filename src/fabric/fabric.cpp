@@ -1,7 +1,5 @@
 #include "fabric/fabric.hpp"
 
-#include <algorithm>
-
 #include "fabric/events.hpp"
 
 namespace ibsim::fabric {
@@ -48,13 +46,8 @@ Fabric::Fabric(const topo::Topology& topo, const topo::RoutingTables& routing,
     sched_ = shard_scheds_.front();
     mail_.resize(static_cast<std::size_t>(n_shards_) * static_cast<std::size_t>(n_shards_));
     crossings_.resize(static_cast<std::size_t>(n_shards_));
-    // Per-shard arenas sized as the serial arena would be, split evenly.
-    const std::size_t per_shard = std::max<std::size_t>(
-        1024, static_cast<std::size_t>(topo.node_count()) * 16 /
-                  static_cast<std::size_t>(n_shards_));
     for (std::int32_t s = 0; s < n_shards_; ++s) {
       shard_arenas_.push_back(std::make_unique<ib::PacketArena>());
-      shard_arenas_.back()->reserve(per_shard);
     }
     // The HCA<->leaf loop (grant, sink credit refund, CNP emission) is
     // latency-critical and assumed shard-local everywhere; the planner
@@ -65,14 +58,6 @@ Fabric::Fabric(const topo::Topology& topo, const topo::RoutingTables& routing,
       IBSIM_ASSERT(up.valid() && shard_of(hca) == shard_of(up.device),
                    "HCA must share a shard with its leaf switch");
     }
-  } else {
-    // Pre-size the arena to the fabric's scale: the live-packet population
-    // is bounded by buffered bytes (one MTU per credit unit per link), and
-    // ~16 packets per endpoint covers every calibrated configuration with
-    // headroom. Under-sizing is safe — the arena doubles on demand — this
-    // only moves the growth out of the measured window.
-    arena_.reserve(std::max<std::size_t>(
-        4096, static_cast<std::size_t>(topo.node_count()) * 16));
   }
   coal_.resize(static_cast<std::size_t>(n_shards_));
 

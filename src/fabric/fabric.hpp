@@ -26,8 +26,8 @@ namespace ibsim::fabric {
 /// observer are attached afterwards by the simulation builder.
 ///
 /// All packets live in one per-fabric PacketArena and travel as 32-bit
-/// handles; the arena is pre-sized to the fabric's scale so steady-state
-/// operation performs no per-packet allocation.
+/// handles; the arena grows with the peak live-packet count, so
+/// steady-state operation performs no per-packet allocation.
 class Fabric {
  public:
   /// Spatial decomposition for the sharded engine: which shard owns each

@@ -1,6 +1,7 @@
 #include "fabric/switch_device.hpp"
 
 #include <bit>
+#include <limits>
 #include <string>
 
 #include "fabric/events.hpp"
@@ -16,7 +17,10 @@ SwitchDevice::SwitchDevice(Fabric* fabric, topo::DeviceId dev, std::int32_t n_po
       fast_path_(fabric->params().fast_path),
       arena_(&fabric->arena_for(dev)),
       lft_row_(fabric->routing().lft_row(dev)) {
-  IBSIM_ASSERT(n_ports <= 64, "switch radix limited to 64 by the arbitration bitmask");
+  static_assert(topo::kMaxSwitchPorts <= std::numeric_limits<std::uint64_t>::digits,
+                "one busy-mask bit per input port");
+  IBSIM_ASSERT(n_ports <= topo::kMaxSwitchPorts,
+               "switch radix limited to kMaxSwitchPorts by the arbitration bitmask");
   outputs_.resize(static_cast<std::size_t>(n_ports));
   bank_.init(n_ports, fabric_vls_, /*with_cc=*/true);
   voqs_.assign(static_cast<std::size_t>(n_ports) * static_cast<std::size_t>(fabric_vls_) *

@@ -43,12 +43,6 @@ class SwitchDevice final : public core::EventHandler {
   [[nodiscard]] PortVlBank& bank() { return bank_; }
   [[nodiscard]] const PortVlBank& bank() const { return bank_; }
 
-  /// The VoQ holding input `in`'s packets towards (out, vl).
-  [[nodiscard]] const ib::PacketQueue& voq(std::int32_t in, std::int32_t out,
-                                           ib::Vl vl) const {
-    return voqs_[voq_slot(in, out, vl)];
-  }
-
   /// Bytes resident in input `in`'s buffer on `vl` (all VoQs).
   [[nodiscard]] std::int64_t input_vl_bytes(std::int32_t in, ib::Vl vl) const {
     return vl_bytes_[static_cast<std::size_t>(in) * static_cast<std::size_t>(fabric_vls_) +
@@ -101,9 +95,8 @@ class SwitchDevice final : public core::EventHandler {
 
   /// Bitmask of input ports with a nonempty VoQ towards (out, vl): bit i
   /// set means input i has queued work. Lets arbitration find the next
-  /// round-robin input in O(1) instead of scanning all ports. Limits the
-  /// model to 64-port switches, comfortably above the 36-port crossbars
-  /// of the target fabrics.
+  /// round-robin input in O(1) instead of scanning all ports. One bit per
+  /// port is what limits a switch to topo::kMaxSwitchPorts.
   [[nodiscard]] std::uint64_t& busy_mask(std::int32_t out, ib::Vl vl) {
     return busy_mask_[static_cast<std::size_t>(out) *
                           static_cast<std::size_t>(fabric_vls_) +
@@ -124,7 +117,7 @@ class SwitchDevice final : public core::EventHandler {
   std::int32_t fabric_vls_;
   bool fast_path_;                  ///< FabricParams::fast_path, cached off the hot path
   ib::PacketArena* arena_ = nullptr;  ///< this device's shard-local arena
-  const std::int32_t* lft_row_;     ///< this switch's row of the flat LFT, indexed by dst
+  const std::int8_t* lft_row_;      ///< this switch's row of the flat LFT, indexed by dst
   std::vector<OutputPort> outputs_;
   PortVlBank bank_;                          ///< per (out, vl): credits/pending/rr/cc
   std::vector<ib::PacketQueue> voqs_;        ///< [(out * n_vls + vl) * n_ports + in]

@@ -6,26 +6,13 @@ namespace ibsim::ib {
 
 void PacketQueue::push_back(PacketArena& arena, PacketHandle h) {
   IBSIM_ASSERT(h != kNullPacket, "queueing null packet");
-  Packet& pkt = arena.get(h);
-  pkt.next = kNullPacket;
+  arena.get(h).next = kNullPacket;
   if (tail_ == kNullPacket) {
     head_ = tail_ = h;
   } else {
     arena.get(tail_).next = h;
     tail_ = h;
   }
-  ++count_;
-  bytes_ += pkt.bytes;
-}
-
-void PacketQueue::push_front(PacketArena& arena, PacketHandle h) {
-  IBSIM_ASSERT(h != kNullPacket, "queueing null packet");
-  Packet& pkt = arena.get(h);
-  pkt.next = head_;
-  head_ = h;
-  if (tail_ == kNullPacket) tail_ = h;
-  ++count_;
-  bytes_ += pkt.bytes;
 }
 
 PacketHandle PacketQueue::pop_front(PacketArena& arena) {
@@ -35,35 +22,15 @@ PacketHandle PacketQueue::pop_front(PacketArena& arena) {
   head_ = pkt.next;
   if (head_ == kNullPacket) tail_ = kNullPacket;
   pkt.next = kNullPacket;
-  --count_;
-  bytes_ -= pkt.bytes;
   return h;
 }
 
-void PacketArena::reserve(std::size_t slots) {
-  // Exact: a caller that reserves 4 gets 4, so tests can provoke
-  // exhaustion-regrowth cheaply; only exhaustion applies the doubling.
-  if (slots > slots_.size()) grow_to(slots);
-}
-
-void PacketArena::grow(std::size_t min_slots) {
-  std::size_t new_size = slots_.empty() ? 1024 : slots_.size() * 2;
-  if (new_size < min_slots) new_size = min_slots;
-  grow_to(new_size);
-}
-
-void PacketArena::grow_to(std::size_t new_size) {
-  const std::size_t old_size = slots_.size();
-  IBSIM_ASSERT(new_size < static_cast<std::size_t>(kNullPacket),
+PacketHandle PacketArena::append() {
+  IBSIM_ASSERT(slots_.size() < static_cast<std::size_t>(kNullPacket),
                "packet arena exceeds the 32-bit handle space");
-  slots_.resize(new_size);
-  // Thread the new slots onto the freelist so the lowest index allocates
-  // first — freshly used packets stay at the dense front of the arena.
-  for (std::size_t i = new_size; i > old_size; --i) {
-    slots_[i - 1].next = free_head_;
-    free_head_ = static_cast<PacketHandle>(i - 1);
-  }
-  ++growths_;
+  if (slots_.size() == slots_.capacity()) ++growths_;
+  slots_.emplace_back();
+  return static_cast<PacketHandle>(slots_.size() - 1);
 }
 
 void PacketArena::release(PacketHandle h) {

@@ -79,10 +79,11 @@ struct Packet {
 /// loop walks cache lines instead of chasing per-chunk heap pointers, and
 /// a handle is a 32-bit index instead of a 64-bit pointer.
 ///
-/// Allocation never touches the heap once the arena holds enough slots
-/// for the peak live-packet count (Fabric pre-sizes from the topology);
-/// growth doubles the slot vector and is counted in `growths()` so tests
-/// can pin a steady-state window to zero reallocation.
+/// An arena starts empty. Allocation reuses the most recently released
+/// slot and appends a fresh one only when none is free, so the slots
+/// ever touched equal the peak live-packet count. Appending doubles the
+/// slot vector when it is full; each such reallocation is counted in
+/// `growths()` so tests can pin a steady-state window to zero.
 class PacketArena {
  public:
   PacketArena() = default;
@@ -91,10 +92,13 @@ class PacketArena {
 
   /// Fetch a zero-initialised packet with a fresh id.
   [[nodiscard]] PacketHandle allocate() {
-    if (free_head_ == kNullPacket) grow(slots_.size() + 1);
-    const PacketHandle h = free_head_;
+    PacketHandle h = free_head_;
+    if (h == kNullPacket) {
+      h = append();
+    } else {
+      free_head_ = slots_[h].next;
+    }
     Packet& pkt = slots_[h];
-    free_head_ = pkt.next;
     pkt.reset();
     pkt.id = next_id_++;
     pkt.next = kNullPacket;
@@ -106,12 +110,9 @@ class PacketArena {
   void release(PacketHandle h);
 
   /// Resolve a handle. The reference is transient: valid only until the
-  /// next allocate()/reserve() (the slot vector may grow).
+  /// next allocate() (the slot vector may grow).
   [[nodiscard]] Packet& get(PacketHandle h) { return slots_[h]; }
   [[nodiscard]] const Packet& get(PacketHandle h) const { return slots_[h]; }
-
-  /// Ensure capacity for at least `slots` packets (does not shrink).
-  void reserve(std::size_t slots);
 
   /// Packets currently handed out (allocated minus released).
   [[nodiscard]] std::int64_t live() const { return live_; }
@@ -119,20 +120,20 @@ class PacketArena {
   /// Total packets ever allocated (freshly or recycled).
   [[nodiscard]] std::uint64_t total_allocated() const { return next_id_; }
 
-  /// Slots owned (live + free).
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  /// Slots touched so far (live + free): the peak live-packet count.
+  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
 
-  /// Times the slot vector grew (including explicit reserve() growth).
-  /// A steady-state window with growths() unchanged proves the packet
-  /// path performed zero heap allocations.
+  /// Slots the storage holds before it must reallocate.
+  [[nodiscard]] std::size_t capacity() const { return slots_.capacity(); }
+
+  /// Times the slot vector reallocated. A steady-state window with
+  /// growths() unchanged proves the packet path performed zero heap
+  /// allocations.
   [[nodiscard]] std::uint64_t growths() const { return growths_; }
 
-  /// Approximate resident bytes of the arena storage.
-  [[nodiscard]] std::size_t memory_bytes() const { return slots_.capacity() * sizeof(Packet); }
-
  private:
-  void grow(std::size_t min_slots);
-  void grow_to(std::size_t new_size);
+  /// Append a fresh slot (no free one is left) and return its handle.
+  [[nodiscard]] PacketHandle append();
 
   std::vector<Packet> slots_;
   PacketHandle free_head_ = kNullPacket;
@@ -144,25 +145,22 @@ class PacketArena {
 /// Intrusive FIFO of packets, chained through `Packet::next` (a packet is
 /// either in the arena's freelist or in at most one queue, never both).
 /// Holds handles, not pointers, and takes the arena as a parameter
-/// instead of storing it — a queue is 24 bytes, which is what keeps the
-/// tens of thousands of VoQs of a 10k-endpoint fabric dense in cache.
-/// Tracks byte occupancy for flow control and CC.
+/// instead of storing it — a queue is two handles, 8 bytes, which is what
+/// keeps the 1.38M VoQs of a 10k-endpoint fabric dense in cache. Byte
+/// occupancy lives with its readers: the switch's per-input buffer
+/// counts and the CC detectors' queue depths.
 class PacketQueue {
  public:
   [[nodiscard]] bool empty() const { return head_ == kNullPacket; }
-  [[nodiscard]] std::int32_t count() const { return count_; }
-  [[nodiscard]] std::int64_t bytes() const { return bytes_; }
   [[nodiscard]] PacketHandle front() const { return head_; }
 
   void push_back(PacketArena& arena, PacketHandle h);
-  void push_front(PacketArena& arena, PacketHandle h);
   [[nodiscard]] PacketHandle pop_front(PacketArena& arena);
 
  private:
   PacketHandle head_ = kNullPacket;
   PacketHandle tail_ = kNullPacket;
-  std::int32_t count_ = 0;
-  std::int64_t bytes_ = 0;
 };
+static_assert(sizeof(PacketQueue) == 8, "a VoQ is two packet handles");
 
 }  // namespace ibsim::ib

@@ -1,5 +1,6 @@
 #include "sim/sim_config.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "sim/config_fields.hpp"
@@ -45,15 +46,23 @@ std::string SimConfig::describe() const {
 
 std::string check_config(const SimConfig& config) {
   using std::to_string;
+  // Ports of the widest switch the topology's builder makes, in 64 bits
+  // so that no dimension overflows before it is rejected.
+  std::int64_t widest = 0;
   switch (config.topology) {
     case TopologyKind::SingleSwitch:
       if (config.single_switch_nodes < 2) return "single_nodes must be at least 2";
+      widest = config.single_switch_nodes;
       break;
-    case TopologyKind::FoldedClos:
-      if (config.clos.leaves < 1 || config.clos.spines < 1 || config.clos.nodes_per_leaf < 1) {
+    case TopologyKind::FoldedClos: {
+      const topo::FoldedClosParams& clos = config.clos;
+      if (clos.leaves < 1 || clos.spines < 1 || clos.nodes_per_leaf < 1) {
         return "clos_leaves, clos_spines and clos_nodes_per_leaf must be at least 1";
       }
+      widest = std::max(std::int64_t{clos.nodes_per_leaf} + clos.spines,  // leaf_ports()
+                        std::int64_t{clos.leaves});                        // spine
       break;
+    }
     case TopologyKind::FatTree3: {
       const topo::FatTree3Params& ft = config.fat_tree3;
       if (ft.pods < 1 || ft.leaves_per_pod < 1 || ft.aggs_per_pod < 1 || ft.cores < 1 ||
@@ -61,22 +70,32 @@ std::string check_config(const SimConfig& config) {
         return "ft3_pods, ft3_leaves_per_pod, ft3_aggs_per_pod, ft3_cores and "
                "ft3_nodes_per_leaf must be at least 1";
       }
+      widest = std::max({std::int64_t{ft.nodes_per_leaf} + ft.aggs_per_pod,  // leaf
+                         std::int64_t{ft.leaves_per_pod} + ft.cores,         // aggregation
+                         std::int64_t{ft.pods} * ft.aggs_per_pod});          // core
       break;
     }
     case TopologyKind::LinearChain:
       if (config.chain_switches < 2) return "chain_switches must be at least 2";
       if (config.chain_nodes_per_switch < 1) return "chain_nodes must be at least 1";
+      widest = std::int64_t{config.chain_nodes_per_switch} + 2;
       break;
     case TopologyKind::Dumbbell:
       if (config.dumbbell_nodes_per_side < 1) return "dumbbell_nodes must be at least 1";
+      widest = std::int64_t{config.dumbbell_nodes_per_side} + 1;
       break;
     case TopologyKind::Mesh2D:
       if (config.mesh_rows < 1 || config.mesh_cols < 1 ||
-          config.mesh_rows * config.mesh_cols < 2) {
+          std::int64_t{config.mesh_rows} * config.mesh_cols < 2) {
         return "mesh_rows and mesh_cols must be at least 1 and give at least 2 switches";
       }
       if (config.mesh_nodes_per_switch < 1) return "mesh_nodes must be at least 1";
+      widest = std::int64_t{config.mesh_nodes_per_switch} + 4;
       break;
+  }
+  if (widest > topo::kMaxSwitchPorts) {
+    return "the topology needs a " + to_string(widest) + "-port switch; switches have at most " +
+           to_string(topo::kMaxSwitchPorts) + " ports";
   }
 
   const std::int32_t nodes = config.node_count();

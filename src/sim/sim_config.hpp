@@ -154,11 +154,12 @@ struct SimConfig {
 };
 
 /// Why `config` cannot be built, or "" if it can: the first
-/// precondition it breaks among those that its topology builder,
-/// traffic scenario or workload, CC and fabric parameters, and counter
-/// sampler assert. Front ends call it before building a Simulation, so a
-/// bad key ends in an error message instead of an abort. Loads the
-/// workload file when workload = file.
+/// precondition it breaks among those that its topology builder, the
+/// switch radix limit (topo::kMaxSwitchPorts), its traffic scenario or
+/// workload, CC and fabric parameters, and counter sampler assert. Front
+/// ends call it before building a Simulation, so a bad key ends in an
+/// error message instead of an abort. Loads the workload file when
+/// workload = file.
 [[nodiscard]] std::string check_config(const SimConfig& config);
 
 }  // namespace ibsim::sim

@@ -85,9 +85,13 @@ RoutingTables RoutingTables::compute(const Topology& topo, TieBreak tie_break) {
   const std::int32_t n_nodes = topo.node_count();
   const std::size_t n_switches = topo.switches().size();
 
+  static_assert(kMaxSwitchPorts <= std::numeric_limits<std::int8_t>::max(),
+                "an LFT entry must hold every port number");
   rt.switch_slot_.assign(static_cast<std::size_t>(n_dev), -1);
   for (std::size_t i = 0; i < n_switches; ++i) {
-    rt.switch_slot_[static_cast<std::size_t>(topo.switches()[i])] = static_cast<std::int32_t>(i);
+    const DeviceId sw = topo.switches()[i];
+    IBSIM_ASSERT(topo.port_count(sw) <= kMaxSwitchPorts, "switch wider than kMaxSwitchPorts");
+    rt.switch_slot_[static_cast<std::size_t>(sw)] = static_cast<std::int32_t>(i);
   }
   rt.stride_ = static_cast<std::size_t>(n_nodes);
   rt.lft_.assign(n_switches * rt.stride_, -1);
@@ -130,13 +134,13 @@ RoutingTables RoutingTables::compute(const Topology& topo, TieBreak tie_break) {
     }
 
     for (std::size_t slot = 0; slot < n_switches; ++slot) {
-      std::int32_t* row = rt.lft_.data() + slot * rt.stride_;
+      std::int8_t* row = rt.lft_.data() + slot * rt.stride_;
       const DeviceId sw = topo.switches()[slot];
       if (sw == leaf) {
         // The last hop: straight down the node's own cable.
         for (std::int32_t i = nodes_begin; i < nodes_end; ++i) {
           const ib::NodeId dst = at.nodes[static_cast<std::size_t>(i)];
-          row[dst] = at.leaf_port[static_cast<std::size_t>(dst)];
+          row[dst] = static_cast<std::int8_t>(at.leaf_port[static_cast<std::size_t>(dst)]);
         }
         continue;
       }
@@ -157,7 +161,7 @@ RoutingTables RoutingTables::compute(const Topology& topo, TieBreak tie_break) {
             tie_break == TieBreak::DModK
                 ? static_cast<std::uint32_t>(dst) % n_candidates  // d-mod-k spreading
                 : 0;                                               // lowest port (DOR)
-        row[dst] = candidates[pick];
+        row[dst] = static_cast<std::int8_t>(candidates[pick]);
       }
     }
   }

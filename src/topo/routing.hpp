@@ -23,7 +23,9 @@ namespace ibsim::topo {
 /// entry (slot, dst) lives at slot * stride + dst. Sweeps share one
 /// RoutingTables across many concurrent runs (see sim::RoutingSnapshot),
 /// so lookups walking a destination range stay within one cache-friendly
-/// row instead of chasing a per-switch heap allocation.
+/// row instead of chasing a per-switch heap allocation. An entry is one
+/// signed byte (no switch is wider than kMaxSwitchPorts), -1 meaning "no
+/// route".
 class RoutingTables {
  public:
   /// How a switch chooses among equal-length next hops.
@@ -38,11 +40,12 @@ class RoutingTables {
   };
 
   /// Compute LFTs for every switch in `topo`. Asserts that every HCA has
-  /// exactly one cabled port.
+  /// exactly one cabled port and that no switch has more than
+  /// kMaxSwitchPorts ports.
   [[nodiscard]] static RoutingTables compute(const Topology& topo,
                                              TieBreak tie_break = TieBreak::DModK);
 
-  /// Output port switch `dev` uses towards end node `dst`.
+  /// Output port switch `dev` uses towards end node `dst`, or -1.
   [[nodiscard]] std::int32_t out_port(DeviceId dev, ib::NodeId dst) const {
     return lft_[static_cast<std::size_t>(switch_slot_[static_cast<std::size_t>(dev)]) *
                     stride_ +
@@ -52,7 +55,7 @@ class RoutingTables {
   /// Pointer to switch `dev`'s row of the flat LFT, indexed by NodeId.
   /// Valid while this RoutingTables is alive; devices on the packet hot
   /// path cache it once instead of re-deriving slot * stride per lookup.
-  [[nodiscard]] const std::int32_t* lft_row(DeviceId dev) const {
+  [[nodiscard]] const std::int8_t* lft_row(DeviceId dev) const {
     return lft_.data() +
            static_cast<std::size_t>(switch_slot_[static_cast<std::size_t>(dev)]) * stride_;
   }
@@ -60,7 +63,7 @@ class RoutingTables {
   /// The flattened LFT storage: switch_count() rows of stride() entries,
   /// row order matching Topology::switches(). Exposed for the golden
   /// determinism tests that pin table contents across storage rewrites.
-  [[nodiscard]] const std::vector<std::int32_t>& flat() const { return lft_; }
+  [[nodiscard]] const std::vector<std::int8_t>& flat() const { return lft_; }
 
   /// Entries per switch row in flat() (the topology's node count).
   [[nodiscard]] std::size_t stride() const { return stride_; }
@@ -84,7 +87,7 @@ class RoutingTables {
  private:
   std::vector<std::int32_t> switch_slot_;  // DeviceId -> dense switch index
   std::size_t stride_ = 0;                 // entries per switch row (node count)
-  std::vector<std::int32_t> lft_;          // [slot * stride_ + dst] -> port
+  std::vector<std::int8_t> lft_;           // [slot * stride_ + dst] -> port
 };
 
 }  // namespace ibsim::topo

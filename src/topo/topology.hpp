@@ -14,6 +14,13 @@ inline constexpr DeviceId kInvalidDevice = -1;
 
 enum class DeviceKind : std::uint8_t { Hca, Switch };
 
+/// The widest switch the simulator models: the switch's arbitration
+/// keeps one bit per input port in a 64-bit mask, and a forwarding-table
+/// entry is one signed byte. Comfortably above the 36-port crossbars of
+/// the paper's fabric; the 10k fat-tree's aggregation and core switches
+/// sit exactly at it.
+inline constexpr std::int32_t kMaxSwitchPorts = 64;
+
 /// (device, port) address of one end of a link.
 struct PortRef {
   DeviceId device = kInvalidDevice;

@@ -184,6 +184,13 @@ TEST_F(SweepServerTest, ProtocolErrorsKeepConnectionOpen) {
       "error");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NE(events[0].find("message")->as_string().find("cell 'bad'"), std::string::npos);
+  // A switch wider than 64 ports is refused the same way, not aborted on.
+  events = client.roundtrip(
+      R"({"op":"submit","name":"wide","base":{"topology":"single","single_nodes":65,)"
+      R"("sim_time_us":10}})",
+      "error");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].find("message")->as_string().find("at most 64 ports"), std::string::npos);
   // Still alive.
   events = client.roundtrip(R"({"op":"ping"})", "pong");
   ASSERT_EQ(events.size(), 1u);

@@ -17,15 +17,16 @@
 // The allocator also counts bytes: a CC agent must not size its flow
 // state by the fabric's node count, so building one for a million
 // nodes may allocate no more than building one for 64; and building and
-// running the 10240-HCA fat-tree may allocate at most 32 KiB per HCA in
-// all (it takes about 11.8 KB), so a per-HCA table holding 4 bytes per
-// node cannot hide in it.
+// running the 10240-HCA fat-tree may allocate at most 16 KiB per HCA in
+// all (it takes about 8 KB), so a per-HCA table holding 4 bytes per
+// node (40 KiB) cannot hide in it.
 //
 // Kept in its own test binary so the counting allocator cannot interact
 // with any other suite.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -138,13 +139,24 @@ TEST(AllocAudit, SteadyStateWindowHasNoPerPacketAllocationsWithoutCc) {
   EXPECT_EQ(counts.arena_growths, 0u);
 }
 
-TEST(AllocAudit, ArenaPreSizedForTopology) {
-  // Fabric construction reserves the arena from the node count, so the
-  // first packets never trigger growth either.
+TEST(AllocAudit, ArenaFollowsLivePackets) {
+  // A fresh fabric's arena holds no packet slots, and a run touches
+  // exactly as many as were ever live at once. live() is sampled after
+  // every simulated instant, the finest step the scheduler offers.
   Simulation sim(hotspot_config(/*cc_on=*/true));
-  EXPECT_GE(sim.fabric().arena().capacity(),
-            static_cast<std::size_t>(sim.topology().node_count()) * 16u);
-  EXPECT_EQ(sim.fabric().arena().live(), 0);
+  const ib::PacketArena& arena = sim.fabric().arena();
+  EXPECT_EQ(arena.slots(), 0u);
+  EXPECT_EQ(arena.capacity(), 0u);
+  core::Scheduler& sched = sim.sched();
+  sim.fabric().start(sched);
+  std::int64_t peak = 0;
+  while (sched.next_event_time() <= 10 * core::kMillisecond) {
+    sched.run_until(sched.next_event_time());
+    peak = std::max(peak, arena.live());
+  }
+  ASSERT_GT(peak, 0) << "the fabric carried no traffic";
+  EXPECT_EQ(arena.slots(), static_cast<std::size_t>(peak));
+  EXPECT_LT(arena.capacity(), 2 * static_cast<std::size_t>(peak));
 }
 
 class NullCnpSender : public cc::CnpSender {
@@ -197,7 +209,7 @@ TEST(AllocAudit, CcAgentStateDoesNotScaleWithTheFabric) {
 /// at this scale may be sized by node count squared: one 4-byte entry
 /// per (HCA, destination) alone is 40 KiB per HCA, and dense
 /// per-destination CC state used to cost ~240 KB.
-constexpr std::uint64_t kMaxBytesPerEndpoint = 32768;
+constexpr std::uint64_t kMaxBytesPerEndpoint = 16384;
 
 TEST(AllocAudit, Scale10kFootprintPerEndpoint) {
   SimConfig config;

@@ -77,6 +77,14 @@ TEST(CheckConfig, BuildableConfigsPass) {
   ASSERT_EQ(apply_config_text("topology = single\nhotspots = 8\nworkload = incast\n", &config),
             "");
   EXPECT_EQ(check_config(config), "");
+  // Switches exactly at the 64-port limit: one crossbar, and the 10k
+  // fat-tree's aggregation and core switches.
+  SimConfig widest;
+  ASSERT_EQ(apply_config_text("topology = single\nsingle_nodes = 64\n", &widest), "");
+  EXPECT_EQ(check_config(widest), "");
+  widest.topology = TopologyKind::FatTree3;
+  widest.fat_tree3 = topo::FatTree3Params::scale_10k();
+  EXPECT_EQ(check_config(widest), "");
 }
 
 TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
@@ -104,6 +112,20 @@ TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
       {"ccti_timer = 0", "ccti_timer"},
       {"hca_inject_gbps = 100", "injection pacing"},
       {"counters_csv = out.csv\ntelemetry_sample_us = 0", "telemetry_sample_us"},
+      // One switch wider than the 64-port limit per builder and switch
+      // role, each 65 ports or more.
+      {"topology = single\nsingle_nodes = 65", "at most 64 ports"},
+      {"clos_nodes_per_leaf = 47", "65-port switch"},  // leaf: 47 + 18 spines
+      {"clos_leaves = 65", "65-port switch"},          // spine: one port per leaf
+      {"topology = fat-tree3\nft3_nodes_per_leaf = 63", "65-port switch"},  // leaf
+      {"topology = fat-tree3\nft3_cores = 63", "65-port switch"},           // aggregation
+      {"topology = fat-tree3\nft3_pods = 33", "66-port switch"},            // core
+      {"topology = chain\nchain_nodes = 63", "65-port switch"},
+      {"topology = dumbbell\ndumbbell_nodes = 64", "65-port switch"},
+      {"topology = mesh\nmesh_rows = 2\nmesh_cols = 2\nmesh_nodes = 61", "65-port switch"},
+      // Rejected by width before the node count multiplies past int32.
+      {"topology = fat-tree3\nft3_pods = 2000000000\nft3_aggs_per_pod = 2000000000",
+       "4000000000000000000-port switch"},
   };
   for (const auto& [text, expected] : cases) {
     SimConfig config;

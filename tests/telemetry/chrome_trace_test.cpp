@@ -133,7 +133,12 @@ std::string slurp(const std::string& path) {
 class ChromeTraceTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "chrome_trace_test_out.json";
+  // One file per case: ctest runs each case as its own process, in
+  // parallel under -j, so a shared name lets one case's TearDown
+  // delete another's output.
+  std::string path_ = ::testing::TempDir() + "/chrome_trace_test_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      ".json";
 };
 
 TEST_F(ChromeTraceTest, EmptyTelemetryProducesValidJson) {

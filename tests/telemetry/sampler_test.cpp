@@ -25,7 +25,12 @@ std::vector<std::string> read_lines(const std::string& path) {
 class SamplerTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "sampler_test_out.csv";
+  // One file per case: ctest runs each case as its own process, in
+  // parallel under -j, so a shared name lets one case's TearDown
+  // delete another's output.
+  std::string path_ = ::testing::TempDir() + "/sampler_test_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      ".csv";
 };
 
 TEST_F(SamplerTest, WritesHeaderAndOneRowPerInterval) {

@@ -90,7 +90,7 @@ TEST(RoutingGolden, FlatStorageMatchesOutPortView) {
   ASSERT_EQ(rt.flat().size(), rt.stride() * rt.switch_count());
   for (std::size_t slot = 0; slot < topo.switches().size(); ++slot) {
     for (ib::NodeId dst = 0; dst < topo.node_count(); ++dst) {
-      EXPECT_EQ(rt.flat()[slot * rt.stride() + static_cast<std::size_t>(dst)],
+      EXPECT_EQ(std::int32_t{rt.flat()[slot * rt.stride() + static_cast<std::size_t>(dst)]},
                 rt.out_port(topo.switches()[slot], dst));
     }
   }

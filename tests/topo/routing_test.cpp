@@ -17,7 +17,7 @@ namespace {
 // RoutingTables::compute used to run one BFS per destination node. It now
 // runs one per leaf and shares the result among the leaf's nodes. The
 // original algorithm is kept here verbatim as the oracle: the two must
-// produce byte-equal flat() tables on every builder.
+// produce equal tables, entry by entry, on every builder.
 
 /// Flat adjacency of the cabled ports: for device `dev`, the entries
 /// [first[dev], first[dev+1]) list its connected ports in port order.
@@ -103,9 +103,10 @@ void expect_matches_reference(const Topology& topo, RoutingTables::TieBreak tie_
   const RoutingTables rt = RoutingTables::compute(topo, tie_break);
   const std::vector<std::int32_t> want = reference_lfts(topo, tie_break);
   ASSERT_EQ(rt.stride(), static_cast<std::size_t>(topo.node_count()));
-  ASSERT_EQ(rt.flat().size(), want.size());
-  // Byte-equal, not just equal paths: the whole table is compared.
-  EXPECT_EQ(rt.flat(), want);
+  // Every entry, not just the paths taken: the whole table is compared,
+  // each 1-byte entry widened to the reference's int32.
+  const std::vector<std::int32_t> got(rt.flat().begin(), rt.flat().end());
+  EXPECT_EQ(got, want);
 }
 
 TEST(RoutingReference, SingleSwitch) {
@@ -175,6 +176,16 @@ TEST(RoutingDeathTest, EveryHcaNeedsItsCable) {
   topo.connect({topo.add_hca(), 0}, {sw, 0});
   (void)topo.add_hca();  // never cabled
   EXPECT_DEATH((void)RoutingTables::compute(topo), "exactly one cabled port");
+}
+
+TEST(RoutingDeathTest, SwitchWiderThanAnLftEntry) {
+  // An LFT entry is one byte; sim::check_config rejects such a topology
+  // before it gets here.
+  Topology topo;
+  const DeviceId sw = topo.add_switch(kMaxSwitchPorts + 1);
+  topo.connect({topo.add_hca(), 0}, {sw, 0});
+  topo.connect({topo.add_hca(), 0}, {sw, kMaxSwitchPorts});
+  EXPECT_DEATH((void)RoutingTables::compute(topo), "wider than kMaxSwitchPorts");
 }
 
 // --- behaviour --------------------------------------------------------------
