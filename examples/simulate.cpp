@@ -10,7 +10,6 @@
 //
 // Run ./simulate --help for the full knob list.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -18,8 +17,8 @@
 #include "core/log.hpp"
 #include "sim/cli.hpp"
 #include "sim/config_file.hpp"
+#include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
-#include "store/key.hpp"
 #include "store/result_store.hpp"
 #include "store/version.hpp"
 #include "telemetry/summary.hpp"
@@ -27,8 +26,8 @@
 
 namespace {
 
-/// The headline result block — shared by the live-run path and the
-/// result-store hit path, which must print identical stdout (the store's
+/// The headline result block — shared by the live telemetry run and the
+/// sweep-pool run, whose result may come from the store (the store's
 /// contract is that a cached run is indistinguishable from a fresh one).
 void print_results(const ibsim::sim::SimConfig& config, const ibsim::sim::SimResult& r) {
   using ibsim::core::kMicrosecond;
@@ -153,60 +152,36 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Result store. Telemetry outputs need a live simulation (they sample
-  // it as it runs), so those runs bypass the store rather than silently
-  // produce empty side files on a hit.
-  std::shared_ptr<store::ResultStore> result_store;
-  if (!config.result_store.empty()) {
-    if (config.telemetry.active()) {
-      std::fprintf(stderr, "result store bypassed: telemetry output needs a live run\n");
-    } else {
-      result_store = store::StoreRegistry::instance().open(config.result_store);
-      if (!result_store->error().empty()) {
-        std::fprintf(stderr, "result store disabled: %s\n", result_store->error().c_str());
-      }
-    }
+  // Telemetry runs print the live counter registry, so they simulate
+  // here and never touch the store; every other run goes through the
+  // sweep pool, which serves it from the store or publishes it there.
+  const bool live = config.telemetry.active();
+  if (live && !config.result_store.empty()) {
+    std::fprintf(stderr, "result store bypassed: telemetry output needs a live run\n");
   }
 
   std::printf("%s\n", config.describe().c_str());
 
-  std::string run_key;
-  sim::SimResult cached_result;
-  bool cached = false;
-  if (result_store != nullptr) {
-    run_key = store::run_key(config);
-    cached = result_store->get(run_key, &cached_result);
+  if (!live) {
+    print_results(config, sim::run_parallel({config}, 1).front());
+    if (!config.result_store.empty()) {
+      std::fprintf(
+          stderr, "%s\n",
+          store::StoreRegistry::instance().open(config.result_store)->stats_line().c_str());
+    }
+    return 0;
   }
 
-  if (cached) {
-    std::fprintf(stderr, "result store hit: %s\n", run_key.c_str());
-    print_results(config, cached_result);
-  } else {
-    sim::Simulation simulation(config);
-    const auto wall_start = std::chrono::steady_clock::now();
-    const sim::SimResult r = simulation.run();
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    if (result_store != nullptr) {
-      result_store->put(run_key, store::canonical_config_text(config), r, wall_seconds);
-    }
-
-    print_results(config, r);
-
-    if (const telemetry::Telemetry* t = simulation.telemetry(); t != nullptr) {
-      std::printf("\n%s",
-                  telemetry::counters_table(t->registry(), t->detailed()).render().c_str());
-      if (t->tracer() != nullptr) {
-        std::printf("trace: %s -> %s\n", telemetry::describe_tracer(*t->tracer()).c_str(),
-                    config.telemetry.trace_path.c_str());
-      }
-      if (!config.telemetry.counters_csv.empty()) {
-        std::printf("counters CSV written to %s\n", config.telemetry.counters_csv.c_str());
-      }
-    }
+  sim::Simulation simulation(config);
+  print_results(config, simulation.run());
+  const telemetry::Telemetry& t = *simulation.telemetry();
+  std::printf("\n%s", telemetry::counters_table(t.registry(), t.detailed()).render().c_str());
+  if (t.tracer() != nullptr) {
+    std::printf("trace: %s -> %s\n", telemetry::describe_tracer(*t.tracer()).c_str(),
+                config.telemetry.trace_path.c_str());
   }
-  if (result_store != nullptr) {
-    std::fprintf(stderr, "%s\n", result_store->stats_line().c_str());
+  if (!config.telemetry.counters_csv.empty()) {
+    std::printf("counters CSV written to %s\n", config.telemetry.counters_csv.c_str());
   }
   return 0;
 }

@@ -25,7 +25,6 @@ class CcManager {
 
   [[nodiscard]] const ib::CcParams& params() const { return params_; }
   [[nodiscard]] const ib::CongestionControlTable& cct() const { return *cct_; }
-  [[nodiscard]] ib::CongestionControlTable& mutable_cct() { return *cct_; }
   [[nodiscard]] bool enabled() const { return params_.enabled; }
 
   /// Reaction-point algorithm every channel adapter is configured with

@@ -1,30 +1,10 @@
 #include "core/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/assert.hpp"
 
 namespace ibsim::core {
-
-void Summary::add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double Summary::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
-
-void Summary::reset() { *this = Summary{}; }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
@@ -78,26 +58,6 @@ void Histogram::absorb(const Histogram& other) {
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
   total_ += other.total_;
-}
-
-void TimeWeighted::set(Time now, double value) {
-  IBSIM_ASSERT(now >= last_change_, "time-weighted signal updated out of order");
-  weighted_sum_ += value_ * static_cast<double>(now - last_change_);
-  value_ = value;
-  last_change_ = now;
-}
-
-double TimeWeighted::average(Time now) const {
-  const Time span = now - window_start_;
-  if (span <= 0) return value_;
-  const double tail = value_ * static_cast<double>(now - last_change_);
-  return (weighted_sum_ + tail) / static_cast<double>(span);
-}
-
-void TimeWeighted::reset(Time now) {
-  weighted_sum_ = 0.0;
-  last_change_ = now;
-  window_start_ = now;
 }
 
 double jain_fairness(const std::vector<double>& xs) {

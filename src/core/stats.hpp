@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,28 +46,6 @@ class RateCounter {
   Time window_start_ = 0;
 };
 
-/// Running scalar summary: count / mean / min / max (Welford variance).
-class Summary {
- public:
-  void add(double x);
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-  void reset();
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// Fixed-bin histogram over [lo, hi) with overflow/underflow bins.
 /// Used for packet latency distributions.
 class Histogram {
@@ -97,22 +74,6 @@ class Histogram {
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
   std::uint64_t total_ = 0;
-};
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue
-/// occupancy, CCTI level).
-class TimeWeighted {
- public:
-  void set(Time now, double value);
-  [[nodiscard]] double average(Time now) const;
-  [[nodiscard]] double current() const { return value_; }
-  void reset(Time now);
-
- private:
-  double value_ = 0.0;
-  double weighted_sum_ = 0.0;
-  Time last_change_ = 0;
-  Time window_start_ = 0;
 };
 
 /// Jain's fairness index of a set of allocations: (sum x)^2 / (n * sum x^2);

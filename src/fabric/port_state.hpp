@@ -59,7 +59,6 @@ class PortVlBank {
     return cc_[slot(port, vl)];
   }
 
-  [[nodiscard]] bool has_cc() const { return !cc_.empty(); }
   [[nodiscard]] std::int32_t n_ports() const { return n_ports_; }
   [[nodiscard]] std::int32_t n_vls() const { return n_vls_; }
 

@@ -96,12 +96,6 @@ void SwitchDevice::receive(core::Scheduler& sched, ib::PacketHandle h, std::int3
   try_send(sched, out);
 }
 
-bool SwitchDevice::input_eligible(std::int32_t in, std::int32_t out, ib::Vl vl) const {
-  const ib::PacketQueue& q = voqs_[voq_slot(in, out, vl)];
-  if (q.empty()) return false;
-  return bank_.credit(out, vl).can_send(arena_->get(q.front()).bytes);
-}
-
 void SwitchDevice::try_send(core::Scheduler& sched, std::int32_t out_port) {
   auto& op = outputs_[static_cast<std::size_t>(out_port)];
   if (fast_path_ && op.wake == WakeState::kElided) {
@@ -258,12 +252,6 @@ std::uint64_t SwitchDevice::fecn_marked() const {
       total += bank_.cc(p, static_cast<ib::Vl>(v)).marked();
     }
   }
-  return total;
-}
-
-std::int64_t SwitchDevice::forwarded_bytes() const {
-  std::int64_t total = 0;
-  for (const auto& op : outputs_) total += op.tx_bytes;
   return total;
 }
 

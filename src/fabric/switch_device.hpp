@@ -52,9 +52,6 @@ class SwitchDevice final : public core::EventHandler {
   /// Total FECN marks applied by this switch (all ports/VLs).
   [[nodiscard]] std::uint64_t fecn_marked() const;
 
-  /// Bytes forwarded by this switch (all ports).
-  [[nodiscard]] std::int64_t forwarded_bytes() const;
-
   /// Install observability (called by Fabric::attach_telemetry). Shared
   /// aggregate handles come pre-resolved; in detailed mode the switch
   /// additionally registers per-Port-VL queue gauges, per-input-VL buffer
@@ -67,7 +64,6 @@ class SwitchDevice final : public core::EventHandler {
   void receive(core::Scheduler& sched, ib::PacketHandle h, std::int32_t in_port);
   void try_send(core::Scheduler& sched, std::int32_t out_port);
   [[nodiscard]] bool grant_one(core::Scheduler& sched, std::int32_t out_port);
-  [[nodiscard]] bool input_eligible(std::int32_t in, std::int32_t out, ib::Vl vl) const;
 
   /// VoQ layout: the n_ports inputs of one (out, vl) pair are adjacent,
   /// so the credit-fallback scan over busy inputs stays in one stride.

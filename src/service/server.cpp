@@ -38,7 +38,7 @@ Json error_event(const std::string& message) {
 }  // namespace
 
 SweepServer::SweepServer(Options options) : options_(std::move(options)) {
-  service_ = std::make_unique<SweepService>(options_.service);
+  service_ = std::make_unique<sim::SweepService>(options_.service);
 }
 
 SweepServer::~SweepServer() { stop(); }
@@ -102,7 +102,7 @@ void SweepServer::handle_line(const std::shared_ptr<Connection>& conn,
     Json status = Json::object();
     status.set("event", Json::string("status"));
     Json jobs = Json::array();
-    for (const SweepService::JobStatus& s : service_->status()) {
+    for (const sim::SweepService::JobStatus& s : service_->status()) {
       Json job = Json::object();
       job.set("id", Json::number_int(static_cast<std::int64_t>(s.id)));
       job.set("name", Json::string(s.name));
@@ -156,7 +156,7 @@ void SweepServer::handle_line(const std::shared_ptr<Connection>& conn,
       writer.send(error_event(error));
       return;
     }
-    std::vector<SweepCell> cells;
+    std::vector<sim::SweepCell> cells;
     if (!expand_sweep(sweep, options_.base_config, &cells, &error)) {
       writer.send(error_event(error));
       return;
@@ -166,7 +166,7 @@ void SweepServer::handle_line(const std::shared_ptr<Connection>& conn,
     // Per-job hit counter shared by the callbacks (cell events may fire
     // from several worker threads).
     auto hits = std::make_shared<std::atomic<std::size_t>>(0);
-    auto on_cell = [writer, hits](const SweepService::CellOutcome& outcome) {
+    auto on_cell = [writer, hits](const sim::SweepService::CellOutcome& outcome) {
       if (outcome.cached) hits->fetch_add(1, std::memory_order_relaxed);
       Json cell = Json::object();
       cell.set("event", Json::string("cell"));
@@ -204,7 +204,7 @@ void SweepServer::handle_line(const std::shared_ptr<Connection>& conn,
     accepted.set("cells", Json::number_int(static_cast<std::int64_t>(n_cells)));
     writer.send(accepted);
     service_->submit(sweep.name, std::move(cells),
-                     [conn, on_cell](const SweepService::CellOutcome& outcome) {
+                     [conn, on_cell](const sim::SweepService::CellOutcome& outcome) {
                        on_cell(outcome);
                      },
                      [conn, on_done](std::uint64_t job) { on_done(job); });

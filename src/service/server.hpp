@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "service/socket.hpp"
-#include "service/sweep_service.hpp"
 #include "sim/sim_config.hpp"
+#include "sim/sweep_service.hpp"
 
 namespace ibsim::service {
 
@@ -41,7 +41,7 @@ class SweepServer {
     std::string socket_path;
     /// Defaults each request's cells start from (before its base keys).
     sim::SimConfig base_config;
-    SweepService::Options service;
+    sim::SweepService::Options service;
   };
 
   explicit SweepServer(Options options);
@@ -57,7 +57,7 @@ class SweepServer {
   /// Close the listener and all connections, join every thread.
   void stop();
 
-  [[nodiscard]] SweepService& service() { return *service_; }
+  [[nodiscard]] sim::SweepService& service() { return *service_; }
   [[nodiscard]] const std::string& socket_path() const { return options_.socket_path; }
 
  private:
@@ -74,7 +74,7 @@ class SweepServer {
   void handle_line(const std::shared_ptr<Connection>& conn, const std::string& line);
 
   Options options_;
-  std::unique_ptr<SweepService> service_;
+  std::unique_ptr<sim::SweepService> service_;
   Fd listener_;
   std::thread accept_thread_;
 

@@ -90,7 +90,7 @@ bool parse_sweep_request(const Json& json, SweepRequest* request, std::string* e
 }
 
 bool expand_sweep(const SweepRequest& request, const sim::SimConfig& base_config,
-                  std::vector<SweepCell>* cells, std::string* error) {
+                  std::vector<sim::SweepCell>* cells, std::string* error) {
   cells->clear();
 
   // Base keys become one config-file text applied up front (duplicate
@@ -124,7 +124,7 @@ bool expand_sweep(const SweepRequest& request, const sim::SimConfig& base_config
       label += key + "=" + value;
       axis_text += key + " = " + value + "\n";
     }
-    SweepCell cell;
+    sim::SweepCell cell;
     cell.label = label.empty() ? request.name : label;
     cell.config = with_base;
     std::string err = sim::apply_config_text(axis_text, &cell.config);

@@ -6,6 +6,7 @@
 
 #include "service/json.hpp"
 #include "sim/sim_config.hpp"
+#include "sim/sweep_service.hpp"
 
 namespace ibsim::service {
 
@@ -27,13 +28,6 @@ struct SweepRequest {
   std::vector<std::pair<std::string, std::vector<std::string>>> axes;
 };
 
-/// One expanded sweep cell: the fully-resolved config plus a stable
-/// human label of its axis coordinates ("p_percent=50 cc_enabled=1").
-struct SweepCell {
-  std::string label;
-  sim::SimConfig config;
-};
-
 /// Parse a protocol submit object into a SweepRequest. Returns true on
 /// success; on failure fills `*error` (unknown fields, wrong types,
 /// empty axes — requests fail loudly like config files do).
@@ -49,6 +43,6 @@ struct SweepCell {
 /// cell. An axes-less request expands to the single base cell.
 [[nodiscard]] bool expand_sweep(const SweepRequest& request,
                                 const sim::SimConfig& base_config,
-                                std::vector<SweepCell>* cells, std::string* error);
+                                std::vector<sim::SweepCell>* cells, std::string* error);
 
 }  // namespace ibsim::service

@@ -193,14 +193,18 @@ constexpr ConfigField kFields[] = {
     {"seed", IBSIM_MEMBER(seed), kPlain, kKeyed, "random seed"},
     {"latency_hist_max_us", IBSIM_MEMBER(latency_hist_max_us), kPlain, kKeyOnly, ""},
     {"shards", IBSIM_MEMBER(shards), kCount, kKeyed,
-     "fabric shards (1 = serial engine, 0 = one per resolved thread)"},
+     "fabric shards (1 = serial engine)"},
     {"threads", IBSIM_MEMBER(threads), kCount, kUnkeyed,
      "worker threads (0 = IBSIM_THREADS, then hardware)"},
     {"result_store", IBSIM_MEMBER(result_store), kPlain, kUnkeyed,
      "on-disk result store directory: serve runs from it, publish fresh ones"},
 
     // Telemetry. All of it is keyed: counters/detailed change
-    // SimResult::counters, and the CSV sampler schedules events.
+    // SimResult::counters, and the CSV sampler schedules events. The
+    // trace_file and counters_csv paths are keyed too, so in-flight
+    // dedup never merges two cells that write different files; such
+    // cells skip the store both ways (SweepService), so the paths never
+    // split it.
     {"telemetry_counters", IBSIM_MEMBER(telemetry.counters), kPlain, kKeyed,
      "collect and print fabric counters"},
     {"trace_file", IBSIM_MEMBER(telemetry.trace_path), kPlain, kKeyed,

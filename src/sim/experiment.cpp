@@ -1,6 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -11,8 +10,6 @@
 #include "analysis/tmax.hpp"
 #include "ccalg/registry.hpp"
 #include "core/assert.hpp"
-#include "store/key.hpp"
-#include "store/result_store.hpp"
 
 namespace ibsim::sim {
 
@@ -87,25 +84,6 @@ double SweepReport::utilization() const {
   return busy / (wall_seconds * static_cast<double>(workers.size()));
 }
 
-void SweepReport::publish(telemetry::CounterRegistry& registry) const {
-  registry.set(registry.gauge("sweep.wall_us"),
-               static_cast<std::int64_t>(wall_seconds * 1e6));
-  registry.set(registry.gauge("sweep.workers"),
-               static_cast<std::int64_t>(workers.size()));
-  registry.set(registry.gauge("sweep.utilization_permille"),
-               static_cast<std::int64_t>(utilization() * 1000.0));
-  registry.set(registry.gauge("sweep.store_hits"), static_cast<std::int64_t>(store_hits));
-  registry.set(registry.gauge("sweep.store_misses"),
-               static_cast<std::int64_t>(store_misses));
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    const std::string prefix = "sweep.worker." + std::to_string(w);
-    registry.set(registry.gauge(prefix + ".busy_us"),
-                 static_cast<std::int64_t>(workers[w].busy_seconds * 1e6));
-    registry.set(registry.gauge(prefix + ".runs"),
-                 static_cast<std::int64_t>(workers[w].runs));
-  }
-}
-
 std::vector<SimResult> run_parallel(const std::vector<SimConfig>& configs,
                                     std::int32_t threads, SweepReport* report) {
   std::vector<SimResult> results(configs.size());
@@ -113,94 +91,33 @@ std::vector<SimResult> run_parallel(const std::vector<SimConfig>& configs,
   if (configs.empty()) return results;
   const auto sweep_start = std::chrono::steady_clock::now();
 
-  // Result-store pre-pass: cells already on disk fill their slots here
-  // and never reach the pool; the remainder keeps its original order in
-  // `todo` (positional determinism is untouched — the store only decides
-  // *whether* slot i is computed, never what goes into it). Keys and
-  // store handles are kept per-slot so a mixed sweep (different stores,
-  // or some configs without one) stays correct.
-  std::vector<std::size_t> todo;
-  todo.reserve(configs.size());
-  std::vector<std::shared_ptr<store::ResultStore>> stores(configs.size());
-  std::vector<std::string> keys(configs.size());
-  std::uint64_t store_hits = 0;
-  std::uint64_t store_misses = 0;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (!configs[i].result_store.empty()) {
-      stores[i] = store::StoreRegistry::instance().open(configs[i].result_store);
-      keys[i] = store::run_key(configs[i]);
-      if (stores[i]->get(keys[i], &results[i])) {
-        ++store_hits;
-        continue;
-      }
-      ++store_misses;
-    }
-    todo.push_back(i);
+  std::vector<SweepCell> cells;
+  cells.reserve(configs.size());
+  for (const SimConfig& config : configs) {
+    IBSIM_ASSERT(config.result_store == configs.front().result_store,
+                 "run_parallel: every config must name the same result_store");
+    cells.push_back({"", config});
   }
-
-  if (!todo.empty()) {
-    if (threads <= 0) {
-      // One knob surface (DESIGN.md §15): a config-file `threads` key
-      // steers the sweep pool too. An explicit harness argument wins;
-      // below that, the first config asking for a count decides.
-      for (const std::size_t i : todo) {
-        if (configs[i].threads > 0) {
-          threads = configs[i].threads;
-          break;
-        }
-      }
-    }
-    threads = resolve_threads(threads);
-    const auto n_workers = static_cast<std::size_t>(threads) < todo.size()
-                               ? static_cast<std::size_t>(threads)
-                               : todo.size();
-    // Work-stealing via a shared cursor: each worker claims the next
-    // unstarted run the moment it goes idle, so one long moving-hotspot
-    // run cannot strand a statically assigned tail behind it. Result
-    // ordering and per-run seeding are untouched — slot i always holds
-    // configs[i] run with configs[i].seed, whoever executes it.
-    std::atomic<std::size_t> next{0};
-    std::vector<SweepWorkerStats> worker_stats(n_workers);
-    std::vector<std::thread> pool;
-    pool.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      pool.emplace_back([&, w] {
-        SweepWorkerStats& stats = worker_stats[w];
-        for (;;) {
-          const std::size_t t = next.fetch_add(1);
-          if (t >= todo.size()) return;
-          const std::size_t i = todo[t];
-          const auto run_start = std::chrono::steady_clock::now();
-          // Build the result worker-locally, then move it into the
-          // pre-sized slot: counter snapshots and series never get
-          // deep-copied, and peak memory stays one in-flight result per
-          // worker above the output vector.
-          SimResult r = run_sim(configs[i]);
-          results[i] = std::move(r);
-          const double run_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
-                  .count();
-          stats.busy_seconds += run_seconds;
-          ++stats.runs;
-          // Publish after timing: a cold sweep pays the store write
-          // outside busy_seconds, keeping worker-balance numbers about
-          // simulation work only.
-          if (stores[i] != nullptr) {
-            stores[i]->put(keys[i], store::canonical_config_text(configs[i]), results[i],
-                           run_seconds);
-          }
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-    if (report != nullptr) report->workers = std::move(worker_stats);
-  }
+  // One knob surface (DESIGN.md §15): a config-file `threads` key steers
+  // the sweep pool too, below an explicit harness argument.
+  SweepService service({configs.front().result_store,
+                        threads > 0 ? threads : configs.front().threads});
+  // Each outcome lands in its own slot, so callbacks from different
+  // workers never touch the same element.
+  service.submit("run_parallel", std::move(cells),
+                 [&results](const SweepService::CellOutcome& outcome) {
+                   results[outcome.index] = outcome.result;
+                 });
+  service.drain();
 
   if (report != nullptr) {
     report->wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
-    report->store_hits = store_hits;
-    report->store_misses = store_misses;
+    report->workers = service.worker_stats();
+    if (service.store() != nullptr) {
+      report->store_hits = service.status().front().store_hits;
+      report->store_misses = configs.size() - report->store_hits;
+    }
   }
   return results;
 }

@@ -7,7 +7,7 @@
 #include "analysis/series.hpp"
 #include "analysis/table.hpp"
 #include "sim/simulation.hpp"
-#include "telemetry/counters.hpp"
+#include "sim/sweep_service.hpp"
 
 namespace ibsim::sim {
 
@@ -52,53 +52,42 @@ struct ExperimentPreset {
 /// hardware concurrency.
 [[nodiscard]] std::int32_t resolve_threads(std::int32_t threads);
 
-/// What one run_parallel worker did: how long it spent inside
-/// Simulation runs versus the pool's wall clock, and how many runs it
-/// claimed. With work-stealing the busy times should be near-equal even
-/// when run lengths are wildly skewed (moving/windy scenarios).
-struct SweepWorkerStats {
-  double busy_seconds = 0.0;
-  std::uint64_t runs = 0;
-};
-
 /// Per-sweep execution report filled by run_parallel.
 struct SweepReport {
   double wall_seconds = 0.0;
+  /// One entry per pool worker the sweep started (none when every run
+  /// came from the store).
   std::vector<SweepWorkerStats> workers;
 
-  /// Result-store outcome of the sweep's pre-pass: runs served from the
-  /// on-disk store versus actually executed (and then published). Both
-  /// zero when no config names a result_store.
+  /// Result-store outcome: runs served from the on-disk store versus
+  /// runs that were not. Both zero when the configs name no
+  /// result_store.
   std::uint64_t store_hits = 0;
   std::uint64_t store_misses = 0;
 
   /// Mean fraction of the pool's wall time the workers spent running
   /// simulations (1.0 = perfectly balanced, no idle tails).
   [[nodiscard]] double utilization() const;
-
-  /// Publish the report as sweep.* instruments (sweep.wall_us,
-  /// sweep.utilization_permille, sweep.store_hits/misses,
-  /// sweep.worker.N.busy_us / .runs).
-  void publish(telemetry::CounterRegistry& registry) const;
 };
 
 /// Run many independent simulations concurrently — the sweep-level
-/// parallelism the harness uses. Workers self-schedule runs off a shared
-/// atomic cursor (work-stealing with chunk size 1), so skewed run times
-/// cannot strand long tails on one thread the way a static partition
-/// does. Determinism is preserved exactly: seeding is per-config, every
-/// run executes on its own scheduler, and results stream into pre-sized
-/// slots positionally matched to `configs` (move-assigned from
-/// worker-local storage, bounding peak memory to one in-flight result
-/// per worker). Each run builds its own topology/routing snapshot and
-/// frees it when it ends, so a worker holds at most one at a time.
+/// parallelism the harness uses. The configs go to a SweepService as
+/// one job (sim/sweep_service.hpp): idle workers claim the next queued
+/// run, so skewed run times cannot strand long tails on one thread the
+/// way a static partition does, and configs with one run key simulate
+/// once. Determinism is preserved exactly: seeding is per-config, every
+/// run executes on its own scheduler and snapshot, and results land in
+/// slots positionally matched to `configs`.
 ///
-/// Configs with a non-empty result_store first consult the on-disk
-/// store (src/store): cached runs fill their slots without scheduling,
-/// fresh runs are published after completion. An interrupted sweep
-/// rerun therefore computes only the missing cells, and a fully warm
-/// rerun does zero simulation work — the store's serialization is
-/// bit-exact, so callers cannot tell a cached result from a fresh one.
+/// The worker count is `threads` if positive, else the first config's
+/// `threads`, else resolve_threads' default. Every config must name the
+/// same result_store. With one, cached runs fill their slots without
+/// scheduling and fresh runs are published after completion (runs that
+/// write a trace or counter CSV always simulate and are never stored). An
+/// interrupted sweep rerun therefore computes only the missing cells,
+/// and a fully warm rerun starts no worker — the store's serialization
+/// is bit-exact, so callers cannot tell a cached result from a fresh
+/// one.
 [[nodiscard]] std::vector<SimResult> run_parallel(const std::vector<SimConfig>& configs,
                                                   std::int32_t threads = 0,
                                                   SweepReport* report = nullptr);

@@ -52,7 +52,6 @@ class ShardEngine {
   void run_until(core::Time until);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::int32_t worker_count() const { return workers_; }
 
   /// Sum of executed() over the shard schedulers plus the global one.
   [[nodiscard]] std::uint64_t total_executed() const;

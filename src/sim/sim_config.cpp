@@ -127,6 +127,7 @@ std::string check_config(const SimConfig& config) {
   if (!config.telemetry.counters_csv.empty() && config.telemetry.sample_interval <= 0) {
     return "telemetry_sample_us must be at least 1 with counters_csv";
   }
+  if (config.shards < 1) return "shards must be at least 1";
   return {};
 }
 

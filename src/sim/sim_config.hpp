@@ -46,9 +46,10 @@ struct TelemetrySettings {
   bool detailed = false;
 
   [[nodiscard]] bool tracing() const { return !trace_path.empty(); }
-  [[nodiscard]] bool active() const {
-    return counters || tracing() || !counters_csv.empty() || detailed;
-  }
+  /// The run writes a trace or counter CSV: only a live run can do that,
+  /// so SweepService neither serves it from the store nor publishes it.
+  [[nodiscard]] bool writes_files() const { return tracing() || !counters_csv.empty(); }
+  [[nodiscard]] bool active() const { return counters || writes_files() || detailed; }
 };
 
 /// Application workload riding on the run (src/workload). When active,
@@ -118,9 +119,9 @@ struct SimConfig {
 
   /// Intra-run parallelism: number of fabric shards the simulation is
   /// spatially partitioned into (DESIGN.md §15). 1 (the default) runs
-  /// the serial engine; 0 derives the shard count from the resolved
-  /// thread count. Values above the switch count are clamped. The shard
-  /// count is simulation-affecting (cross-shard event interleaving can
+  /// the serial engine; check_config rejects anything below 1. Values
+  /// above the switch count are clamped. The shard count is
+  /// simulation-affecting (cross-shard event interleaving can
   /// legitimately differ between shard counts), so it is part of the
   /// result-store key; for a fixed shard count results are run-to-run
   /// deterministic.
@@ -130,16 +131,17 @@ struct SimConfig {
   /// and (via resolve_threads) sweep workers share this knob. 0 defers
   /// to IBSIM_THREADS, then hardware concurrency; precedence is
   /// CLI --threads > config-file `threads` > IBSIM_THREADS > hardware.
-  /// Orchestration-only — thread count never changes results (shards
-  /// execute deterministically regardless of worker count) — so like
+  /// Orchestration-only — it sets how many workers run the `shards`
+  /// shards, never how many there are, and shards execute
+  /// deterministically regardless of worker count — so like
   /// result_store it is excluded from the store key.
   std::int32_t threads = 0;
 
-  /// On-disk result store directory ("" = no store). When set, sweep
-  /// harnesses (run_parallel, simulate, the sweep service) consult the
-  /// content-addressed store (src/store) before running and publish
-  /// fresh results into it, so repeated and interrupted campaigns only
-  /// compute missing cells. Orchestration-only, like `threads`: it is
+  /// On-disk result store directory ("" = no store). When set, the
+  /// sweep pool (SweepService, under run_parallel and simulate) consults
+  /// the content-addressed store (src/store) before running and
+  /// publishes fresh results into it, so repeated and interrupted
+  /// campaigns only compute missing cells. Orchestration-only, like `threads`: it is
   /// excluded from the store key (store::canonical_config_text) — where
   /// a result is cached must not change what it is keyed as.
   std::string result_store;
@@ -156,10 +158,10 @@ struct SimConfig {
 /// Why `config` cannot be built, or "" if it can: the first
 /// precondition it breaks among those that its topology builder, the
 /// switch radix limit (topo::kMaxSwitchPorts), its traffic scenario or
-/// workload, CC and fabric parameters, and counter sampler assert. Front
-/// ends call it before building a Simulation, so a bad key ends in an
-/// error message instead of an abort. Loads the workload file when
-/// workload = file.
+/// workload, CC and fabric parameters, and counter sampler assert, or a
+/// shard count below 1. Front ends call it before building a
+/// Simulation, so a bad key ends in an error message instead of an
+/// abort. Loads the workload file when workload = file.
 [[nodiscard]] std::string check_config(const SimConfig& config);
 
 }  // namespace ibsim::sim

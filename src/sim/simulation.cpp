@@ -135,17 +135,14 @@ Simulation::Simulation(const SimConfig& config,
 }
 
 const fabric::Fabric::ShardLayout* Simulation::prepare_shards(const topo::Topology& topo) {
-  std::int32_t want = config_.shards;
-  if (want == 0) want = resolve_threads(config_.threads);
+  const std::int32_t want = config_.shards;
   if (want <= 1) return nullptr;
   // Features that hook deeply into per-event execution run serial; the
   // fallback is logged so a sweep never silently loses its speedup.
   const char* fallback = nullptr;
   if (config_.workload.active()) {
     fallback = "workload runs need the serial engine";
-  } else if (config_.telemetry.active() &&
-             (config_.telemetry.tracing() || config_.telemetry.detailed ||
-              !config_.telemetry.counters_csv.empty())) {
+  } else if (config_.telemetry.writes_files() || config_.telemetry.detailed) {
     fallback = "trace/CSV/detailed telemetry needs the serial engine";
   } else if (shard_lookahead(config_.fabric) < 1) {
     fallback = "fabric delays leave no cross-shard lookahead";

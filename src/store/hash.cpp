@@ -125,10 +125,4 @@ std::string Sha256::hex_digest() {
   return out;
 }
 
-std::string sha256_hex(const std::string& data) {
-  Sha256 h;
-  h.update(data.data(), data.size());
-  return h.hex_digest();
-}
-
 }  // namespace ibsim::store

@@ -30,7 +30,4 @@ class Sha256 {
   std::size_t buffered_ = 0;
 };
 
-/// One-shot convenience: hex SHA-256 of a string.
-[[nodiscard]] std::string sha256_hex(const std::string& data);
-
 }  // namespace ibsim::store

@@ -265,26 +265,8 @@ ResultStore::Stats ResultStore::stats() const {
           bad_records_.load(std::memory_order_relaxed)};
 }
 
-void ResultStore::reset_stats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  puts_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  bad_records_.store(0, std::memory_order_relaxed);
-}
-
-void ResultStore::publish(telemetry::CounterRegistry& registry) const {
-  const Stats s = stats();
-  registry.set(registry.gauge("store.hits"), static_cast<std::int64_t>(s.hits));
-  registry.set(registry.gauge("store.misses"), static_cast<std::int64_t>(s.misses));
-  registry.set(registry.gauge("store.puts"), static_cast<std::int64_t>(s.puts));
-  registry.set(registry.gauge("store.evictions"), static_cast<std::int64_t>(s.evictions));
-  registry.set(registry.gauge("store.bad_records"),
-               static_cast<std::int64_t>(s.bad_records));
-  registry.set(registry.gauge("store.entries"), static_cast<std::int64_t>(entries()));
-}
-
 std::string ResultStore::stats_line() const {
+  if (!error_.empty()) return "store " + dir_ + ": disabled: " + error_;
   const Stats s = stats();
   char buf[256];
   std::snprintf(buf, sizeof(buf),

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/simulation.hpp"
-#include "telemetry/counters.hpp"
 
 namespace ibsim::store {
 
@@ -96,13 +95,9 @@ class ResultStore {
     std::uint64_t bad_records = 0;  ///< torn/invalid records encountered
   };
   [[nodiscard]] Stats stats() const;
-  void reset_stats();
 
-  /// Publish the stats as store.* gauges (store.hits, store.misses,
-  /// store.puts, store.evictions, store.bad_records, store.entries).
-  void publish(telemetry::CounterRegistry& registry) const;
-
-  /// One-line human summary: "store <dir>: hits=H misses=M puts=P ...".
+  /// One-line human summary: "store <dir>: hits=H misses=M puts=P ...",
+  /// or "store <dir>: disabled: <why>" when error() is set.
   [[nodiscard]] std::string stats_line() const;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
@@ -126,9 +121,9 @@ class ResultStore {
 };
 
 /// Process-wide directory-keyed registry of open stores, so every
-/// subsystem touching `--result-store=DIR` (run_parallel workers, the
-/// sweep service, the CLI front ends) shares one ResultStore per
-/// directory and its stats aggregate in one place.
+/// subsystem touching `--result-store=DIR` (the sweep service and the
+/// front ends reporting its stats) shares one ResultStore per directory
+/// and its stats aggregate in one place.
 class StoreRegistry {
  public:
   static StoreRegistry& instance();

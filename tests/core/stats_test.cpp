@@ -41,33 +41,6 @@ TEST(RateCounter, ZeroLengthWindowReportsZero) {
   EXPECT_TRUE(std::isfinite(counter.gbps(kMicrosecond)));
 }
 
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.sum(), 40.0);
-}
-
-TEST(Summary, EmptyIsZero) {
-  Summary s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(Summary, ResetClears) {
-  Summary s;
-  s.add(5.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.sum(), 0.0);
-}
-
 TEST(Histogram, BinsAndRanges) {
   Histogram h(0.0, 10.0, 10);
   EXPECT_EQ(h.bins(), 10u);
@@ -116,28 +89,6 @@ TEST(Histogram, ResetClearsEverything) {
   EXPECT_EQ(h.total(), 0u);
   EXPECT_EQ(h.overflow(), 0u);
   EXPECT_EQ(h.bin_count(2), 0u);
-}
-
-TEST(TimeWeighted, ConstantSignal) {
-  TimeWeighted tw;
-  tw.set(0, 5.0);
-  EXPECT_DOUBLE_EQ(tw.average(1000), 5.0);
-}
-
-TEST(TimeWeighted, StepSignalAverages) {
-  TimeWeighted tw;
-  tw.set(0, 0.0);
-  tw.set(500, 10.0);  // 0 for half the window, 10 for the other half
-  EXPECT_DOUBLE_EQ(tw.average(1000), 5.0);
-}
-
-TEST(TimeWeighted, ResetRestartsWindow) {
-  TimeWeighted tw;
-  tw.set(0, 100.0);
-  tw.reset(1000);
-  EXPECT_DOUBLE_EQ(tw.average(2000), 100.0);  // value persists, window restarts
-  tw.set(2000, 0.0);
-  EXPECT_DOUBLE_EQ(tw.average(3000), 50.0);
 }
 
 TEST(Jain, PerfectlyFair) {

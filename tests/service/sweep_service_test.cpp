@@ -1,4 +1,4 @@
-#include "service/sweep_service.hpp"
+#include "sim/sweep_service.hpp"
 
 #include "service/json.hpp"
 #include "service/sweep_request.hpp"
@@ -18,6 +18,8 @@ namespace ibsim::service {
 namespace {
 
 namespace fs = std::filesystem;
+using sim::SweepCell;
+using sim::SweepService;
 
 Json parse_ok(const std::string& text) {
   std::string error;
@@ -195,6 +197,33 @@ TEST(SweepService, ComputesThenServesFromStore) {
     EXPECT_TRUE(jobs[0].complete);
     EXPECT_EQ(jobs[1].store_hits, 3u);
     EXPECT_TRUE(jobs[1].complete);
+  }
+  fs::remove_all(dir);
+  store::StoreRegistry::instance().clear();
+}
+
+TEST(SweepService, FileWritingCellRunsLiveAndRewritesItsFile) {
+  // A stored result cannot write a counter CSV, so a cell that asks for
+  // one is neither served from the store nor published to it: the
+  // resubmitted cell runs again and writes its file again.
+  const fs::path dir = fs::path(::testing::TempDir()) / "ibsim_sweep_service_files";
+  const fs::path csv = fs::path(::testing::TempDir()) / "ibsim_sweep_service_counters.csv";
+  fs::remove_all(dir);
+  fs::remove(csv);
+  {
+    SweepService service({dir.string(), 1});
+    std::vector<SweepCell> cells = tiny_cells(1);
+    cells[0].config.telemetry.counters_csv = csv.string();
+    for (const char* pass : {"first", "resubmit"}) {
+      Sink sink;
+      service.submit(pass, cells, sink.callback());
+      service.drain();
+      ASSERT_EQ(sink.outcomes.size(), 1u) << pass;
+      EXPECT_FALSE(sink.outcomes[0].cached) << pass;
+      EXPECT_TRUE(fs::exists(csv)) << pass;
+      fs::remove(csv);
+    }
+    EXPECT_EQ(service.store()->entries(), 0u);
   }
   fs::remove_all(dir);
   store::StoreRegistry::instance().clear();

@@ -125,7 +125,7 @@ TEST(ConfigFile, ResultStoreKeyApplies) {
 TEST(ConfigFile, ThreadsAndShardsKeysApply) {
   // One knob surface: the config-file `threads` key feeds both sweep
   // workers and intra-run shard workers; `shards` picks the intra-run
-  // partition count (0 = derive from the resolved thread count).
+  // partition count (0 parses, and sim::check_config rejects it).
   SimConfig config;
   EXPECT_TRUE(apply_config_text("threads = 4\nshards = 2\n", &config).empty());
   EXPECT_EQ(config.threads, 4);

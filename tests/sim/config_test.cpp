@@ -112,6 +112,7 @@ TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
       {"ccti_timer = 0", "ccti_timer"},
       {"hca_inject_gbps = 100", "injection pacing"},
       {"counters_csv = out.csv\ntelemetry_sample_us = 0", "telemetry_sample_us"},
+      {"shards = 0", "shards must be at least 1"},
       // One switch wider than the 64-port limit per builder and switch
       // role, each 65 ports or more.
       {"topology = single\nsingle_nodes = 65", "at most 64 ports"},

@@ -248,14 +248,13 @@ TEST(ShardEquivalence, WorkloadRunsFallBackToSerial) {
 }
 
 TEST(ShardEquivalence, AutoShardsClampToSwitchCount) {
-  // shards=0 derives from the resolved thread count; a fabric with
-  // fewer switches than that must clamp, never leave empty shards.
+  // A shard count above the switch count clamps to one shard per
+  // switch, never leaving empty shards.
   SimConfig config = small_clos_config();
-  config.shards = 0;
-  config.threads = 64;  // far above the 6 switches of the 4x2 clos
+  config.shards = 64;  // far above the 6 switches of the 4x2 clos
+  config.threads = 2;
   Simulation sim(config);
-  EXPECT_GE(sim.effective_shards(), 1);
-  EXPECT_LE(sim.effective_shards(), 6);
+  EXPECT_EQ(sim.effective_shards(), 6);
   (void)sim.run();
 }
 

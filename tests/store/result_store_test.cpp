@@ -136,6 +136,8 @@ TEST_F(ResultStoreTest, UnusableDirectoryDegradesToNoCache) {
   EXPECT_FALSE(store.get(run_key(config), &result));
   store.put(run_key(config), canonical_config_text(config), sim::run_sim(config), 0.0);
   EXPECT_FALSE(store.contains(run_key(config)));
+  // The front ends' one stats line is where the user learns why.
+  EXPECT_EQ(store.stats_line(), "store " + dir_string() + "/sub: disabled: " + store.error());
 }
 
 TEST_F(ResultStoreTest, RegistrySharesOneStorePerDirectory) {
