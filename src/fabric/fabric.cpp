@@ -1,5 +1,7 @@
 #include "fabric/fabric.hpp"
 
+#include <string>
+
 #include "fabric/events.hpp"
 
 namespace ibsim::fabric {
@@ -8,10 +10,12 @@ std::string FabricParams::validate() const {
   if (wire_gbps <= 0 || hca_inject_gbps <= 0 || hca_drain_gbps <= 0)
     return "link rates must be positive";
   if (hca_inject_gbps > wire_gbps) return "injection pacing cannot exceed the wire rate";
-  if (n_vls < 1 || n_vls > 15) return "n_vls must be in [1, 15]";
+  if (n_vls != 1 && n_vls != 2) {
+    return "n_vls must be 1 (CNPs share VL0) or 2 (CNPs on VL1), not " + std::to_string(n_vls);
+  }
   if (switch_ibuf_data_bytes < ib::kMtuBytes || hca_ibuf_data_bytes < ib::kMtuBytes)
     return "data VL buffers must hold at least one MTU packet";
-  if (cnp_on_own_vl && n_vls > 1 &&
+  if (n_vls == 2 &&
       (switch_ibuf_cnp_bytes < ib::kCnpBytes || hca_ibuf_cnp_bytes < ib::kCnpBytes))
     return "CNP VL buffers must hold at least one CNP";
   return {};
@@ -104,7 +108,6 @@ void Fabric::wire_output(OutputPort& op, PortVlBank& bank, std::int32_t port,
   op.pace_gbps = from_hca ? params_.hca_inject_gbps : params_.wire_gbps;
   op.prop_delay = params_.link_delay;
   op.rx_pipeline_delay = op.peer_is_hca ? params_.hca_rx_delay : params_.switch_delay;
-  op.vlarb = VlArbiter::make_default(n_vls, params_.cnp_vl());
 
   for (std::int32_t vl = 0; vl < n_vls; ++vl) {
     const auto v = static_cast<ib::Vl>(vl);

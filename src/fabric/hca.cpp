@@ -1,6 +1,5 @@
 #include "fabric/hca.hpp"
 
-#include <bit>
 #include <string>
 
 #include "fabric/events.hpp"
@@ -129,8 +128,8 @@ void Hca::try_inject(core::Scheduler& sched) {
     } else {
       // Slot passed. The elided wakeup was a guaranteed no-op — it was
       // only elided with no CNPs queued, no staged packet and no source
-      // to poll, so unlike the switch there is no arbiter state to
-      // re-apply (DESIGN.md §11).
+      // to poll — so, as on the switch, it is simply forgotten
+      // (DESIGN.md §11).
       out_.wake = WakeState::kNone;
     }
   }
@@ -176,8 +175,6 @@ void Hca::grant(core::Scheduler& sched, ib::PacketHandle h) {
   // port stays "busy" for the paced interval even though the wire
   // serializes faster.
   out_.busy_until = now + out_.pace_time(pkt.bytes);
-  out_.tx_bytes += pkt.bytes;
-  ++out_.tx_packets;
   pkt.injected_at = now;
   injected_bytes_ += pkt.bytes;
   ++injected_packets_;
@@ -234,11 +231,9 @@ void Hca::try_drain(core::Scheduler& sched) {
   if (draining_ != ib::kNullPacket) return;
   if (rx_active_vls_ == 0) return;
   // CNP VL first so BECNs reach the CC agent with minimum delay, then
-  // the lowest nonempty VL — one word test instead of scanning queues.
+  // the data VL — the lane rule of the switch's grant_one.
   const ib::Vl cnp_vl = fabric_->params().cnp_vl();
-  const ib::Vl vl = (rx_active_vls_ & (1u << cnp_vl)) != 0
-                        ? cnp_vl
-                        : static_cast<ib::Vl>(std::countr_zero(rx_active_vls_));
+  const ib::Vl vl = (rx_active_vls_ & (1u << cnp_vl)) != 0 ? cnp_vl : ib::kDataVl;
   ib::PacketArena& arena = *arena_;
   ib::PacketQueue* queue = &rx_[vl];
   draining_ = queue->pop_front(arena);

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "core/time.hpp"
-#include "fabric/vl_arbiter.hpp"
 #include "ib/types.hpp"
 #include "telemetry/counters.hpp"
 #include "topo/topology.hpp"
@@ -14,8 +13,9 @@ namespace ibsim::fabric {
 /// schedules kEvLinkFree unconditionally after every grant; the fast
 /// path elides it when the output drained, remembering the (at, seq)
 /// slot the event would have occupied so a later materialization — or
-/// the lazy no-op application at the next arbitration attempt — is
-/// indistinguishable from the eager schedule (DESIGN.md §11).
+/// forgetting it once the slot has passed, since the skipped wakeup was
+/// a no-op — is indistinguishable from the eager schedule (DESIGN.md
+/// §11).
 enum class WakeState : std::uint8_t {
   kNone = 0,       ///< no wakeup outstanding (slow path always here)
   kScheduled = 1,  ///< a kEvLinkFree with seq == wake_seq is in the queue
@@ -23,12 +23,11 @@ enum class WakeState : std::uint8_t {
 };
 
 /// Per-output-port state shared by switches and HCAs: the downstream
-/// link, timing, the VL arbiter and the wakeup bookkeeping. This is a
-/// flat value type — no heap blocks behind it. The per-(port, VL) hot
-/// arrays (credits, coalesced-credit accumulators, round-robin cursors,
-/// CC detectors) live in the owning device's PortVlBank so the grant
-/// loop reads them from stride-indexed contiguous storage (DESIGN.md
-/// §13).
+/// link, timing and the wakeup bookkeeping. This is a flat value type —
+/// no heap blocks behind it. The per-(port, VL) hot arrays (credits,
+/// coalesced-credit accumulators, round-robin cursors, CC detectors)
+/// live in the owning device's PortVlBank so the grant loop reads them
+/// from stride-indexed contiguous storage (DESIGN.md §13).
 ///
 /// Behaviour (arbitration loops, event scheduling) lives in the owning
 /// device; this struct is deliberately state-plus-small-helpers so both
@@ -55,12 +54,6 @@ struct OutputPort {
   // must be dropped without acting.
   WakeState wake = WakeState::kNone;
   std::uint64_t wake_seq = 0;
-
-  VlArbiter vlarb;
-
-  // Statistics.
-  std::int64_t tx_bytes = 0;
-  std::uint64_t tx_packets = 0;
 
   // Telemetry: when this port last went work-but-no-credits (kTimeNever =
   // not stalled), and the per-port stall-time counter (valid only in

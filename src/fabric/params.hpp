@@ -34,11 +34,11 @@ struct FabricParams {
   /// the link propagation of the flow-control packet.
   core::Time credit_delay = 50 * core::kNanosecond;
 
-  /// Number of virtual lanes. VL0 carries data; the last VL carries CNPs
-  /// when `cnp_on_own_vl` is set (the default), so the CC feedback loop
-  /// has credits independent of the congestion it reports on.
+  /// Number of virtual lanes: 2 (the default) puts CNPs on VL1, so the
+  /// CC feedback loop has credits independent of the congestion it
+  /// reports on; 1 makes CNPs share VL0 with data. Data always rides
+  /// VL0, and a CNP lane is served ahead of it.
   std::int32_t n_vls = ib::kDefaultVlCount;
-  bool cnp_on_own_vl = true;
 
   /// Input buffering per switch port for the data VL (the credit pool a
   /// sender sees). 32 KiB = 16 MTU packets.
@@ -61,15 +61,13 @@ struct FabricParams {
   /// event-per-hop chain for A/B testing.
   bool fast_path = true;
 
-  [[nodiscard]] ib::Vl cnp_vl() const {
-    return cnp_on_own_vl && n_vls > 1 ? static_cast<ib::Vl>(n_vls - 1) : ib::kDataVl;
-  }
+  [[nodiscard]] ib::Vl cnp_vl() const { return n_vls > 1 ? ib::kCnpVl : ib::kDataVl; }
 
-  /// Credit pool capacity of one VL of one input buffer.
+  /// Credit pool capacity of one VL of one input buffer. VL0 gets the
+  /// data pool even when CNPs share it.
   [[nodiscard]] std::int64_t vl_capacity(ib::Vl vl, bool hca) const {
-    const bool is_cnp_vl = (vl == cnp_vl()) && cnp_on_own_vl && n_vls > 1;
-    if (hca) return is_cnp_vl ? hca_ibuf_cnp_bytes : hca_ibuf_data_bytes;
-    return is_cnp_vl ? switch_ibuf_cnp_bytes : switch_ibuf_data_bytes;
+    if (vl == ib::kDataVl) return hca ? hca_ibuf_data_bytes : switch_ibuf_data_bytes;
+    return hca ? hca_ibuf_cnp_bytes : switch_ibuf_cnp_bytes;
   }
 
   /// Sanity-check against obviously broken setups. Returns an error

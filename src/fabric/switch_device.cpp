@@ -15,6 +15,7 @@ SwitchDevice::SwitchDevice(Fabric* fabric, topo::DeviceId dev, std::int32_t n_po
       n_ports_(n_ports),
       fabric_vls_(fabric->params().n_vls),
       fast_path_(fabric->params().fast_path),
+      cnp_vl_(fabric->params().cnp_vl()),
       arena_(&fabric->arena_for(dev)),
       lft_row_(fabric->routing().lft_row(dev)) {
   static_assert(topo::kMaxSwitchPorts <= std::numeric_limits<std::uint64_t>::digits,
@@ -113,10 +114,8 @@ void SwitchDevice::try_send(core::Scheduler& sched, std::int32_t out_port) {
     } else {
       // The slot has passed. While elided the port had no queued work
       // (work arrival materializes above), so the skipped event's
-      // try_send could only have made one state change: the failed-pick
-      // quantum refill. Apply it now — note_failed_pick is idempotent
-      // and time-independent, so late application is exact.
-      op.vlarb.note_failed_pick();
+      // try_send found nothing to grant and changed nothing: forget it,
+      // as the HCA does (DESIGN.md §11).
       op.wake = WakeState::kNone;
     }
   }
@@ -144,25 +143,19 @@ bool SwitchDevice::grant_one(core::Scheduler& sched, std::int32_t out_port) {
   const core::Time now = sched.now();
   if (!op.idle(now)) return false;
 
-  // VL arbitration over lanes with queued work and credits (coarse
-  // check via the per-output active-VL word and the per-lane busy
-  // bitmask), then round-robin over the inputs of the winning lane.
+  // Lane choice: the CNP lane when it has queued work and credits, else
+  // the data lane — CNPs go out ahead of data "as quickly as possible"
+  // (paper section II.2), the rule Hca::try_inject applies. Then
+  // round-robin over the inputs of the chosen lane.
   const std::uint16_t vl_work = active_vls(out_port);
-  if (vl_work == 0) {
-    // No VL queues anything towards this output: skip the table scan,
-    // but apply the exact state change an empty scan would have made so
-    // later arbitration stays bit-identical.
-    op.vlarb.note_failed_pick();
-    return false;
-  }
-  const std::int32_t vl_pick = op.vlarb.pick([&](ib::Vl vl) {
-    return (vl_work & (1u << vl)) != 0 && bank_.credit(out_port, vl).available() > 0;
-  });
-  if (vl_pick < 0) {
+  const auto ready = [&](ib::Vl lane) {
+    return (vl_work & (1u << lane)) != 0 && bank_.credit(out_port, lane).available() > 0;
+  };
+  const ib::Vl vl = ready(cnp_vl_) ? cnp_vl_ : ib::kDataVl;
+  if (!ready(vl)) {
     if (telemetry_ != nullptr) note_blocked(out_port, now);
     return false;
   }
-  const auto vl = static_cast<ib::Vl>(vl_pick);
   CreditTracker& credits = bank_.credit(out_port, vl);
   ib::PacketArena& arena = *arena_;
   // The n_ports VoQs feeding (out_port, vl) — contiguous by layout.
@@ -207,7 +200,6 @@ bool SwitchDevice::grant_one(core::Scheduler& sched, std::int32_t out_port) {
     if (mask_ref == 0)
       active_vls(out_port) &= static_cast<std::uint16_t>(~(1u << vl));
   }
-  op.vlarb.granted(pkt.bytes);
   const bool exited = bank_.cc(out_port, vl).on_dequeue(pkt.bytes);
   credits.consume(pkt.bytes);
 
@@ -219,8 +211,6 @@ bool SwitchDevice::grant_one(core::Scheduler& sched, std::int32_t out_port) {
 
   const core::Time pace = op.pace_time(pkt.bytes);
   op.busy_until = now + pace;
-  op.tx_bytes += pkt.bytes;
-  ++op.tx_packets;
   if (telemetry_ != nullptr) {
     note_buffer_level(chosen, vl);
     note_grant(now, out_port, vl, pkt, exited, fecn_now, pace);

@@ -16,8 +16,8 @@ namespace ibsim::fabric {
 class Fabric;
 
 /// A crossbar switch: virtual output queues per (input, output, VL),
-/// destination routing via the linear forwarding tables, round-robin
-/// arbitration per output across inputs under the VL arbiter, and
+/// destination routing via the linear forwarding tables, per output the
+/// CNP lane ahead of the data lane and round-robin across inputs, and
 /// per-output-Port-VL congestion detection / FECN marking.
 ///
 /// Hot state is structure-of-arrays: credits / coalesced-credit
@@ -101,8 +101,7 @@ class SwitchDevice final : public core::EventHandler {
 
   /// Per-output bitmask of VLs with any queued work: bit vl set iff
   /// busy_mask(out, vl) != 0. Lets grant_one() and note_blocked() test a
-  /// single word instead of scanning every VL's VoQ bitmask (IBA allows
-  /// at most 15 data VLs, so 16 bits suffice).
+  /// single word instead of each VL's VoQ bitmask.
   [[nodiscard]] std::uint16_t& active_vls(std::int32_t out) {
     return active_vls_[static_cast<std::size_t>(out)];
   }
@@ -112,6 +111,7 @@ class SwitchDevice final : public core::EventHandler {
   std::int32_t n_ports_;
   std::int32_t fabric_vls_;
   bool fast_path_;                  ///< FabricParams::fast_path, cached off the hot path
+  ib::Vl cnp_vl_;                   ///< FabricParams::cnp_vl(), served ahead of kDataVl
   ib::PacketArena* arena_ = nullptr;  ///< this device's shard-local arena
   const std::int8_t* lft_row_;      ///< this switch's row of the flat LFT, indexed by dst
   std::vector<OutputPort> outputs_;

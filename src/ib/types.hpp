@@ -10,7 +10,7 @@ namespace ibsim::ib {
 using NodeId = std::int32_t;
 inline constexpr NodeId kInvalidNode = -1;
 
-/// Virtual lane index (IBA allows 0..14 data VLs; we use a small set).
+/// Virtual lane index (IBA allows 0..14 data VLs; the model uses VL 0 and 1).
 using Vl = std::uint8_t;
 
 /// Service level. The model keeps SL == VL (identity SL-to-VL map).
@@ -25,9 +25,10 @@ inline constexpr std::int32_t kMessageBytes = kMtuBytes * kPacketsPerMessage;
 /// Congestion notification packets are small (BECN-carrying CNP).
 inline constexpr std::int32_t kCnpBytes = 64;
 
-/// Default VL assignment: bulk data on VL 0, CNPs on a dedicated VL so
-/// that the CC feedback loop cannot be starved by the very congestion it
-/// is trying to resolve (the spec routes CNPs on a configured SL).
+/// VL assignment: bulk data on VL 0, CNPs on a dedicated VL so that the
+/// CC feedback loop cannot be starved by the very congestion it is
+/// trying to resolve (the spec routes CNPs on a configured SL).
+/// fabric::FabricParams::n_vls = 1 folds the CNP lane into VL 0.
 inline constexpr Vl kDataVl = 0;
 inline constexpr Vl kCnpVl = 1;
 inline constexpr int kDefaultVlCount = 2;

@@ -1,5 +1,7 @@
 #include "service/sweep_request.hpp"
 
+#include <limits>
+
 #include "sim/config_file.hpp"
 
 namespace ibsim::service {
@@ -105,13 +107,27 @@ bool expand_sweep(const SweepRequest& request, const sim::SimConfig& base_config
     return false;
   }
 
+  // The cell count is checked before anything is sized by it. The
+  // product saturates instead of wrapping, so a huge request cannot pass
+  // for a small or empty one.
+  constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
+  std::size_t total = 1;
+  for (const auto& [key, values] : request.axes) {
+    const std::size_t n = values.size();
+    total = n != 0 && total > kSaturated / n ? kSaturated : total * n;
+  }
+  if (total > kMaxSweepCells) {
+    *error = "the axes give " +
+             (total == kSaturated ? std::string("over 2^64") : std::to_string(total)) +
+             " cells; a sweep holds at most " + std::to_string(kMaxSweepCells);
+    return false;
+  }
+
   // Row-major Cartesian product: the odometer's last axis ticks fastest,
   // matching the nesting order a hand-written loop over the request
   // would produce. Axis assignments apply as a second config text, so an
   // axis may legitimately override a base key without tripping the
   // parser's per-file duplicate detection.
-  std::size_t total = 1;
-  for (const auto& [key, values] : request.axes) total *= values.size();
   cells->reserve(total);
   std::vector<std::size_t> odometer(request.axes.size(), 0);
   for (std::size_t n = 0; n < total; ++n) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,13 +35,17 @@ struct SweepRequest {
 [[nodiscard]] bool parse_sweep_request(const Json& json, SweepRequest* request,
                                        std::string* error);
 
+/// Most cells one request may expand to.
+inline constexpr std::size_t kMaxSweepCells = 65536;
+
 /// Expand a request into cells: the Cartesian product of the axes, in
 /// row-major request order (last axis varies fastest). Each cell starts
 /// from `base_config`, applies the request's base keys, then its axis
 /// assignments — both through the config-file parser, so an invalid
 /// value or unknown key aborts the whole expansion with its diagnostic.
 /// So does a cell that cannot be built (sim::check_config), naming the
-/// cell. An axes-less request expands to the single base cell.
+/// cell, and a product of more than kMaxSweepCells cells, naming the
+/// count. An axes-less request expands to the single base cell.
 [[nodiscard]] bool expand_sweep(const SweepRequest& request,
                                 const sim::SimConfig& base_config,
                                 std::vector<sim::SweepCell>* cells, std::string* error);

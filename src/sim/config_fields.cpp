@@ -121,8 +121,8 @@ constexpr ConfigField kFields[] = {
     {"switch_delay_ps", IBSIM_MEMBER(fabric.switch_delay), kPlain, kKeyOnly, ""},
     {"hca_rx_delay_ps", IBSIM_MEMBER(fabric.hca_rx_delay), kPlain, kKeyOnly, ""},
     {"credit_delay_ps", IBSIM_MEMBER(fabric.credit_delay), kPlain, kKeyOnly, ""},
-    {"n_vls", IBSIM_MEMBER(fabric.n_vls), kPlain, kKeyed, "virtual lanes"},
-    {"cnp_on_own_vl", IBSIM_MEMBER(fabric.cnp_on_own_vl), kPlain, kKeyOnly, ""},
+    {"n_vls", IBSIM_MEMBER(fabric.n_vls), kPlain, kKeyed,
+     "virtual lanes: 1 (CNPs share VL0) or 2 (CNPs on VL1)"},
     {"switch_ibuf_bytes", IBSIM_MEMBER(fabric.switch_ibuf_data_bytes), kPlain, kKeyed,
      "switch input buffer per port, data VL (bytes)"},
     {"switch_ibuf_cnp_bytes", IBSIM_MEMBER(fabric.switch_ibuf_cnp_bytes), kPlain, kKeyOnly, ""},

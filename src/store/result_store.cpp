@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -71,7 +70,7 @@ bool read_block(const std::string& text, std::size_t* pos, const char* name,
   char* end = nullptr;
   const std::uint64_t n = std::strtoull(size_str.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') return false;
-  if (*pos + n > text.size()) return false;
+  if (n > text.size() - *pos) return false;  // *pos + n could wrap
   *body = text.substr(*pos, n);
   *pos += n;
   return true;
@@ -79,8 +78,7 @@ bool read_block(const std::string& text, std::size_t* pos, const char* name,
 
 }  // namespace
 
-ResultStore::ResultStore(Options options)
-    : dir_(std::move(options.dir)), max_entries_(options.max_entries) {
+ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   fs::create_directories(fs::path(dir_) / "objects", ec);
   if (!ec) fs::create_directories(fs::path(dir_) / "tmp", ec);
@@ -147,11 +145,6 @@ bool ResultStore::get(const std::string& key, sim::SimResult* result) {
   return true;
 }
 
-bool ResultStore::contains(const std::string& key) {
-  sim::SimResult ignored;
-  return get(key, &ignored);
-}
-
 void ResultStore::put(const std::string& key, const std::string& config_text,
                       const sim::SimResult& result, double wall_seconds) {
   if (!error_.empty()) return;
@@ -204,34 +197,6 @@ void ResultStore::put(const std::string& key, const std::string& config_text,
   std::ofstream index((fs::path(dir_) / "index.tsv").string(), std::ios::app);
   index << key << '\t' << code_version() << '\t' << now_unix_us() << '\t' << hostname()
         << '\n';
-
-  if (max_entries_ > 0) evict_over_cap();
-}
-
-void ResultStore::evict_over_cap() {
-  // Called under write_mu_. Collect (mtime, path), drop oldest first.
-  struct Entry {
-    fs::file_time_type mtime;
-    fs::path path;
-  };
-  std::vector<Entry> all;
-  std::error_code ec;
-  for (const auto& shard : fs::directory_iterator(fs::path(dir_) / "objects", ec)) {
-    if (!shard.is_directory()) continue;
-    for (const auto& object : fs::directory_iterator(shard.path(), ec)) {
-      if (!object.is_regular_file()) continue;
-      all.push_back({fs::last_write_time(object.path(), ec), object.path()});
-    }
-  }
-  if (all.size() <= max_entries_) return;
-  std::sort(all.begin(), all.end(),
-            [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
-  const std::size_t excess = all.size() - static_cast<std::size_t>(max_entries_);
-  for (std::size_t i = 0; i < excess; ++i) {
-    if (fs::remove(all[i].path, ec)) {
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 std::uint64_t ResultStore::entries() const {
@@ -246,23 +211,9 @@ std::uint64_t ResultStore::entries() const {
   return n;
 }
 
-std::vector<std::string> ResultStore::keys() const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (const auto& shard : fs::directory_iterator(fs::path(dir_) / "objects", ec)) {
-    if (!shard.is_directory()) continue;
-    for (const auto& object : fs::directory_iterator(shard.path(), ec)) {
-      if (object.is_regular_file()) out.push_back(object.path().filename().string());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 ResultStore::Stats ResultStore::stats() const {
   return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed),
-          puts_.load(std::memory_order_relaxed), evictions_.load(std::memory_order_relaxed),
-          bad_records_.load(std::memory_order_relaxed)};
+          puts_.load(std::memory_order_relaxed), bad_records_.load(std::memory_order_relaxed)};
 }
 
 std::string ResultStore::stats_line() const {
@@ -270,11 +221,10 @@ std::string ResultStore::stats_line() const {
   const Stats s = stats();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "store %s: hits=%llu misses=%llu puts=%llu evictions=%llu bad=%llu",
-                dir_.c_str(), static_cast<unsigned long long>(s.hits),
+                "store %s: hits=%llu misses=%llu puts=%llu bad=%llu", dir_.c_str(),
+                static_cast<unsigned long long>(s.hits),
                 static_cast<unsigned long long>(s.misses),
                 static_cast<unsigned long long>(s.puts),
-                static_cast<unsigned long long>(s.evictions),
                 static_cast<unsigned long long>(s.bad_records));
   return buf;
 }
@@ -292,7 +242,7 @@ std::shared_ptr<ResultStore> StoreRegistry::open(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = stores_.find(norm);
   if (it != stores_.end()) return it->second;
-  auto store = std::make_shared<ResultStore>(ResultStore::Options{norm, 0});
+  auto store = std::make_shared<ResultStore>(norm);
   stores_.emplace(norm, store);
   return store;
 }

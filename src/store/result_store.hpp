@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/simulation.hpp"
 
@@ -52,28 +51,18 @@ struct RunRecord {
 /// the same object.
 class ResultStore {
  public:
-  struct Options {
-    std::string dir;
-    /// Retain at most this many records (0 = unlimited). Exceeding the
-    /// cap evicts oldest-mtime records after a put — a crude LRU that
-    /// keeps long-lived shared stores bounded.
-    std::uint64_t max_entries = 0;
-  };
-
   /// Opens (and creates, if needed) the store directory. Throws nothing:
   /// a directory that cannot be created leaves the store in an error
   /// state where every get misses and every put is dropped (error()
   /// tells why) — a broken cache must degrade to "no cache", never
   /// break the sweep.
-  explicit ResultStore(Options options);
+  explicit ResultStore(std::string dir);
 
   /// Look up a run by key. On a hit fills `*result` and returns true.
   bool get(const std::string& key, sim::SimResult* result);
 
   /// Like get, but also returns provenance and config text.
   bool get_record(const std::string& key, RunRecord* record);
-
-  [[nodiscard]] bool contains(const std::string& key);
 
   /// Publish a run. `config_text` is the canonical config
   /// (store/key.hpp) kept for provenance and debugging; `wall_seconds`
@@ -84,14 +73,10 @@ class ResultStore {
   /// Number of records currently on disk (scans the objects tree).
   [[nodiscard]] std::uint64_t entries() const;
 
-  /// Keys of every record on disk, sorted (tests, sweepctl status).
-  [[nodiscard]] std::vector<std::string> keys() const;
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t puts = 0;
-    std::uint64_t evictions = 0;
     std::uint64_t bad_records = 0;  ///< torn/invalid records encountered
   };
   [[nodiscard]] Stats stats() const;
@@ -106,16 +91,13 @@ class ResultStore {
 
  private:
   [[nodiscard]] std::string object_path(const std::string& key) const;
-  void evict_over_cap();
 
   std::string dir_;
-  std::uint64_t max_entries_ = 0;
   std::string error_;
-  std::mutex write_mu_;  // serializes put/evict within this process
+  std::mutex write_mu_;  // serializes puts within this process
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> puts_{0};
-  std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> bad_records_{0};
   std::atomic<std::uint64_t> tmp_seq_{0};
 };

@@ -84,7 +84,8 @@ bool parse_time_list(const std::string& value, std::vector<core::Time>* out) {
   std::istringstream in(value);
   std::uint64_t n = 0;
   if (!(in >> n)) return false;
-  out->reserve(n);
+  // No reserve(n): the count comes from the file, and a corrupt one must
+  // read as a malformed record, not size an allocation.
   for (std::uint64_t i = 0; i < n; ++i) {
     std::int64_t t = 0;
     if (!(in >> t)) return false;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace ibsim::fabric {
 namespace {
 
@@ -15,13 +17,8 @@ TEST(FabricParams, DefaultsMatchCalibration) {
 
 TEST(FabricParams, CnpVlIsLastLane) {
   FabricParams p;
-  p.n_vls = 2;
+  EXPECT_EQ(p.n_vls, 2);
   EXPECT_EQ(p.cnp_vl(), 1);
-  p.n_vls = 4;
-  EXPECT_EQ(p.cnp_vl(), 3);
-  p.cnp_on_own_vl = false;
-  EXPECT_EQ(p.cnp_vl(), ib::kDataVl);
-  p.cnp_on_own_vl = true;
   p.n_vls = 1;
   EXPECT_EQ(p.cnp_vl(), ib::kDataVl);  // nowhere else to go
 }
@@ -37,8 +34,10 @@ TEST(FabricParams, VlCapacitySelectsBufferPools) {
 TEST(FabricParams, SingleVlSharesTheDataPool) {
   FabricParams p;
   p.n_vls = 1;
-  p.cnp_on_own_vl = false;
-  EXPECT_EQ(p.vl_capacity(0, false), p.switch_ibuf_data_bytes);
+  EXPECT_EQ(p.vl_capacity(p.cnp_vl(), /*hca=*/false), p.switch_ibuf_data_bytes);
+  EXPECT_EQ(p.vl_capacity(p.cnp_vl(), /*hca=*/true), p.hca_ibuf_data_bytes);
+  p.switch_ibuf_cnp_bytes = 0;  // no CNP lane, so no CNP pool to size
+  EXPECT_TRUE(p.validate().empty());
 }
 
 TEST(FabricParams, ValidateCatchesBrokenSetups) {
@@ -50,11 +49,13 @@ TEST(FabricParams, ValidateCatchesBrokenSetups) {
   p.hca_inject_gbps = 20.0;  // faster than the wire
   EXPECT_FALSE(p.validate().empty());
 
+  // One lane or two: data, and CNPs on their own lane or sharing it.
   p = FabricParams{};
-  p.n_vls = 0;
-  EXPECT_FALSE(p.validate().empty());
-  p.n_vls = 16;
-  EXPECT_FALSE(p.validate().empty());
+  for (const std::int32_t n_vls : {0, 3, 15, 16}) {
+    p.n_vls = n_vls;
+    EXPECT_EQ(p.validate(), "n_vls must be 1 (CNPs share VL0) or 2 (CNPs on VL1), not " +
+                                std::to_string(n_vls));
+  }
 
   p = FabricParams{};
   p.switch_ibuf_data_bytes = 100;  // below one MTU

@@ -155,7 +155,6 @@ TEST(CcBehaviour, CnpsFlowOnDedicatedVl) {
   // dedicated lane is a robustness feature, not a correctness one.
   SimConfig config = hotspot_config(true);
   config.fabric.n_vls = 1;
-  config.fabric.cnp_on_own_vl = false;
   const SimResult r = run_sim(config);
   EXPECT_GT(r.becn_received, 0u);
 }

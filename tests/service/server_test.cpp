@@ -191,6 +191,26 @@ TEST_F(SweepServerTest, ProtocolErrorsKeepConnectionOpen) {
       "error");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NE(events[0].find("message")->as_string().find("at most 64 ports"), std::string::npos);
+  // So is a lane count other than 1 or 2.
+  events = client.roundtrip(
+      R"({"op":"submit","name":"lanes","base":{"n_vls":3,"sim_time_us":10}})", "error");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].find("message")->as_string().find("n_vls must be 1"), std::string::npos);
+  // A product of axes too large to expand (10^12 cells) is refused with
+  // its count, not allocated.
+  std::string axis = "[1";
+  for (int v = 2; v <= 1000; ++v) {
+    axis += ',';
+    axis += std::to_string(v);
+  }
+  axis += "]";
+  events = client.roundtrip(R"({"op":"submit","name":"huge","axes":{"seed":)" + axis +
+                                R"(,"sim_time_us":)" + axis + R"(,"warmup_us":)" + axis +
+                                R"(,"hotspots":)" + axis + "}}",
+                            "error");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].find("message")->as_string().find("1000000000000 cells"),
+            std::string::npos);
   // Still alive.
   events = client.roundtrip(R"({"op":"ping"})", "pong");
   ASSERT_EQ(events.size(), 1u);

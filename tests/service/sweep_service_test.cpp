@@ -125,6 +125,25 @@ TEST(SweepRequest, OutOfRangeAxisValueFailsTheSweep) {
       << error;
 }
 
+TEST(SweepRequest, OversizedProductIsRefusedBeforeExpansion) {
+  std::vector<std::string> values(1000);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = std::to_string(i + 1);
+  SweepRequest request;
+  request.name = "huge";
+  request.axes.assign(4, {"seed", values});
+  std::vector<SweepCell> cells;
+  std::string error;
+  EXPECT_FALSE(expand_sweep(request, tiny_base(), &cells, &error));
+  EXPECT_TRUE(cells.empty());
+  EXPECT_EQ(error, "the axes give 1000000000000 cells; a sweep holds at most 65536");
+
+  // 4^63 wraps a 64-bit product to 0, which must not pass as an empty
+  // sweep.
+  request.axes.assign(63, {"seed", {"1", "2", "3", "4"}});
+  EXPECT_FALSE(expand_sweep(request, tiny_base(), &cells, &error));
+  EXPECT_EQ(error, "the axes give over 2^64 cells; a sweep holds at most 65536");
+}
+
 TEST(SweepRequest, AxislessRequestIsOneCell) {
   SweepRequest request;
   request.name = "solo";

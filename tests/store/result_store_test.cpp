@@ -3,12 +3,14 @@
 #include "../sim/expect_identical.hpp"
 #include "sim/experiment.hpp"
 #include "store/key.hpp"
+#include "store/serialize.hpp"
 #include "store/version.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,16 +49,16 @@ class ResultStoreTest : public ::testing::Test {
 };
 
 TEST_F(ResultStoreTest, PutGetRoundTripWithProvenance) {
-  ResultStore store({dir_string(), 0});
+  ResultStore store(dir_string());
   ASSERT_TRUE(store.error().empty()) << store.error();
 
   const sim::SimConfig config = small_config(1);
   const sim::SimResult result = sim::run_sim(config);
   const std::string key = run_key(config);
 
-  EXPECT_FALSE(store.contains(key));
+  sim::SimResult cached;
+  EXPECT_FALSE(store.get(key, &cached));
   store.put(key, canonical_config_text(config), result, 0.25);
-  EXPECT_TRUE(store.contains(key));
   EXPECT_EQ(store.entries(), 1u);
 
   RunRecord record;
@@ -70,14 +72,13 @@ TEST_F(ResultStoreTest, PutGetRoundTripWithProvenance) {
 
   // A second store on the same directory sees the record (cross-process
   // sharing is just cross-instance sharing of the same tree).
-  ResultStore reopened({dir_string(), 0});
-  sim::SimResult cached;
+  ResultStore reopened(dir_string());
   EXPECT_TRUE(reopened.get(key, &cached));
   EXPECT_EQ(cached.delivered_bytes, result.delivered_bytes);
 }
 
 TEST_F(ResultStoreTest, MissesCountAndKeysList) {
-  ResultStore store({dir_string(), 0});
+  ResultStore store(dir_string());
   sim::SimResult result;
   EXPECT_FALSE(store.get("0000000000000000000000000000000000000000000000000000000000000000",
                          &result));
@@ -90,11 +91,11 @@ TEST_F(ResultStoreTest, MissesCountAndKeysList) {
   EXPECT_TRUE(store.get(key, &result));
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(store.stats().puts, 1u);
-  EXPECT_EQ(store.keys(), std::vector<std::string>{key});
+  EXPECT_EQ(store.entries(), 1u);
 }
 
 TEST_F(ResultStoreTest, TornRecordReadsAsMiss) {
-  ResultStore store({dir_string(), 0});
+  ResultStore store(dir_string());
   const sim::SimConfig config = small_config(1);
   const std::string key = run_key(config);
   store.put(key, canonical_config_text(config), sim::run_sim(config), 0.0);
@@ -115,27 +116,52 @@ TEST_F(ResultStoreTest, TornRecordReadsAsMiss) {
   EXPECT_TRUE(store.get(key, &result));
 }
 
-TEST_F(ResultStoreTest, EvictionKeepsStoreBounded) {
-  ResultStore store({dir_string(), 2});
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const sim::SimConfig config = small_config(seed);
-    store.put(run_key(config), canonical_config_text(config), sim::run_sim(config), 0.0);
+TEST_F(ResultStoreTest, HugeListCountReadsAsMiss) {
+  ResultStore store(dir_string());
+  const sim::SimConfig config = small_config(1);
+  const std::string key = run_key(config);
+  const sim::SimResult result = sim::run_sim(config);
+  store.put(key, canonical_config_text(config), result, 0.0);
+
+  // Re-frame the record around a result whose rank_finish count no file
+  // could hold, so only parse_result sees the damage: a corrupt record
+  // must be a miss, not a process abort.
+  std::string result_text = serialize_result(result);
+  const std::string list = "\nrank_finish 0\n";
+  const std::size_t at = result_text.find(list);
+  ASSERT_NE(at, std::string::npos);
+  result_text.replace(at, list.size(), "\nrank_finish 18446744073709551615\n");
+  const fs::path object = dir_ / "objects" / key.substr(0, 2) / key;
+  std::string record;
+  {
+    std::ifstream in(object);
+    record.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  EXPECT_LE(store.entries(), 2u);
-  EXPECT_GE(store.stats().evictions, 2u);
+  const std::size_t block = record.find("result_bytes ");
+  ASSERT_NE(block, std::string::npos);
+  record.resize(block);
+  record += "result_bytes " + std::to_string(result_text.size()) + "\n" + result_text + "end\n";
+  {
+    std::ofstream out(object, std::ios::trunc);
+    out << record;
+  }
+  sim::SimResult got;
+  EXPECT_FALSE(store.get(key, &got));
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().bad_records, 1u);
 }
 
 TEST_F(ResultStoreTest, UnusableDirectoryDegradesToNoCache) {
   // A file where the directory should be: creation fails, and the store
   // must degrade to "no cache" rather than break the sweep.
   { std::ofstream out(dir_string()); }
-  ResultStore store({dir_string() + "/sub", 0});
+  ResultStore store(dir_string() + "/sub");
   EXPECT_FALSE(store.error().empty());
   const sim::SimConfig config = small_config(1);
   sim::SimResult result;
   EXPECT_FALSE(store.get(run_key(config), &result));
   store.put(run_key(config), canonical_config_text(config), sim::run_sim(config), 0.0);
-  EXPECT_FALSE(store.contains(run_key(config)));
+  EXPECT_FALSE(store.get(run_key(config), &result));
   // The front ends' one stats line is where the user learns why.
   EXPECT_EQ(store.stats_line(), "store " + dir_string() + "/sub: disabled: " + store.error());
 }

@@ -115,5 +115,23 @@ TEST(Serialize, MalformedInputRejected) {
   EXPECT_FALSE(parse_result(good.substr(0, good.size() - 4), &result));
 }
 
+TEST(Serialize, HugeListCountsRejected) {
+  // A list count is read from the file; one no record could hold must
+  // read as malformed rather than size an allocation (reserving these
+  // throws length_error and bad_alloc).
+  const std::string good = serialize_result(sim::run_sim(small_base()));
+  for (const char* list : {"rank_finish", "phase_finish"}) {
+    const std::string empty = std::string("\n") + list + " 0\n";
+    const std::size_t at = good.find(empty);
+    ASSERT_NE(at, std::string::npos) << list;
+    for (const char* count : {"18446744073709551615", "100000000000"}) {
+      std::string bad = good;
+      bad.replace(at, empty.size(), std::string("\n") + list + ' ' + count + '\n');
+      sim::SimResult result;
+      EXPECT_FALSE(parse_result(bad, &result)) << list << ' ' << count;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ibsim::store
