@@ -7,8 +7,9 @@
 //   ./table2_silent [--full] [--seed=S] [--csv=path] [--no-fast-path]
 //
 // --no-fast-path runs the reference one-event-per-action fabric chain;
-// the printed table must be byte-identical to the default run, and the
-// wall-clock delta is the lazy-wakeup/coalescing win on this machine.
+// the printed table must be byte-identical to the default run (and to
+// bench/transcripts/table2_silent.quick.txt), and the wall-clock delta
+// is the fast path's win on this machine.
 
 #include <cstdio>
 

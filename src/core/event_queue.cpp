@@ -178,16 +178,4 @@ void CalendarQueue::pop() {
   --wheel_count_;
 }
 
-void CalendarQueue::clear() {
-  for (Bucket& bucket : buckets_) release(bucket);
-  current_.clear();
-  cur_ = 0;
-  pos_ = 0;
-  base_ = 0;
-  wheel_count_ = 0;
-  front_in_overlay_ = false;
-  overlay_.clear();
-  far_.clear();
-}
-
 }  // namespace ibsim::core

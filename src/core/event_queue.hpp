@@ -25,7 +25,6 @@ class HeapQueue {
 
   void push(const Event& ev);
   void pop();
-  void clear() { heap_.clear(); }
 
  private:
   void sift_up(std::size_t i);
@@ -93,9 +92,6 @@ class CalendarQueue {
 
   /// Remove the event returned by the immediately preceding peek().
   void pop();
-
-  /// Drop every pending event. The chunk pool keeps its chunks.
-  void clear();
 
   /// Chunks the pool has allocated, in buckets or on the free list. The
   /// pool grows only when every chunk is in use, so this is the peak

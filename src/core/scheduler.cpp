@@ -3,10 +3,8 @@
 namespace ibsim::core {
 
 std::uint64_t Scheduler::run_until(Time until) {
-  stopped_ = false;
   std::uint64_t count = 0;
   for (;;) {
-    if (stopped_) break;
     const Event* front = queue_.peek();
     if (front == nullptr || front->at > until) break;
     const Event ev = *front;
@@ -25,17 +23,6 @@ std::uint64_t Scheduler::run_until(Time until) {
     now_ = until;
   }
   return count;
-}
-
-void Scheduler::clear() {
-  queue_.clear();
-  now_ = 0;
-  next_seq_ = 0;
-  cur_seq_ = 0;
-  watch_at_ = kTimeNever;
-  watch_hit_ = false;
-  stopped_ = false;
-  external_events_ = 0;
 }
 
 }  // namespace ibsim::core

@@ -15,7 +15,7 @@ namespace ibsim::core {
 /// backed by a 4-ary min-heap for far-future timers (see CalendarQueue).
 ///
 /// This is the replacement for the OMNeT++ kernel the paper's model ran
-/// on. It is deliberately minimal: schedule, run, stop. Determinism is a
+/// on. It is deliberately minimal: schedule and run. Determinism is a
 /// hard guarantee — two runs with the same schedule produce identical
 /// event orderings, because ties are broken by insertion sequence rather
 /// than queue layout.
@@ -39,12 +39,11 @@ class Scheduler {
   /// Number of pending events.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
-  /// Total events executed so far (lifetime of the scheduler; survives
-  /// clear() so sweep harnesses can aggregate across runs).
+  /// Total events executed so far.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Lifetime executed() broken down by event kind (see kKindSlots for
-  /// the slot mapping). Survives clear() like executed().
+  /// executed() broken down by event kind (see kKindSlots for the slot
+  /// mapping).
   [[nodiscard]] const std::array<std::uint64_t, kKindSlots>& executed_by_kind() const {
     return executed_by_kind_;
   }
@@ -67,9 +66,7 @@ class Scheduler {
   /// barrier drain). Pure bookkeeping for the sched.shard.* gauges.
   void note_external_event() { ++external_events_; }
 
-  /// Events injected via note_external_event() since construction or the
-  /// last clear(). Per-run state: clear() resets it so a reused
-  /// scheduler replays bit-identically run to run.
+  /// Events injected via note_external_event() since construction.
   [[nodiscard]] std::uint64_t external_events() const { return external_events_; }
 
   /// Schedule an event at absolute time `at` (must not be in the past).
@@ -80,7 +77,6 @@ class Scheduler {
     IBSIM_ASSERT(target != nullptr, "event needs a target handler");
     IBSIM_ASSERT(at >= now_, "cannot schedule an event in the past");
     const std::uint64_t seq = next_seq_++;
-    watch_hit_ |= (at == watch_at_);
     queue_.push(Event{at, seq, target, a, b, kind});
     return seq;
   }
@@ -106,37 +102,15 @@ class Scheduler {
     IBSIM_ASSERT(target != nullptr, "event needs a target handler");
     IBSIM_ASSERT(at >= now_, "cannot schedule an event in the past");
     IBSIM_ASSERT(seq < next_seq_, "reserved seq must come from reserve_seq()");
-    watch_hit_ |= (at == watch_at_);
     queue_.push(Event{at, seq, target, a, b, kind});
   }
-
-  /// Arm a single-slot collision watch: watch_hit() reports whether any
-  /// event has been scheduled at exactly time `at` since this call.
-  /// Used by credit-return coalescing to prove no observer can run
-  /// between a pending event's slot and a merge into it.
-  void arm_watch(Time at) {
-    watch_at_ = at;
-    watch_hit_ = false;
-  }
-
-  /// True iff an event landed on the watched timestamp since arm_watch().
-  [[nodiscard]] bool watch_hit() const { return watch_hit_; }
 
   /// Run until the queue drains or `until` is reached (events at exactly
   /// `until` still execute). Returns the number of events executed.
   std::uint64_t run_until(Time until);
 
-  /// Run until the queue drains or stop() is called.
+  /// Run until the queue drains.
   std::uint64_t run() { return run_until(kTimeNever); }
-
-  /// Request that the run loop return after the current event.
-  void stop() { stopped_ = true; }
-
-  /// Reset to a pristine scheduler: drop all pending events and rewind
-  /// the clock and insertion sequence to zero, so independent experiment
-  /// runs sharing one scheduler can schedule from t=0 again. Only the
-  /// lifetime executed() count survives.
-  void clear();
 
  private:
   CalendarQueue queue_;
@@ -144,9 +118,6 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cur_seq_ = 0;
-  Time watch_at_ = kTimeNever;
-  bool watch_hit_ = false;
-  bool stopped_ = false;
   std::uint64_t external_events_ = 0;
   std::array<std::uint64_t, kKindSlots> executed_by_kind_{};
 };

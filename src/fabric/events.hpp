@@ -31,19 +31,6 @@ enum EventKind : std::uint32_t {
   return (static_cast<std::uint64_t>(vl) << 32) | static_cast<std::uint32_t>(bytes);
 }
 
-/// Deferred credit return (fast path): the byte count lives in the
-/// receiving port's pending_credit[vl] accumulator instead of the event
-/// payload, so several same-(port,vl,time) returns can share one event.
-inline constexpr std::uint64_t kCreditDeferredBit = 1ull << 63;
-
-[[nodiscard]] inline std::uint64_t pack_credit_deferred(ib::Vl vl) {
-  return kCreditDeferredBit | (static_cast<std::uint64_t>(vl) << 32);
-}
-
-[[nodiscard]] inline bool credit_is_deferred(std::uint64_t packed) {
-  return (packed & kCreditDeferredBit) != 0;
-}
-
 [[nodiscard]] inline ib::Vl credit_vl(std::uint64_t packed) {
   return static_cast<ib::Vl>((packed >> 32) & 0xffffu);
 }

@@ -63,7 +63,6 @@ Fabric::Fabric(const topo::Topology& topo, const topo::RoutingTables& routing,
                    "HCA must share a shard with its leaf switch");
     }
   }
-  coal_.resize(static_cast<std::size_t>(n_shards_));
 
   handlers_.resize(static_cast<std::size_t>(topo.device_count()), nullptr);
   switches_.reserve(topo.switches().size());
@@ -83,22 +82,20 @@ Fabric::Fabric(const topo::Topology& topo, const topo::RoutingTables& routing,
 
   for (auto& sw : switches_) {
     for (std::int32_t p = 0; p < sw->n_ports(); ++p) {
-      const topo::PortRef self{sw->device_id(), p};
-      const topo::PortRef peer = topo.peer(self);
+      const topo::PortRef peer = topo.peer(topo::PortRef{sw->device_id(), p});
       if (!peer.valid()) continue;
-      wire_output(sw->output(p), sw->bank(), p, self, peer, /*from_hca=*/false);
+      wire_output(sw->output(p), sw->bank(), p, peer, /*from_hca=*/false);
     }
   }
   for (auto& h : hcas_) {
-    const topo::PortRef self{h->device_id(), 0};
-    const topo::PortRef peer = topo.peer(self);
+    const topo::PortRef peer = topo.peer(topo::PortRef{h->device_id(), 0});
     IBSIM_ASSERT(peer.valid(), "HCA must be cabled");
-    wire_output(h->out_, h->bank(), 0, self, peer, /*from_hca=*/true);
+    wire_output(h->out_, h->bank(), 0, peer, /*from_hca=*/true);
   }
 }
 
 void Fabric::wire_output(OutputPort& op, PortVlBank& bank, std::int32_t port,
-                         topo::PortRef self, topo::PortRef peer, bool from_hca) {
+                         topo::PortRef peer, bool from_hca) {
   const std::int32_t n_vls = params_.n_vls;
   op.peer_dev = peer.device;
   op.peer_port = peer.port;
@@ -123,7 +120,6 @@ void Fabric::wire_output(OutputPort& op, PortVlBank& bank, std::int32_t port,
                                  victim_mask);
     }
   }
-  (void)self;
 }
 
 void Fabric::schedule_credit_return(core::Scheduler& sched, topo::DeviceId dev,
@@ -135,55 +131,14 @@ void Fabric::schedule_credit_return(core::Scheduler& sched, topo::DeviceId dev,
   const std::int32_t shard = shard_of(dev);
   if (!shard_of_.empty() && shard != shard_of(upstream.device)) {
     // Refund crosses the cut: park it in the upstream shard's mailbox.
-    // The upstream port's pending_credit accumulator belongs to the
-    // other shard, so no coalescing — the drain schedules a plain
-    // self-contained credit event.
     mail_[static_cast<std::size_t>(shard) * static_cast<std::size_t>(n_shards_) +
           static_cast<std::size_t>(shard_of(upstream.device))]
         .credits.push_back({at, upstream.device, upstream.port, vl, bytes});
     ++crossings_[static_cast<std::size_t>(shard)].credits;
     return;
   }
-  core::EventHandler* target = handlers_[static_cast<std::size_t>(upstream.device)];
-  CoalesceCandidate& coal = coal_[static_cast<std::size_t>(shard)];
-  if (params_.fast_path) {
-    OutputPort& op = output_port_at(upstream.device, upstream.port);
-    std::int32_t& pending = port_bank_at(upstream.device).pending_credit(upstream.port, vl);
-    if (coal.dev == upstream.device && coal.port == upstream.port && coal.vl == vl &&
-        coal.at == at && pending > 0 && !sched.watch_hit() && !op.idle(at)) {
-      // Same destination, same refund instant, deferred event still in
-      // flight, and nothing else scheduled at `at` since it was created:
-      // ride the existing event. Burn the slot this event would have
-      // taken so downstream sequence numbers are unchanged.
-      //
-      // The `!op.idle(at)` leg makes the merge invisible: the reference
-      // path refunds in two steps and arbitrates after each, so a grant
-      // (or FECN-threshold read) at `at` between the halves would see
-      // only the first refund. A port busy strictly past `at` cannot
-      // grant there in either mode (busy_until never moves backwards),
-      // so folding the second refund into the first changes nothing any
-      // event at `at` can observe.
-      pending += bytes;
-      (void)sched.reserve_seq();
-      return;
-    }
-    if (pending == 0) {
-      // Open a fresh deferred return and make it the merge candidate.
-      pending = bytes;
-      (void)sched.schedule_at(at, target, kEvCreditUpdate, pack_credit_deferred(vl),
-                              static_cast<std::uint64_t>(upstream.port));
-      coal = {upstream.device, upstream.port, vl, at};
-      sched.arm_watch(at);
-      return;
-    }
-    // A deferred event for this (port, vl) is outstanding at another
-    // timestamp: fall through to a plain self-contained event rather
-    // than risk double-draining the accumulator. Costs one event — the
-    // fast path's failure mode is always less coalescing, never a
-    // behavioural difference.
-  }
-  sched.schedule_at(at, target, kEvCreditUpdate, pack_credit(vl, bytes),
-                    static_cast<std::uint64_t>(upstream.port));
+  sched.schedule_at(at, handlers_[static_cast<std::size_t>(upstream.device)], kEvCreditUpdate,
+                    pack_credit(vl, bytes), static_cast<std::uint64_t>(upstream.port));
 }
 
 void Fabric::send_packet(core::Scheduler& sched, topo::DeviceId from_dev, core::Time arrive,
@@ -247,19 +202,12 @@ std::uint64_t Fabric::crossed_credits() const {
 
 OutputPort& Fabric::output_port_at(topo::DeviceId dev, std::int32_t port) {
   core::EventHandler* handler = handlers_[static_cast<std::size_t>(dev)];
+  IBSIM_ASSERT(handler != nullptr, "unknown device");
   if (topo_->kind(dev) == topo::DeviceKind::Switch) {
     return static_cast<SwitchDevice*>(handler)->output(port);
   }
   IBSIM_ASSERT(port == 0, "HCAs have a single port");
   return static_cast<Hca*>(handler)->out();
-}
-
-PortVlBank& Fabric::port_bank_at(topo::DeviceId dev) {
-  core::EventHandler* handler = handlers_[static_cast<std::size_t>(dev)];
-  if (topo_->kind(dev) == topo::DeviceKind::Switch) {
-    return static_cast<SwitchDevice*>(handler)->bank();
-  }
-  return static_cast<Hca*>(handler)->bank();
 }
 
 void Fabric::start(core::Scheduler& sched) {
@@ -317,19 +265,11 @@ void Fabric::refresh_gauges() {
 
 void Fabric::set_link_rate(topo::DeviceId dev, std::int32_t port, double gbps) {
   IBSIM_ASSERT(gbps > 0.0, "link rate must be positive");
-  core::EventHandler* handler = handlers_[static_cast<std::size_t>(dev)];
-  IBSIM_ASSERT(handler != nullptr, "unknown device");
-  OutputPort* op = nullptr;
-  if (topo_->kind(dev) == topo::DeviceKind::Switch) {
-    op = &static_cast<SwitchDevice*>(handler)->output(port);
-  } else {
-    IBSIM_ASSERT(port == 0, "HCAs have a single port");
-    op = &static_cast<Hca*>(handler)->out();
-  }
-  IBSIM_ASSERT(op->connected, "cannot scale an uncabled port");
+  OutputPort& op = output_port_at(dev, port);
+  IBSIM_ASSERT(op.connected, "cannot scale an uncabled port");
   // Keep the HCA injection bottleneck: pacing never exceeds the wire.
-  op->wire_gbps = gbps;
-  if (op->pace_gbps > gbps) op->pace_gbps = gbps;
+  op.wire_gbps = gbps;
+  if (op.pace_gbps > gbps) op.pace_gbps = gbps;
 }
 
 std::uint64_t Fabric::total_fecn_marked() const {

@@ -158,30 +158,11 @@ class Fabric {
          const FabricParams& params, const cc::CcManager& ccm, core::Scheduler* sched,
          const ShardLayout* layout);
 
-  void wire_output(OutputPort& op, PortVlBank& bank, std::int32_t port, topo::PortRef self,
-                   topo::PortRef peer, bool from_hca);
+  void wire_output(OutputPort& op, PortVlBank& bank, std::int32_t port, topo::PortRef peer,
+                   bool from_hca);
 
   /// The OutputPort object behind (dev, port), switch or HCA.
   [[nodiscard]] OutputPort& output_port_at(topo::DeviceId dev, std::int32_t port);
-  /// The PortVlBank owning (dev, *)'s per-VL state, switch or HCA.
-  [[nodiscard]] PortVlBank& port_bank_at(topo::DeviceId dev);
-
-  /// Credit-coalescing candidate (fast path): the most recently scheduled
-  /// deferred credit event. A later return for the same (dev, port, vl)
-  /// at the same timestamp merges into it — adding to the port's
-  /// pending_credit accumulator and burning the event's sequence slot —
-  /// provided no other event was scheduled at that timestamp in between
-  /// (Scheduler::watch_hit proves the merge window is unobservable).
-  struct CoalesceCandidate {
-    topo::DeviceId dev = topo::kInvalidDevice;
-    std::int32_t port = -1;
-    ib::Vl vl = 0;
-    core::Time at = core::kTimeNever;
-  };
-  /// One candidate per shard (a single entry when serial): coalescing is
-  /// a per-scheduler optimization, so each shard merges only into events
-  /// on its own queue.
-  std::vector<CoalesceCandidate> coal_;
 
   /// A boundary crossing parked until the next window barrier. Packets
   /// travel by value — the handle is released in the source arena and

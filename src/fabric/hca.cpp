@@ -38,22 +38,14 @@ void Hca::on_event(core::Scheduler& sched, const core::Event& ev) {
       }
       try_inject(sched);
       break;
-    case kEvCreditUpdate: {
-      const ib::Vl vl = credit_vl(ev.a);
-      if (credit_is_deferred(ev.a)) {
-        std::int32_t& pending = bank_.pending_credit(0, vl);
-        bank_.credit(0, vl).refund(pending);
-        pending = 0;
-      } else {
-        bank_.credit(0, vl).refund(credit_bytes(ev.a));
-      }
+    case kEvCreditUpdate:
+      bank_.credit(0, credit_vl(ev.a)).refund(credit_bytes(ev.a));
       // While the port is pacing out a packet, try_inject could not
       // grant; and an elided wakeup implies nothing is waiting to go
       // out (credits never create work), so skip the attempt.
       if (fast_path_ && !out_.idle(sched.now())) break;
       try_inject(sched);
       break;
-    }
     case kEvSinkFree:
       finish_drain(sched);
       break;

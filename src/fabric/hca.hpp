@@ -91,7 +91,7 @@ class Hca final : public core::EventHandler, public cc::CnpSender {
 
   // Injection side.
   OutputPort out_;
-  PortVlBank bank_;  ///< port 0 only: per-VL credits + coalesce accumulators
+  PortVlBank bank_;  ///< port 0 only: per-VL credits
   ib::PacketHandle staged_ = ib::kNullPacket;  ///< data packet waiting for credits
   ib::PacketQueue cnp_queue_;
   TrafficSource* source_ = nullptr;

@@ -25,9 +25,9 @@ enum class WakeState : std::uint8_t {
 /// Per-output-port state shared by switches and HCAs: the downstream
 /// link, timing and the wakeup bookkeeping. This is a flat value type —
 /// no heap blocks behind it. The per-(port, VL) hot arrays (credits,
-/// coalesced-credit accumulators, round-robin cursors, CC detectors)
-/// live in the owning device's PortVlBank so the grant loop reads them
-/// from stride-indexed contiguous storage (DESIGN.md §13).
+/// round-robin cursors, CC detectors) live in the owning device's
+/// PortVlBank so the grant loop reads them from stride-indexed
+/// contiguous storage (DESIGN.md §13).
 ///
 /// Behaviour (arbitration loops, event scheduling) lives in the owning
 /// device; this struct is deliberately state-plus-small-helpers so both

@@ -54,9 +54,8 @@ struct FabricParams {
   bool cut_through = true;
 
   /// Fabric event fast path: elide no-op link wakeups (reserving their
-  /// (at, seq) slots), skip arbitration on credit updates that arrive
-  /// while the port is serializing, and coalesce same-(port, vl, time)
-  /// credit returns into one event. Bit-identical simulation results on
+  /// (at, seq) slots) and skip arbitration on credit updates that arrive
+  /// while the port is serializing. Bit-identical simulation results on
   /// vs. off by construction (DESIGN.md §11); off runs the reference
   /// event-per-hop chain for A/B testing.
   bool fast_path = true;

@@ -11,13 +11,12 @@
 namespace ibsim::fabric {
 
 /// Structure-of-arrays bank of the per-(output port, VL) hot state of one
-/// device: flow-control credit balances, the coalesced-credit
-/// accumulators, the arbitration round-robin cursors and (on switches)
-/// the congestion detectors. Each quantity is a flat, stride-indexed
-/// contiguous array with slot = port * n_vls + vl, extending the PR 4
-/// LFT flattening to the fabric data plane: the grant loop reads credits
-/// and CC state from dense arrays instead of chasing one heap vector per
-/// OutputPort.
+/// device: flow-control credit balances, the arbitration round-robin
+/// cursors and (on switches) the congestion detectors. Each quantity is a
+/// flat, stride-indexed contiguous array with slot = port * n_vls + vl,
+/// extending the LFT flattening to the fabric data plane: the grant loop
+/// reads credits and CC state from dense arrays instead of chasing one
+/// heap vector per OutputPort.
 ///
 /// Behaviour stays in the owning device; the bank is plain state. HCAs
 /// initialise with `with_cc = false` — an HCA never detects congestion,
@@ -30,7 +29,6 @@ class PortVlBank {
     n_vls_ = n_vls;
     const std::size_t n = static_cast<std::size_t>(n_ports) * static_cast<std::size_t>(n_vls);
     credits_.assign(n, CreditTracker{});
-    pending_credit_.assign(n, 0);
     rr_next_.assign(n, 0);
     cc_.assign(with_cc ? n : 0, cc::SwitchPortCc{});
   }
@@ -40,11 +38,6 @@ class PortVlBank {
   }
   [[nodiscard]] const CreditTracker& credit(std::int32_t port, ib::Vl vl) const {
     return credits_[slot(port, vl)];
-  }
-
-  /// Bytes riding a deferred (coalesced) credit event towards this port VL.
-  [[nodiscard]] std::int32_t& pending_credit(std::int32_t port, ib::Vl vl) {
-    return pending_credit_[slot(port, vl)];
   }
 
   /// Next input port the round-robin arbitration considers for this port VL.
@@ -72,7 +65,6 @@ class PortVlBank {
   std::int32_t n_ports_ = 0;
   std::int32_t n_vls_ = 0;
   std::vector<CreditTracker> credits_;
-  std::vector<std::int32_t> pending_credit_;
   std::vector<std::int32_t> rr_next_;
   std::vector<cc::SwitchPortCc> cc_;
 };

@@ -54,16 +54,7 @@ void SwitchDevice::on_event(core::Scheduler& sched, const core::Event& ev) {
     }
     case kEvCreditUpdate: {
       const auto port = static_cast<std::int32_t>(ev.b);
-      const ib::Vl vl = credit_vl(ev.a);
-      if (credit_is_deferred(ev.a)) {
-        // Coalesced return: the byte total rode the port-side
-        // accumulator instead of the event payload.
-        std::int32_t& pending = bank_.pending_credit(port, vl);
-        bank_.credit(port, vl).refund(pending);
-        pending = 0;
-      } else {
-        bank_.credit(port, vl).refund(credit_bytes(ev.a));
-      }
+      bank_.credit(port, credit_vl(ev.a)).refund(credit_bytes(ev.a));
       // Busy-aware fast path: while the port is serializing, try_send
       // could not grant anyway (and a deferred wakeup can only be
       // outstanding for a workless port — see DESIGN.md §11), so skip

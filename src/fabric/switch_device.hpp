@@ -20,12 +20,11 @@ class Fabric;
 /// CNP lane ahead of the data lane and round-robin across inputs, and
 /// per-output-Port-VL congestion detection / FECN marking.
 ///
-/// Hot state is structure-of-arrays: credits / coalesced-credit
-/// accumulators / round-robin cursors / CC detectors live in a flat
-/// PortVlBank, and the VoQs are one switch-level array laid out so the
-/// inputs competing for an (output, VL) pair are contiguous — the
-/// arbitration scan walks one cache-line run instead of hopping across
-/// per-input buffer objects.
+/// Hot state is structure-of-arrays: credits / round-robin cursors / CC
+/// detectors live in a flat PortVlBank, and the VoQs are one
+/// switch-level array laid out so the inputs competing for an (output,
+/// VL) pair are contiguous — the arbitration scan walks one cache-line
+/// run instead of hopping across per-input buffer objects.
 class SwitchDevice final : public core::EventHandler {
  public:
   SwitchDevice(Fabric* fabric, topo::DeviceId dev, std::int32_t n_ports);
@@ -115,7 +114,7 @@ class SwitchDevice final : public core::EventHandler {
   ib::PacketArena* arena_ = nullptr;  ///< this device's shard-local arena
   const std::int8_t* lft_row_;      ///< this switch's row of the flat LFT, indexed by dst
   std::vector<OutputPort> outputs_;
-  PortVlBank bank_;                          ///< per (out, vl): credits/pending/rr/cc
+  PortVlBank bank_;                          ///< per (out, vl): credits/rr/cc
   std::vector<ib::PacketQueue> voqs_;        ///< [(out * n_vls + vl) * n_ports + in]
   std::vector<std::int64_t> vl_bytes_;       ///< per (in, vl) buffer occupancy
   std::vector<std::uint64_t> busy_mask_;

@@ -109,56 +109,6 @@ TEST(Scheduler, HandlersCanScheduleDuringExecution) {
   EXPECT_EQ(sched.now(), 40);
 }
 
-TEST(Scheduler, StopAbortsTheLoop) {
-  class Stopper : public EventHandler {
-   public:
-    void on_event(Scheduler& sched, const Event&) override {
-      ++fired;
-      sched.stop();
-    }
-    int fired = 0;
-  };
-  Scheduler sched;
-  Stopper stopper;
-  sched.schedule_at(1, &stopper, 0);
-  sched.schedule_at(2, &stopper, 0);
-  sched.run();
-  EXPECT_EQ(stopper.fired, 1);
-  EXPECT_EQ(sched.pending(), 1u);
-  // A subsequent run resumes.
-  sched.run();
-  EXPECT_EQ(stopper.fired, 2);
-}
-
-TEST(Scheduler, ClearDropsPendingEvents) {
-  Scheduler sched;
-  Recorder rec;
-  sched.schedule_at(10, &rec, 1);
-  sched.clear();
-  sched.run();
-  EXPECT_TRUE(rec.kinds.empty());
-}
-
-TEST(Scheduler, ClearResetsClockAndSequence) {
-  // Regression: clear() used to drop the queue but keep now_ and
-  // next_seq_, so a reused scheduler aborted on schedule_at(t) for any
-  // t below the previous run's end time.
-  Scheduler sched;
-  Recorder rec;
-  sched.schedule_at(500, &rec, 1);
-  sched.run();
-  ASSERT_EQ(sched.now(), 500);
-  sched.clear();
-  EXPECT_EQ(sched.now(), 0);
-  sched.schedule_at(10, &rec, 2);  // earlier than the previous now_
-  sched.run();
-  ASSERT_EQ(rec.kinds.size(), 2u);
-  EXPECT_EQ(rec.kinds[1], 2u);
-  EXPECT_EQ(sched.now(), 10);
-  // executed() is the lifetime count and survives clear().
-  EXPECT_EQ(sched.executed(), 2u);
-}
-
 TEST(Scheduler, NextEventTimePeeksWithoutExecuting) {
   Scheduler sched;
   Recorder rec;
@@ -171,35 +121,6 @@ TEST(Scheduler, NextEventTimePeeksWithoutExecuting) {
   EXPECT_EQ(sched.next_event_time(), 30);
   sched.run();
   EXPECT_EQ(sched.next_event_time(), kTimeNever);
-}
-
-TEST(Scheduler, ClearResetsExternalEventCount) {
-  // The shard engine counts mailbox-drain injections per scheduler; a
-  // reused per-shard scheduler must start its replay at zero or the
-  // sched.shard.absorbed gauge would leak across runs.
-  Scheduler sched;
-  EXPECT_EQ(sched.external_events(), 0u);
-  sched.note_external_event();
-  sched.note_external_event();
-  EXPECT_EQ(sched.external_events(), 2u);
-  sched.clear();
-  EXPECT_EQ(sched.external_events(), 0u);
-}
-
-TEST(Scheduler, ClearResetsStopFlag) {
-  class Stopper : public EventHandler {
-   public:
-    void on_event(Scheduler& sched, const Event&) override { sched.stop(); }
-  };
-  Scheduler sched;
-  Stopper stopper;
-  Recorder rec;
-  sched.schedule_at(1, &stopper, 0);
-  sched.run();
-  sched.clear();
-  sched.schedule_at(1, &rec, 1);
-  sched.run();
-  EXPECT_EQ(rec.kinds.size(), 1u);
 }
 
 TEST(Scheduler, ExecutedCountsAcrossRuns) {
@@ -330,8 +251,8 @@ TEST_P(SchedulerQueueKind, ChainedSchedulingAdvances) {
 }
 
 // ---------------------------------------------------------------------------
-// Reserved sequence slots, the collision watch and the per-kind counters
-// — the scheduler-side contract the fabric fast path is built on.
+// Reserved sequence slots and the per-kind counters — the
+// scheduler-side contract the fabric fast path is built on.
 // ---------------------------------------------------------------------------
 
 TEST_P(SchedulerQueueKind, ReservedSeqKeepsItsSlotInSameTimeTies) {
@@ -362,35 +283,6 @@ TEST_P(SchedulerQueueKind, ReserveSeqBurnsExactlyOneSequence) {
   EXPECT_EQ(s1, r0 + 1);
   sched.run();  // an unmaterialized reservation simply never fires
   EXPECT_EQ(sched.executed(), 2u);
-}
-
-TEST(Scheduler, WatchReportsOnlyTheArmedTimestamp) {
-  Scheduler sched;
-  Recorder rec;
-  sched.arm_watch(50);
-  EXPECT_FALSE(sched.watch_hit());
-  sched.schedule_at(49, &rec, 0);
-  sched.schedule_at(51, &rec, 0);
-  EXPECT_FALSE(sched.watch_hit());  // near misses do not trip it
-  sched.schedule_at(50, &rec, 0);
-  EXPECT_TRUE(sched.watch_hit());
-  // The hit latches until the watch is re-armed.
-  sched.schedule_at(60, &rec, 0);
-  EXPECT_TRUE(sched.watch_hit());
-  sched.arm_watch(60);
-  EXPECT_FALSE(sched.watch_hit());
-}
-
-TEST(Scheduler, WatchSeesReservedSlotMaterialization) {
-  // schedule_at_reserved must trip the watch like schedule_at: a
-  // deferred wakeup landing on the watched timestamp is an observer the
-  // credit coalescer has to assume can see the merge window.
-  Scheduler sched;
-  Recorder rec;
-  const std::uint64_t seq = sched.reserve_seq();
-  sched.arm_watch(70);
-  sched.schedule_at_reserved(70, seq, &rec, 0);
-  EXPECT_TRUE(sched.watch_hit());
 }
 
 TEST(Scheduler, CurrentSeqMatchesDispatchedEvent) {
@@ -433,18 +325,6 @@ TEST(Scheduler, PerKindCountersMapFabricKindsAndOverflow) {
   std::uint64_t total = 0;
   for (const std::uint64_t n : by_kind) total += n;
   EXPECT_EQ(total, sched.executed());
-}
-
-TEST(Scheduler, PerKindCountersSurviveClear) {
-  Scheduler sched;
-  Recorder rec;
-  sched.schedule_at(1, &rec, 3);
-  sched.run();
-  sched.clear();
-  sched.schedule_at(1, &rec, 3);
-  sched.run();
-  EXPECT_EQ(sched.executed_by_kind()[3], 2u);
-  EXPECT_EQ(sched.executed(), 2u);
 }
 
 TEST(SchedulerDeath, ReservedSeqMustComeFromReserveSeq) {

@@ -1,10 +1,10 @@
 // A/B equivalence of the fabric event fast path (FabricParams::fast_path):
-// lazy link wakeups, busy-aware credit handling and coalesced credit
-// returns must change *only* how many scheduler events run, never what
-// the simulation computes. Every behavioural SimResult field is required
-// to be bit-identical fast-on vs. fast-off across the paper's scenario
-// taxonomy, while events_executed must strictly drop (DESIGN.md §11
-// carries the determinism argument).
+// lazy link wakeups and busy-aware credit handling must change *only*
+// how many scheduler events run, never what the simulation computes.
+// Every behavioural SimResult field is required to be bit-identical
+// fast-on vs. fast-off across the paper's scenario taxonomy, while
+// events_executed must strictly drop (DESIGN.md §11 carries the
+// determinism argument).
 //
 // The *Cell cases also pin both sides' exact event census: executed
 // events, every events_by_kind slot, and delivered bytes and packets,
@@ -84,15 +84,15 @@ FastSlow expect_fast_path_equivalent(SimConfig config) {
   EXPECT_GT(fast.delivered_bytes, 0);  // the scenario actually ran
 
   EXPECT_LT(fast.events_executed, slow.events_executed);
-  // The savings come from exactly the kinds the fast path touches:
-  // packet arrivals and sink drains are real work and never elided.
+  // The savings come only from link wakeups: packet arrivals, sink
+  // drains and credit returns are real work and never elided.
   EXPECT_EQ(fast.events_by_kind[fabric::kEvPacketArrive],
             slow.events_by_kind[fabric::kEvPacketArrive]);
   EXPECT_EQ(fast.events_by_kind[fabric::kEvSinkFree],
             slow.events_by_kind[fabric::kEvSinkFree]);
   EXPECT_LE(fast.events_by_kind[fabric::kEvLinkFree],
             slow.events_by_kind[fabric::kEvLinkFree]);
-  EXPECT_LE(fast.events_by_kind[fabric::kEvCreditUpdate],
+  EXPECT_EQ(fast.events_by_kind[fabric::kEvCreditUpdate],
             slow.events_by_kind[fabric::kEvCreditUpdate]);
 
   // The per-kind breakdown accounts for every executed event, both ways.
@@ -255,7 +255,7 @@ TEST(FastPathEquivalence, WorkloadIncastCell) {
   config.workload.iterations = 8;
   const FastSlow counts = expect_fast_path_equivalent(config);
   EXPECT_EQ(counts.fast,
-            (Counts{299494, {0, 104025, 63824, 103241, 26548, 1062, 794}, 37666816, 18392}));
+            (Counts{299499, {0, 104025, 63824, 103246, 26548, 1062, 794}, 37666816, 18392}));
   EXPECT_EQ(counts.slow,
             (Counts{339596, {0, 104025, 103921, 103246, 26548, 1062, 794}, 37666816, 18392}));
 }
@@ -275,7 +275,7 @@ TEST(FastPathEquivalence, Scale10kCell) {
   config.scenario.n_hotspots = 8;
   const FastSlow counts = expect_fast_path_equivalent(config);
   EXPECT_EQ(counts.fast,
-            (Counts{1283041, {0, 508532, 401388, 311171, 47357, 10376, 4217}, 51656704, 25223}));
+            (Counts{1283064, {0, 508532, 401388, 311194, 47357, 10376, 4217}, 51656704, 25223}));
   EXPECT_EQ(counts.slow,
             (Counts{1390008, {0, 508532, 508332, 311194, 47357, 10376, 4217}, 51656704, 25223}));
 }

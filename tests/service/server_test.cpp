@@ -5,6 +5,8 @@
 #include "store/result_store.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <filesystem>
 #include <string>
@@ -18,16 +20,23 @@ namespace fs = std::filesystem;
 /// One protocol client: send a line, collect events until `final_event`.
 class Client {
  public:
+  /// A read that waits this long fails the roundtrip instead of hanging
+  /// until ctest's timeout.
+  static constexpr time_t kReadTimeoutSeconds = 60;
+
   explicit Client(const std::string& socket_path) {
     std::string error;
     ok_ = connect_unix(socket_path, &fd_, &error);
     EXPECT_TRUE(ok_) << error;
+    if (!ok_) return;
+    const timeval timeout{kReadTimeoutSeconds, 0};
+    EXPECT_EQ(::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
   }
 
   [[nodiscard]] bool ok() const { return ok_; }
 
   /// Returns every event received, last one being `final_event` (or
-  /// "error"). Fails the test on disconnect.
+  /// "error"). Fails the test on disconnect or a read timeout.
   std::vector<Json> roundtrip(const std::string& request, const std::string& final_event) {
     std::vector<Json> events;
     EXPECT_TRUE(write_line(fd_.get(), request));
@@ -41,7 +50,8 @@ class Client {
       if (kind == nullptr) return events;
       if (kind->as_string() == final_event || kind->as_string() == "error") return events;
     }
-    ADD_FAILURE() << "daemon closed the connection";
+    ADD_FAILURE() << "no '" << final_event << "' event: the daemon closed the connection or "
+                  << "sent nothing for " << kReadTimeoutSeconds << " s";
     return events;
   }
 

@@ -114,7 +114,7 @@ constexpr std::uint64_t kWindowAllocBudget = 16;
 
 TEST(AllocAudit, SteadyStateWindowHasNoPerPacketAllocations) {
   // Hotspot congestion with CC enabled: packet churn, FECN/BECN/CNP
-  // traffic, CC timers, credit coalescing — the full hot path.
+  // traffic, CC timers, credit returns — the full hot path.
   Simulation sim(hotspot_config(/*cc_on=*/true));
   const WindowCounts counts =
       run_and_count(sim, 10 * core::kMillisecond, 20 * core::kMillisecond);

@@ -191,10 +191,10 @@ TEST(ShardEquivalence, ShardScalingCountsPinned) {
     std::uint64_t packets;
   };
   const Row rows[] = {
-      {1, 694165, 39995392, 19529},
-      {2, 694225, 39995392, 19529},
-      {4, 694107, 39993344, 19528},
-      {8, 694082, 39993344, 19528},
+      {1, 694232, 39995392, 19529},
+      {2, 694289, 39995392, 19529},
+      {4, 694150, 39993344, 19528},
+      {8, 694117, 39993344, 19528},
   };
   SimConfig base = ft3_2k_config();
   base.sim_time = 200 * core::kMicrosecond;
