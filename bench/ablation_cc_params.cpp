@@ -12,6 +12,9 @@
 //   ./ablation_cc_params [--full] [--seed=S]
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/table.hpp"
 #include "sim/cli.hpp"
@@ -59,60 +62,82 @@ int main(int argc, char** argv) {
   std::printf("ablation fabric: %d nodes, %s scenario\n\n", base.node_count(),
               base.scenario.describe().c_str());
 
-  analysis::TextTable table(
-      {"Setting", "Hotspot Gbps", "Non-hotspot Gbps", "Total Gbps", "FECN marks"});
+  // Every row's config first, then one run_parallel call: the rows share
+  // the sweep pool, and the seven rows that are the Table I config itself
+  // run once.
+  std::vector<std::pair<std::size_t, std::string>> sections;  // (first row, title)
+  std::vector<std::string> labels;
+  std::vector<sim::SimConfig> configs;
+  const auto section = [&](const std::string& title) {
+    sections.emplace_back(configs.size(), title);
+  };
+  const auto row = [&](const std::string& label, const sim::SimConfig& config) {
+    labels.push_back(label);
+    configs.push_back(config);
+  };
 
   {
     sim::SimConfig off = base;
     off.cc.enabled = false;
-    table.add_section("Baseline");
-    table.add_row(result_row("CC off", sim::run_sim(off)));
-    table.add_row(result_row("CC on (Table I, weight 15)", sim::run_sim(base)));
+    section("Baseline");
+    row("CC off", off);
+    row("CC on (Table I, weight 15)", base);
   }
 
-  table.add_section("1. Threshold weight (0 = detection off, 15 = most aggressive)");
+  section("1. Threshold weight (0 = detection off, 15 = most aggressive)");
   for (const int weight : {0, 1, 4, 8, 12, 15}) {
     sim::SimConfig config = base;
     config.cc.threshold_weight = static_cast<std::uint8_t>(weight);
-    table.add_row(result_row("weight " + std::to_string(weight), sim::run_sim(config)));
+    row("weight " + std::to_string(weight), config);
   }
 
-  table.add_section("2. Marking_Rate (mean eligible packets between marks)");
+  section("2. Marking_Rate (mean eligible packets between marks)");
   for (const int rate : {0, 1, 3, 7, 15}) {
     sim::SimConfig config = base;
     config.cc.marking_rate = static_cast<std::uint16_t>(rate);
-    table.add_row(result_row("marking rate " + std::to_string(rate), sim::run_sim(config)));
+    row("marking rate " + std::to_string(rate), config);
   }
 
-  table.add_section("3. CC operation level (section II.2)");
+  section("3. CC operation level (section II.2)");
   {
     sim::SimConfig sl = base;
     sl.cc.sl_level = true;
-    table.add_row(result_row("QP level (paper)", sim::run_sim(base)));
-    table.add_row(result_row("SL level", sim::run_sim(sl)));
+    row("QP level (paper)", base);
+    row("SL level", sl);
   }
 
-  table.add_section("4. Victim_Mask on HCA-facing switch ports");
+  section("4. Victim_Mask on HCA-facing switch ports");
   {
     sim::SimConfig no_mask = base;
     no_mask.cc.victim_mask_hca_ports = false;
-    table.add_row(result_row("mask on (paper)", sim::run_sim(base)));
-    table.add_row(result_row("mask off", sim::run_sim(no_mask)));
+    row("mask on (paper)", base);
+    row("mask off", no_mask);
   }
 
-  table.add_section("5. CCT fill");
+  section("5. CCT fill");
   {
     sim::SimConfig linear = base;
     linear.cc.cct_fill = ib::CctFill::Linear;
-    table.add_row(result_row("geometric base 1.05 (default)", sim::run_sim(base)));
-    table.add_row(result_row("linear", sim::run_sim(linear)));
+    row("geometric base 1.05 (default)", base);
+    row("linear", linear);
   }
 
-  table.add_section("6. Switch buffering per port (threshold scales with it)");
+  section("6. Switch buffering per port (threshold scales with it)");
   for (const int kib : {8, 16, 32, 64, 128}) {
     sim::SimConfig config = base;
     config.fabric.switch_ibuf_data_bytes = kib * 1024;
-    table.add_row(result_row("ibuf " + std::to_string(kib) + " KiB", sim::run_sim(config)));
+    row("ibuf " + std::to_string(kib) + " KiB", config);
+  }
+
+  const std::vector<sim::SimResult> results = sim::run_parallel(configs);
+  analysis::TextTable table(
+      {"Setting", "Hotspot Gbps", "Non-hotspot Gbps", "Total Gbps", "FECN marks"});
+  std::size_t next_section = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (next_section < sections.size() && sections[next_section].first == i) {
+      table.add_section(sections[next_section++].second);
+    }
+    table.add_row(result_row(labels[i], results[i]));
   }
 
   table.print();

@@ -42,20 +42,16 @@ void CaCcAgent::on_becn(ib::NodeId flow_dst, core::Time now) {
   if (!params_.enabled) return;
   ++becn_received_;
   const ccalg::BecnOutcome out = algo_->on_becn(flow_index(flow_dst), now);
-  if (tel_.registry != nullptr) {
-    tel_.registry->inc(tel_.becn_delivered);
-    if (out.newly_throttled) tel_.registry->inc(tel_.throttle_events);
-    tel_.registry->set(tel_.ccti_gauge, out.severity);
-  }
-  if (tel_.tracer != nullptr && tel_.tracer->enabled(telemetry::Category::kCc)) {
-    tel_.tracer->record(telemetry::Category::kCc, telemetry::EventKind::kBecnDelivered, now,
-                        tel_.trace_dev, -1, -1, flow_dst);
+  if (out.newly_throttled) ++throttle_events_;
+  if (tracer_ != nullptr && tracer_->enabled(telemetry::Category::kCc)) {
+    tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kBecnDelivered, now,
+                    trace_dev_, -1, -1, flow_dst);
     if (out.newly_throttled) {
-      tel_.tracer->record(telemetry::Category::kCc, telemetry::EventKind::kThrottleStart, now,
-                          tel_.trace_dev, -1, -1, 0, flow_dst);
+      tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kThrottleStart, now,
+                      trace_dev_, -1, -1, 0, flow_dst);
     }
-    tel_.tracer->record(telemetry::Category::kCc, telemetry::EventKind::kCctiSet, now,
-                        tel_.trace_dev, -1, -1, out.severity, flow_dst);
+    tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kCctiSet, now,
+                    trace_dev_, -1, -1, out.severity, flow_dst);
   }
   arm_timer(now);
 }
@@ -79,21 +75,17 @@ void CaCcAgent::on_event(core::Scheduler& sched, const core::Event& ev) {
   IBSIM_ASSERT(ev.kind == kTimerEvent, "CA CC agent received an unknown event");
   ++timer_expirations_;
   timer_armed_ = false;
-  const bool trace_cc =
-      tel_.tracer != nullptr && tel_.tracer->enabled(telemetry::Category::kCc);
+  const bool trace_cc = tracer_ != nullptr && tracer_->enabled(telemetry::Category::kCc);
   ended_scratch_.clear();
   const std::int64_t severity =
       algo_->on_timer(sched.now(), trace_cc ? &ended_scratch_ : nullptr);
   if (trace_cc) {
     for (const std::int32_t dst : ended_scratch_) {
-      tel_.tracer->record(telemetry::Category::kCc, telemetry::EventKind::kThrottleEnd,
-                          sched.now(), tel_.trace_dev, -1, -1, 0, dst);
+      tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kThrottleEnd,
+                      sched.now(), trace_dev_, -1, -1, 0, dst);
     }
-  }
-  if (tel_.registry != nullptr) tel_.registry->set(tel_.ccti_gauge, severity);
-  if (trace_cc) {
-    tel_.tracer->record(telemetry::Category::kCc, telemetry::EventKind::kCctiSet, sched.now(),
-                        tel_.trace_dev, -1, -1, severity, -1);
+    tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kCctiSet, sched.now(),
+                    trace_dev_, -1, -1, severity, -1);
   }
   // Keep the chain running while any flow is still throttled.
   arm_timer(sched.now());

@@ -6,6 +6,18 @@
 
 namespace ibsim::fabric {
 
+namespace {
+/// The fabric-wide instruments in registration order: seven counters,
+/// then three gauges (the live size of every congestion tree, and the
+/// throttled flows and their CCTI mass).
+constexpr std::array<const char*, 10> kFabricInstruments = {
+    "fabric.fecn_marked",     "fabric.becn_sent",      "fabric.becn_delivered",
+    "fabric.throttle_events", "fabric.credit_stalls",  "fabric.credit_stall_ps",
+    "fabric.arb_grants",      "fabric.queued_bytes",   "fabric.active_cc_flows",
+    "fabric.ccti_sum"};
+constexpr std::size_t kFirstGauge = 7;
+}  // namespace
+
 std::string FabricParams::validate() const {
   if (wire_gbps <= 0 || hca_inject_gbps <= 0 || hca_drain_gbps <= 0)
     return "link rates must be positive";
@@ -221,46 +233,75 @@ void Fabric::start(core::Scheduler& sched) {
   for (auto& h : hcas_) h->start(sched_for(h->device_id()));
 }
 
-void Fabric::attach_telemetry(telemetry::Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  FabricCounters counters;  // all handles invalid when detaching
-  if (telemetry_ != nullptr) {
-    telemetry::CounterRegistry& reg = telemetry_->registry();
-    counters.fecn_marked = reg.counter("fabric.fecn_marked");
-    counters.becn_sent = reg.counter("fabric.becn_sent");
-    counters.becn_delivered = reg.counter("fabric.becn_delivered");
-    counters.throttle_events = reg.counter("fabric.throttle_events");
-    counters.credit_stalls = reg.counter("fabric.credit_stalls");
-    counters.credit_stall_ps = reg.counter("fabric.credit_stall_ps");
-    counters.arb_grants = reg.counter("fabric.arb_grants");
-    g_queued_bytes_ = reg.gauge("fabric.queued_bytes");
-    g_active_cc_flows_ = reg.gauge("fabric.active_cc_flows");
-    g_ccti_sum_ = reg.gauge("fabric.ccti_sum");
-    ccm_->publish(reg);
-    // Track names exist only for the trace exporter; counter-only runs
-    // skip the O(devices) string construction entirely.
-    if (telemetry_->tracer() != nullptr) {
-      for (const auto& sw : switches_) {
-        telemetry_->set_track_name(sw->device_id(),
-                                   "switch " + std::to_string(sw->device_id()));
-      }
-      for (const auto& h : hcas_) {
-        telemetry_->set_track_name(h->device_id(), "hca " + std::to_string(h->device_id()) +
-                                                       " (node " + std::to_string(h->node()) +
-                                                       ")");
-      }
-    }
+void Fabric::attach_telemetry(telemetry::Telemetry& telemetry) {
+  IBSIM_ASSERT(telemetry_ == nullptr, "telemetry is attached once");
+  telemetry_ = &telemetry;
+  telemetry::CounterRegistry& reg = telemetry.registry();
+  static_assert(std::tuple_size_v<decltype(instruments_)> == kFabricInstruments.size());
+  for (std::size_t i = 0; i < kFabricInstruments.size(); ++i) {
+    instruments_[i] = i < kFirstGauge ? reg.counter(kFabricInstruments[i])
+                                      : reg.gauge(kFabricInstruments[i]);
   }
-  for (auto& sw : switches_) sw->attach_telemetry(telemetry_, counters);
-  for (auto& h : hcas_) h->attach_telemetry(telemetry_, counters);
+  ccm_->publish(reg);
+  if (telemetry.detailed()) {
+    for (auto& sw : switches_) sw->register_detailed(reg);
+    for (auto& h : hcas_) h->register_detailed(reg);
+  }
+  telemetry::Tracer* tracer = telemetry.tracer();
+  // Track names exist only for the trace exporter; counter-only runs
+  // skip the O(devices) string construction entirely.
+  if (tracer == nullptr) return;
+  for (auto& sw : switches_) {
+    telemetry.set_track_name(sw->device_id(), "switch " + std::to_string(sw->device_id()));
+    sw->set_tracer(tracer);
+  }
+  for (auto& h : hcas_) {
+    telemetry.set_track_name(h->device_id(), "hca " + std::to_string(h->device_id()) +
+                                                 " (node " + std::to_string(h->node()) + ")");
+    h->set_tracer(tracer);
+  }
 }
 
 void Fabric::refresh_gauges() {
   if (telemetry_ == nullptr) return;
   telemetry::CounterRegistry& reg = telemetry_->registry();
-  reg.set(g_queued_bytes_, total_queued_bytes());
-  reg.set(g_active_cc_flows_, total_active_cc_flows());
-  reg.set(g_ccti_sum_, total_ccti_sum());
+  std::int64_t marked = 0;
+  std::int64_t stalls = 0;
+  std::int64_t stall_ps = 0;
+  std::int64_t grants = 0;
+  std::int64_t queued = 0;
+  for (const auto& sw : switches_) {
+    marked += static_cast<std::int64_t>(sw->fecn_marked());
+    grants += static_cast<std::int64_t>(sw->arb_grants());
+    const PortVlBank& bank = sw->bank();
+    for (std::int32_t p = 0; p < sw->n_ports(); ++p) {
+      const OutputPort& op = sw->output(p);
+      stalls += static_cast<std::int64_t>(op.stalls);
+      stall_ps += op.stall_ps;
+      if (!op.connected) continue;
+      for (std::int32_t v = 0; v < bank.n_vls(); ++v) {
+        queued += bank.cc(p, static_cast<ib::Vl>(v)).queued_bytes();
+      }
+    }
+    sw->publish(reg);
+  }
+  std::int64_t cnps = 0;
+  std::int64_t becns = 0;
+  std::int64_t throttles = 0;
+  std::int64_t active_flows = 0;
+  std::int64_t ccti_sum = 0;
+  for (const auto& h : hcas_) {
+    const cc::CaCcAgent& agent = h->cc_agent();
+    cnps += static_cast<std::int64_t>(agent.cnps_sent());
+    becns += static_cast<std::int64_t>(agent.becn_received());
+    throttles += static_cast<std::int64_t>(agent.throttle_events());
+    active_flows += agent.active_flow_count();
+    ccti_sum += agent.ccti_sum();
+    h->publish(reg);
+  }
+  const std::array<std::int64_t, kFabricInstruments.size()> values = {
+      marked, cnps, becns, throttles, stalls, stall_ps, grants, queued, active_flows, ccti_sum};
+  for (std::size_t i = 0; i < values.size(); ++i) reg.set(instruments_[i], values[i]);
 }
 
 void Fabric::set_link_rate(topo::DeviceId dev, std::int32_t port, double gbps) {
@@ -275,32 +316,6 @@ void Fabric::set_link_rate(topo::DeviceId dev, std::int32_t port, double gbps) {
 std::uint64_t Fabric::total_fecn_marked() const {
   std::uint64_t total = 0;
   for (const auto& sw : switches_) total += sw->fecn_marked();
-  return total;
-}
-
-std::int64_t Fabric::total_queued_bytes() const {
-  std::int64_t total = 0;
-  for (const auto& sw : switches_) {
-    const PortVlBank& bank = sw->bank();
-    for (std::int32_t p = 0; p < sw->n_ports(); ++p) {
-      if (!sw->output(p).connected) continue;
-      for (std::int32_t v = 0; v < bank.n_vls(); ++v) {
-        total += bank.cc(p, static_cast<ib::Vl>(v)).queued_bytes();
-      }
-    }
-  }
-  return total;
-}
-
-std::int32_t Fabric::total_active_cc_flows() const {
-  std::int32_t total = 0;
-  for (const auto& h : hcas_) total += h->cc_agent().active_flow_count();
-  return total;
-}
-
-std::int64_t Fabric::total_ccti_sum() const {
-  std::int64_t total = 0;
-  for (const auto& h : hcas_) total += h->cc_agent().ccti_sum();
   return total;
 }
 

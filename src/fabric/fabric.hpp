@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -9,7 +10,6 @@
 #include "fabric/hca.hpp"
 #include "fabric/params.hpp"
 #include "fabric/switch_device.hpp"
-#include "fabric/telemetry_hooks.hpp"
 #include "ib/packet.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topo/routing.hpp"
@@ -121,15 +121,18 @@ class Fabric {
   /// Start all HCA injectors.
   void start(core::Scheduler& sched);
 
-  /// Install observability fabric-wide: register the aggregate counters
-  /// and gauges, name the trace tracks, publish the CC configuration, and
-  /// hand every device its probes. Pass null to detach. Observation-only —
+  /// Install observability fabric-wide, once: register the fabric-wide
+  /// counters and gauges, publish the CC configuration, in detailed mode
+  /// register every device's instruments, name the trace tracks, and hand
+  /// every device the tracer. Devices never write the registry; they
+  /// keep their own counts, which refresh_gauges reads. Observation-only —
   /// attaching telemetry never changes simulated behaviour.
-  void attach_telemetry(telemetry::Telemetry* telemetry);
+  void attach_telemetry(telemetry::Telemetry& telemetry);
 
-  /// Recompute the fabric-wide gauges (queued bytes, active CC flows,
-  /// CCTI mass) from current device state. Called by the CSV sampler and
-  /// before counter snapshots; a no-op when telemetry is not attached.
+  /// Set every registered instrument from current device state: the
+  /// fabric-wide counts and gauges, and in detailed mode each device's.
+  /// Called by the CSV sampler and before counter snapshots, never from a
+  /// device handler; a no-op when telemetry is not attached.
   void refresh_gauges();
 
   /// Override the data rate of one direction of a link (the output port
@@ -140,12 +143,6 @@ class Fabric {
 
   // Fabric-wide statistics.
   [[nodiscard]] std::uint64_t total_fecn_marked() const;
-  /// Bytes currently waiting in switch VoQs fabric-wide: the live size of
-  /// every congestion tree (telemetry).
-  [[nodiscard]] std::int64_t total_queued_bytes() const;
-  /// Throttled flows and their CCTI mass across every HCA (telemetry).
-  [[nodiscard]] std::int32_t total_active_cc_flows() const;
-  [[nodiscard]] std::int64_t total_ccti_sum() const;
   [[nodiscard]] std::uint64_t total_becn_received() const;
   [[nodiscard]] std::uint64_t total_cnps_sent() const;
   [[nodiscard]] std::int64_t total_injected_bytes() const;
@@ -211,9 +208,8 @@ class Fabric {
 
   // Telemetry (null when not attached).
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::CounterRegistry::Handle g_queued_bytes_;
-  telemetry::CounterRegistry::Handle g_active_cc_flows_;
-  telemetry::CounterRegistry::Handle g_ccti_sum_;
+  /// The fabric-wide instruments, in fabric.cpp's kFabricInstruments order.
+  std::array<telemetry::CounterRegistry::Handle, 10> instruments_{};
 };
 
 }  // namespace ibsim::fabric

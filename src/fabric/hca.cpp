@@ -71,39 +71,25 @@ void Hca::send_cnp(ib::NodeId to, ib::NodeId flow_dst) {
   cnp.flow_dst = flow_dst;
   const ib::Vl cnp_vl = cnp.vl;
   cnp_queue_.push_back(arena, h);
-  if (registry_ != nullptr) {
-    registry_->inc(counters_.becn_sent);
-    if (tracer_ != nullptr) {
-      tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kBecnSent,
-                      home_sched_->now(), dev_, /*port=*/0, cnp_vl,
-                      /*value=*/to, /*aux=*/flow_dst);
-    }
+  if (tracer_ != nullptr) {
+    tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kBecnSent,
+                    home_sched_->now(), dev_, /*port=*/0, cnp_vl,
+                    /*value=*/to, /*aux=*/flow_dst);
   }
   try_inject(*home_sched_);
 }
 
-void Hca::attach_telemetry(telemetry::Telemetry* telemetry, const FabricCounters& counters) {
-  counters_ = counters;
-  if (telemetry == nullptr) {
-    tracer_ = nullptr;
-    registry_ = nullptr;
-    cc_agent_->set_telemetry({});
-    return;
-  }
-  tracer_ = telemetry->tracer();
-  registry_ = &telemetry->registry();
+void Hca::set_tracer(telemetry::Tracer* tracer) {
+  tracer_ = tracer;
+  cc_agent_->set_tracer(tracer, dev_);
+}
 
-  cc::CaCcTelemetry hooks;
-  hooks.tracer = tracer_;
-  hooks.registry = registry_;
-  hooks.trace_dev = dev_;
-  hooks.throttle_events = counters_.throttle_events;
-  hooks.becn_delivered = counters_.becn_delivered;
-  if (telemetry->detailed()) {
-    hooks.ccti_gauge =
-        registry_->gauge("hca." + std::to_string(node_) + ".cc.ccti");
-  }
-  cc_agent_->set_telemetry(hooks);
+void Hca::register_detailed(telemetry::CounterRegistry& registry) {
+  ccti_gauge_ = registry.gauge("hca." + std::to_string(node_) + ".cc.ccti");
+}
+
+void Hca::publish(telemetry::CounterRegistry& registry) const {
+  registry.set(ccti_gauge_, cc_agent_->ccti_sum());
 }
 
 void Hca::try_inject(core::Scheduler& sched) {

@@ -10,9 +10,9 @@
 #include "fabric/interfaces.hpp"
 #include "fabric/output_port.hpp"
 #include "fabric/port_state.hpp"
-#include "fabric/telemetry_hooks.hpp"
 #include "ib/packet.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/counters.hpp"
+#include "telemetry/trace.hpp"
 #include "topo/topology.hpp"
 
 namespace ibsim::fabric {
@@ -64,10 +64,14 @@ class Hca final : public core::EventHandler, public cc::CnpSender {
   [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_packets_; }
   [[nodiscard]] std::uint64_t fecn_delivered() const { return fecn_delivered_; }
 
-  /// Install observability (called by Fabric::attach_telemetry): the CNP
-  /// probe on this HCA plus the CC agent's hooks. Detailed mode adds a
-  /// per-node CCTI gauge.
-  void attach_telemetry(telemetry::Telemetry* telemetry, const FabricCounters& counters);
+  /// The trace stream of this HCA and its CC agent (null = tracing off);
+  /// set by Fabric::attach_telemetry.
+  void set_tracer(telemetry::Tracer* tracer);
+
+  /// Detailed telemetry: register this node's CCTI gauge, and set it from
+  /// the CC agent (publish is a no-op until registered).
+  void register_detailed(telemetry::CounterRegistry& registry);
+  void publish(telemetry::CounterRegistry& registry) const;
 
  private:
   friend class Fabric;  // wiring
@@ -106,10 +110,9 @@ class Hca final : public core::EventHandler, public cc::CnpSender {
 
   std::unique_ptr<cc::CaCcAgent> cc_agent_;
 
-  // Telemetry (null when not attached).
+  // Telemetry (null / invalid when not attached).
   telemetry::Tracer* tracer_ = nullptr;
-  telemetry::CounterRegistry* registry_ = nullptr;
-  FabricCounters counters_;
+  telemetry::CounterRegistry::Handle ccti_gauge_;
 
   std::int64_t injected_bytes_ = 0;
   std::uint64_t injected_packets_ = 0;

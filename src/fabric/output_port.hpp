@@ -4,7 +4,6 @@
 
 #include "core/time.hpp"
 #include "ib/types.hpp"
-#include "telemetry/counters.hpp"
 #include "topo/topology.hpp"
 
 namespace ibsim::fabric {
@@ -55,11 +54,13 @@ struct OutputPort {
   WakeState wake = WakeState::kNone;
   std::uint64_t wake_seq = 0;
 
-  // Telemetry: when this port last went work-but-no-credits (kTimeNever =
-  // not stalled), and the per-port stall-time counter (valid only in
-  // detailed mode). Only maintained while telemetry is attached.
+  // Credit stalls, kept whether or not telemetry is attached: when this
+  // port last went work-but-no-credits (kTimeNever = not stalled), and
+  // how many stalls have ended and how long they lasted in total.
+  // Telemetry reads them (DESIGN.md §7).
   core::Time stall_since = core::kTimeNever;
-  telemetry::CounterRegistry::Handle h_stall_ps;
+  std::uint64_t stalls = 0;
+  core::Time stall_ps = 0;
 
   [[nodiscard]] core::Time ser_time(std::int32_t bytes) const {
     return core::transmit_time(bytes, wire_gbps);

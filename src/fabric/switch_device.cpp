@@ -80,10 +80,10 @@ void SwitchDevice::receive(core::Scheduler& sched, ib::PacketHandle h, std::int3
   voqs_[voq_slot(in_port, out, vl)].push_back(arena, h);
   vl_bytes_[static_cast<std::size_t>(in_port) * static_cast<std::size_t>(fabric_vls_) +
             static_cast<std::size_t>(vl)] += bytes;
-  const bool entered = bank_.cc(out, vl).on_enqueue(bytes);
-  if (telemetry_ != nullptr) {
-    note_buffer_level(in_port, vl);
-    note_enqueue(out, vl, entered, sched.now());
+  cc::SwitchPortCc& det = bank_.cc(out, vl);
+  if (det.on_enqueue(bytes) && tracer_ != nullptr) {
+    tracer_->record(telemetry::Category::kQueues, telemetry::EventKind::kCongestionEnter,
+                    sched.now(), dev_, out, vl, det.queued_bytes());
   }
   try_send(sched, out);
 }
@@ -144,7 +144,7 @@ bool SwitchDevice::grant_one(core::Scheduler& sched, std::int32_t out_port) {
   };
   const ib::Vl vl = ready(cnp_vl_) ? cnp_vl_ : ib::kDataVl;
   if (!ready(vl)) {
-    if (telemetry_ != nullptr) note_blocked(out_port, now);
+    note_blocked(out_port, now);
     return false;
   }
   CreditTracker& credits = bank_.credit(out_port, vl);
@@ -172,7 +172,7 @@ bool SwitchDevice::grant_one(core::Scheduler& sched, std::int32_t out_port) {
       }
     }
     if (chosen < 0) {
-      if (telemetry_ != nullptr) note_blocked(out_port, now);
+      note_blocked(out_port, now);
       return false;  // the next credit update retries
     }
   }
@@ -202,10 +202,9 @@ bool SwitchDevice::grant_one(core::Scheduler& sched, std::int32_t out_port) {
 
   const core::Time pace = op.pace_time(pkt.bytes);
   op.busy_until = now + pace;
-  if (telemetry_ != nullptr) {
-    note_buffer_level(chosen, vl);
-    note_grant(now, out_port, vl, pkt, exited, fecn_now, pace);
-  }
+  ++grants_;
+  if (op.stall_since != core::kTimeNever) end_stall(out_port, now);
+  if (tracer_ != nullptr) trace_grant(now, out_port, vl, pkt, exited, fecn_now, pace);
 
   // Hoisted before the send: when the link to op.peer_dev is a shard
   // cut, send_packet copies the packet into a mailbox and releases `h`,
@@ -236,86 +235,58 @@ std::uint64_t SwitchDevice::fecn_marked() const {
   return total;
 }
 
-void SwitchDevice::attach_telemetry(telemetry::Telemetry* telemetry,
-                                    const FabricCounters& counters) {
-  telemetry_ = telemetry;
-  tracer_ = telemetry != nullptr ? telemetry->tracer() : nullptr;
-  counters_ = counters;
-  out_queue_gauges_.clear();
-  in_buf_gauges_.clear();
-  probe_registry_ = nullptr;
-  if (telemetry_ == nullptr || !telemetry_->detailed()) {
-    for (auto& op : outputs_) op.h_stall_ps = {};
-    return;
-  }
-  // Detailed mode: per-Port-VL instruments, registered in a fixed order so
-  // CSV columns and summary rows are stable across runs. The instrument
-  // names are built from a per-switch prefix so attaching detailed
-  // telemetry to a 648-node fabric allocates one prefix per switch, not
-  // one temporary chain per instrument.
-  telemetry::CounterRegistry& reg = telemetry_->registry();
-  probe_registry_ = &reg;
-  out_queue_gauges_.reserve(static_cast<std::size_t>(n_ports_) *
-                            static_cast<std::size_t>(fabric_vls_));
-  in_buf_gauges_.reserve(static_cast<std::size_t>(n_ports_) *
-                         static_cast<std::size_t>(fabric_vls_));
+void SwitchDevice::register_detailed(telemetry::CounterRegistry& registry) {
+  // The names are built from a per-switch prefix so registering a
+  // 648-node fabric allocates one prefix per switch, not one temporary
+  // chain per instrument.
+  detail_.clear();
+  detail_.reserve(static_cast<std::size_t>(n_ports_) *
+                  static_cast<std::size_t>(2 * fabric_vls_ + 1));
   const std::string sw_prefix = "switch." + std::to_string(dev_);
   for (std::int32_t p = 0; p < n_ports_; ++p) {
     const std::string port_str = std::to_string(p);
     const std::string base = sw_prefix + ".port." + port_str;
     for (std::int32_t v = 0; v < fabric_vls_; ++v) {
-      out_queue_gauges_.push_back(
-          reg.gauge(base + ".vl" + std::to_string(v) + ".queue_bytes"));
+      detail_.push_back(registry.gauge(base + ".vl" + std::to_string(v) + ".queue_bytes"));
     }
-    outputs_[static_cast<std::size_t>(p)].h_stall_ps = reg.counter(base + ".credit_stall_ps");
+    detail_.push_back(registry.counter(base + ".credit_stall_ps"));
     const std::string in_base = sw_prefix + ".in." + port_str + ".vl";
     for (std::int32_t v = 0; v < fabric_vls_; ++v) {
-      in_buf_gauges_.push_back(reg.gauge(in_base + std::to_string(v) + ".buf_bytes"));
+      detail_.push_back(registry.gauge(in_base + std::to_string(v) + ".buf_bytes"));
     }
   }
 }
 
-void SwitchDevice::note_buffer_level(std::int32_t in, ib::Vl vl) {
-  if (probe_registry_ == nullptr) return;
-  const std::size_t slot = static_cast<std::size_t>(in) *
-                               static_cast<std::size_t>(fabric_vls_) +
-                           static_cast<std::size_t>(vl);
-  probe_registry_->set(in_buf_gauges_[slot], vl_bytes_[slot]);
-}
-
-void SwitchDevice::note_enqueue(std::int32_t out, ib::Vl vl, bool entered_congestion,
-                                core::Time now) {
-  const cc::SwitchPortCc& det = bank_.cc(out, vl);
-  if (!out_queue_gauges_.empty()) {
-    telemetry_->registry().set(out_queue_gauge(out, vl), det.queued_bytes());
-  }
-  if (entered_congestion && tracer_ != nullptr) {
-    tracer_->record(telemetry::Category::kQueues, telemetry::EventKind::kCongestionEnter, now,
-                    dev_, out, vl, det.queued_bytes());
+void SwitchDevice::publish(telemetry::CounterRegistry& registry) const {
+  if (detail_.empty()) return;
+  auto h = detail_.begin();
+  for (std::int32_t p = 0; p < n_ports_; ++p) {
+    for (std::int32_t v = 0; v < fabric_vls_; ++v) {
+      registry.set(*h++, bank_.cc(p, static_cast<ib::Vl>(v)).queued_bytes());
+    }
+    registry.set(*h++, output(p).stall_ps);
+    for (std::int32_t v = 0; v < fabric_vls_; ++v) {
+      registry.set(*h++, input_vl_bytes(p, static_cast<ib::Vl>(v)));
+    }
   }
 }
 
-void SwitchDevice::note_grant(core::Time now, std::int32_t out, ib::Vl vl,
-                              const ib::Packet& pkt, bool exited_congestion, bool fecn_set,
-                              core::Time pace) {
-  telemetry::CounterRegistry& reg = telemetry_->registry();
+void SwitchDevice::end_stall(std::int32_t out, core::Time now) {
   auto& op = outputs_[static_cast<std::size_t>(out)];
-  const cc::SwitchPortCc& det = bank_.cc(out, vl);
-  reg.inc(counters_.arb_grants);
-  if (fecn_set) reg.inc(counters_.fecn_marked);
-  if (!out_queue_gauges_.empty()) reg.set(out_queue_gauge(out, vl), det.queued_bytes());
-  if (op.stall_since != core::kTimeNever) {
-    const core::Time stalled = now - op.stall_since;
-    op.stall_since = core::kTimeNever;
-    reg.inc(counters_.credit_stalls);
-    reg.add(counters_.credit_stall_ps, stalled);
-    reg.add(op.h_stall_ps, stalled);  // no-op unless detailed mode resolved it
-    if (tracer_ != nullptr) {
-      tracer_->record(telemetry::Category::kCredits, telemetry::EventKind::kCreditStallEnd, now,
-                      dev_, out, /*vl=*/-1, stalled);
-    }
+  const core::Time stalled = now - op.stall_since;
+  op.stall_since = core::kTimeNever;
+  ++op.stalls;
+  op.stall_ps += stalled;
+  if (tracer_ != nullptr) {
+    tracer_->record(telemetry::Category::kCredits, telemetry::EventKind::kCreditStallEnd, now,
+                    dev_, out, /*vl=*/-1, stalled);
   }
-  if (tracer_ == nullptr) return;
+}
+
+void SwitchDevice::trace_grant(core::Time now, std::int32_t out, ib::Vl vl,
+                               const ib::Packet& pkt, bool exited_congestion, bool fecn_set,
+                               core::Time pace) {
+  const cc::SwitchPortCc& det = bank_.cc(out, vl);
   if (fecn_set) {
     tracer_->record(telemetry::Category::kCc, telemetry::EventKind::kFecnMark, now, dev_, out,
                     vl, det.queued_bytes());

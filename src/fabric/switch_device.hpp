@@ -6,9 +6,9 @@
 #include "core/event.hpp"
 #include "fabric/output_port.hpp"
 #include "fabric/port_state.hpp"
-#include "fabric/telemetry_hooks.hpp"
 #include "ib/packet.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/counters.hpp"
+#include "telemetry/trace.hpp"
 #include "topo/routing.hpp"
 
 namespace ibsim::fabric {
@@ -50,12 +50,20 @@ class SwitchDevice final : public core::EventHandler {
 
   /// Total FECN marks applied by this switch (all ports/VLs).
   [[nodiscard]] std::uint64_t fecn_marked() const;
+  /// Packets granted onto an output link (all ports/VLs).
+  [[nodiscard]] std::uint64_t arb_grants() const { return grants_; }
 
-  /// Install observability (called by Fabric::attach_telemetry). Shared
-  /// aggregate handles come pre-resolved; in detailed mode the switch
-  /// additionally registers per-Port-VL queue gauges, per-input-VL buffer
-  /// gauges, and per-port stall-time counters.
-  void attach_telemetry(telemetry::Telemetry* telemetry, const FabricCounters& counters);
+  /// The trace stream (null = tracing off); set by Fabric::attach_telemetry.
+  void set_tracer(telemetry::Tracer* tracer) { tracer_ = tracer; }
+
+  /// Detailed telemetry: register this switch's per-port instruments —
+  /// per output Port VL the queued bytes, per output port the credit
+  /// stall time, per input VL the buffered bytes — in a fixed order, so
+  /// CSV columns and summary rows are stable across runs.
+  void register_detailed(telemetry::CounterRegistry& registry);
+  /// Set the instruments register_detailed resolved from current state
+  /// (a no-op when none were registered).
+  void publish(telemetry::CounterRegistry& registry) const;
 
  private:
   friend class Fabric;  // wiring
@@ -75,18 +83,11 @@ class SwitchDevice final : public core::EventHandler {
            static_cast<std::size_t>(in);
   }
 
-  // --- telemetry (cold paths; every caller is behind a null check) ------
-  void note_enqueue(std::int32_t out, ib::Vl vl, bool entered_congestion, core::Time now);
-  void note_grant(core::Time now, std::int32_t out, ib::Vl vl, const ib::Packet& pkt,
-                  bool exited_congestion, bool fecn_set, core::Time pace);
+  // --- credit stalls (always kept) and tracing (behind a null check) ----
   void note_blocked(std::int32_t out, core::Time now);
-  void note_buffer_level(std::int32_t in, ib::Vl vl);
-  [[nodiscard]] telemetry::CounterRegistry::Handle out_queue_gauge(std::int32_t out,
-                                                                   ib::Vl vl) const {
-    return out_queue_gauges_[static_cast<std::size_t>(out) *
-                                 static_cast<std::size_t>(fabric_vls_) +
-                             static_cast<std::size_t>(vl)];
-  }
+  void end_stall(std::int32_t out, core::Time now);
+  void trace_grant(core::Time now, std::int32_t out, ib::Vl vl, const ib::Packet& pkt,
+                   bool exited_congestion, bool fecn_set, core::Time pace);
 
   /// Bitmask of input ports with a nonempty VoQ towards (out, vl): bit i
   /// set means input i has queued work. Lets arbitration find the next
@@ -120,13 +121,14 @@ class SwitchDevice final : public core::EventHandler {
   std::vector<std::uint64_t> busy_mask_;
   std::vector<std::uint16_t> active_vls_;  ///< per output port
 
+  std::uint64_t grants_ = 0;
+
   // Telemetry (null / empty when not attached).
-  telemetry::Telemetry* telemetry_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
-  FabricCounters counters_;
-  std::vector<telemetry::CounterRegistry::Handle> out_queue_gauges_;  ///< per (out, vl)
-  telemetry::CounterRegistry* probe_registry_ = nullptr;  ///< detailed mode only
-  std::vector<telemetry::CounterRegistry::Handle> in_buf_gauges_;     ///< per (in, vl)
+  /// Detailed-mode instruments in registration order: per port, its
+  /// output VLs' queue gauges, its stall-time counter, its input VLs'
+  /// buffer gauges.
+  std::vector<telemetry::CounterRegistry::Handle> detail_;
 };
 
 }  // namespace ibsim::fabric

@@ -191,7 +191,6 @@ constexpr ConfigField kFields[] = {
     {"warmup_us", IBSIM_MEMBER(warmup), kMicroseconds, kKeyed,
      "warm-up excluded from the metrics"},
     {"seed", IBSIM_MEMBER(seed), kPlain, kKeyed, "random seed"},
-    {"latency_hist_max_us", IBSIM_MEMBER(latency_hist_max_us), kPlain, kKeyOnly, ""},
     {"shards", IBSIM_MEMBER(shards), kCount, kKeyed,
      "fabric shards (1 = serial engine)"},
     {"threads", IBSIM_MEMBER(threads), kCount, kUnkeyed,

@@ -7,32 +7,20 @@ namespace ibsim::sim {
 MetricsCollector::MetricsCollector(std::int32_t n_nodes, double latency_hist_max_us)
     : rx_(static_cast<std::size_t>(n_nodes)),
       hotspot_(static_cast<std::size_t>(n_nodes), false),
-      latency_us_(0.0, latency_hist_max_us, 256),
-      latency_hotspot_us_(0.0, latency_hist_max_us, 256),
-      latency_non_hotspot_us_(0.0, latency_hist_max_us, 256) {}
+      latency_us_(0.0, latency_hist_max_us, 256) {}
 
 void MetricsCollector::on_delivered(ib::NodeId node, const ib::Packet& pkt, core::Time now) {
   rx_[static_cast<std::size_t>(node)].add(pkt.bytes);
   delivered_bytes_ += pkt.bytes;
-  ++delivered_packets_;
-  const double latency = static_cast<double>(now - pkt.injected_at) /
-                         static_cast<double>(core::kMicrosecond);
-  latency_us_.add(latency);
-  if (hotspot_[static_cast<std::size_t>(node)]) {
-    latency_hotspot_us_.add(latency);
-  } else {
-    latency_non_hotspot_us_.add(latency);
-  }
+  latency_us_.add(static_cast<double>(now - pkt.injected_at) /
+                  static_cast<double>(core::kMicrosecond));
 }
 
 void MetricsCollector::reset_window(core::Time now) {
   window_start_ = now;
   for (auto& counter : rx_) counter.reset(now);
   latency_us_.reset();
-  latency_hotspot_us_.reset();
-  latency_non_hotspot_us_.reset();
   delivered_bytes_ = 0;
-  delivered_packets_ = 0;
 }
 
 void MetricsCollector::absorb(const MetricsCollector& other) {
@@ -43,10 +31,7 @@ void MetricsCollector::absorb(const MetricsCollector& other) {
   // so the per-node sums never double count.
   for (std::size_t i = 0; i < rx_.size(); ++i) rx_[i].absorb(other.rx_[i]);
   latency_us_.absorb(other.latency_us_);
-  latency_hotspot_us_.absorb(other.latency_hotspot_us_);
-  latency_non_hotspot_us_.absorb(other.latency_non_hotspot_us_);
   delivered_bytes_ += other.delivered_bytes_;
-  delivered_packets_ += other.delivered_packets_;
 }
 
 void MetricsCollector::set_hotspots(const std::vector<ib::NodeId>& hotspots) {

@@ -46,27 +46,15 @@ class MetricsCollector final : public fabric::SinkObserver {
   [[nodiscard]] double jain_non_hotspot(core::Time now) const;
 
   [[nodiscard]] const core::Histogram& latency_us() const { return latency_us_; }
-  /// Latency split by receiving-node class: packets arriving at hotspots
-  /// vs at everyone else (victim latency is the HOL-blocking signature).
-  [[nodiscard]] const core::Histogram& hotspot_latency_us() const {
-    return latency_hotspot_us_;
-  }
-  [[nodiscard]] const core::Histogram& non_hotspot_latency_us() const {
-    return latency_non_hotspot_us_;
-  }
   [[nodiscard]] std::int64_t delivered_bytes() const { return delivered_bytes_; }
-  [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_packets_; }
 
  private:
   std::vector<core::RateCounter> rx_;
   std::vector<bool> hotspot_;
   std::int32_t n_hotspots_ = 0;
   core::Histogram latency_us_;
-  core::Histogram latency_hotspot_us_;
-  core::Histogram latency_non_hotspot_us_;
   core::Time window_start_ = 0;
   std::int64_t delivered_bytes_ = 0;
-  std::uint64_t delivered_packets_ = 0;
 };
 
 }  // namespace ibsim::sim

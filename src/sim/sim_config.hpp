@@ -22,8 +22,9 @@ enum class TopologyKind : std::uint8_t {
 };
 
 /// Observability knobs of one run. Everything is off by default — the
-/// simulation then never constructs a Telemetry instance and the fabric
-/// hot paths pay a single null check.
+/// simulation then never constructs a Telemetry instance. Devices keep
+/// their counts either way; telemetry only reads them, and the tracer is
+/// the one per-event probe (a null check when off, DESIGN.md §7).
 struct TelemetrySettings {
   /// Force the counter registry on even without a trace/CSV destination
   /// (fills SimResult::counters).
@@ -113,9 +114,6 @@ struct SimConfig {
   core::Time warmup = 500 * core::kMicrosecond;
 
   std::uint64_t seed = 1;
-
-  /// Latency histogram range (microseconds).
-  double latency_hist_max_us = 20000.0;
 
   /// Intra-run parallelism: number of fabric shards the simulation is
   /// spatially partitioned into (DESIGN.md §15). 1 (the default) runs

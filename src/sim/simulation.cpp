@@ -14,6 +14,10 @@
 namespace ibsim::sim {
 
 namespace {
+/// Upper bound of the latency histogram behind SimResult's median and
+/// p99 (microseconds).
+constexpr double kLatencyHistMaxUs = 20000.0;
+
 workload::WorkloadSpec resolve_workload_spec(const SimConfig& config) {
   const WorkloadSettings& w = config.workload;
   if (w.name == "file") {
@@ -68,8 +72,7 @@ Simulation::Simulation(const SimConfig& config,
   }
 
   core::Rng rng(config.seed);
-  metrics_ =
-      std::make_unique<MetricsCollector>(topo.node_count(), config.latency_hist_max_us);
+  metrics_ = std::make_unique<MetricsCollector>(topo.node_count(), kLatencyHistMaxUs);
   if (config_.workload.active()) {
     // The workload engine replaces the synthetic scenario: rank nodes
     // inject dependency-gated application messages, the remaining nodes
@@ -91,8 +94,8 @@ Simulation::Simulation(const SimConfig& config,
       // One collector per shard so delivery callbacks never touch shared
       // state from worker threads; merged into metrics_ after the run.
       for (std::int32_t s = 0; s < shard_plan_.n_shards; ++s) {
-        shard_metrics_.push_back(std::make_unique<MetricsCollector>(
-            topo.node_count(), config.latency_hist_max_us));
+        shard_metrics_.push_back(
+            std::make_unique<MetricsCollector>(topo.node_count(), kLatencyHistMaxUs));
         shard_metrics_.back()->set_hotspots(hotspot_nodes_);
       }
       for (ib::NodeId node = 0; node < topo.node_count(); ++node) {
@@ -119,10 +122,10 @@ Simulation::Simulation(const SimConfig& config,
       IBSIM_ASSERT(ok, "unknown trace category (expected cc, credits, queues, arb)");
     }
     telemetry_ = std::make_unique<telemetry::Telemetry>(options);
-    // Sharded runs keep fabric probes detached (per-event counter hits
-    // from worker threads would race); prepare_shards already forced the
-    // serial engine for every telemetry mode beyond end-of-run counters.
-    if (engine_ == nullptr) fabric_->attach_telemetry(telemetry_.get());
+    // Devices keep their own counts and only refresh_gauges, on this
+    // thread, writes the registry, so sharded fabrics attach too; the
+    // tracer, the one per-event probe, stays serial-only (prepare_shards).
+    fabric_->attach_telemetry(*telemetry_);
     telemetry::CounterRegistry& reg = telemetry_->registry();
     g_rcv_hotspot_ = reg.gauge("sink.rcv_bytes.hotspot");
     g_rcv_non_hotspot_ = reg.gauge("sink.rcv_bytes.non_hotspot");
@@ -142,8 +145,8 @@ const fabric::Fabric::ShardLayout* Simulation::prepare_shards(const topo::Topolo
   const char* fallback = nullptr;
   if (config_.workload.active()) {
     fallback = "workload runs need the serial engine";
-  } else if (config_.telemetry.writes_files() || config_.telemetry.detailed) {
-    fallback = "trace/CSV/detailed telemetry needs the serial engine";
+  } else if (config_.telemetry.writes_files()) {
+    fallback = "trace/CSV telemetry needs the serial engine";
   } else if (shard_lookahead(config_.fabric) < 1) {
     fallback = "fabric delays leave no cross-shard lookahead";
   }

@@ -141,9 +141,9 @@ class Simulation {
   /// possible, and compatible with the run's features.
   const fabric::Fabric::ShardLayout* prepare_shards(const topo::Topology& topo);
 
-  /// Recompute the pull gauges: the fabric's, plus the bytes delivered
-  /// to each node class. Runs before every CSV row and every snapshot
-  /// while telemetry is active.
+  /// Set every instrument from current state: the fabric's, plus the
+  /// bytes delivered to each node class. Runs before every CSV row and
+  /// every snapshot while telemetry is active.
   void refresh_gauges() const;
 
   SimConfig config_;

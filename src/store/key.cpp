@@ -17,7 +17,7 @@ std::string canonical_config_text(const sim::SimConfig& config) {
 std::string run_key_with_version(const sim::SimConfig& config,
                                  const std::string& code_version) {
   Sha256 h;
-  static const char* header = "ibsim-run-key-v3\n";
+  static const char* header = "ibsim-run-key-v4\n";
   h.update(header, std::char_traits<char>::length(header));
   const std::string text = canonical_config_text(config);
   h.update(text.data(), text.size());

@@ -17,14 +17,6 @@ CounterRegistry::Handle CounterRegistry::resolve(const std::string& name, Kind k
   return Handle{idx};
 }
 
-std::int64_t CounterRegistry::prefix_sum(const std::string& prefix) const {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i].compare(0, prefix.size(), prefix) == 0) total += values_[i];
-  }
-  return total;
-}
-
 std::vector<std::pair<std::string, std::int64_t>> CounterRegistry::snapshot() const {
   std::vector<std::pair<std::string, std::int64_t>> out;
   out.reserve(names_.size());

@@ -14,18 +14,19 @@ namespace ibsim::telemetry {
 /// (`switch.3.port.12.vl0.queue_bytes`, `fabric.fecn_marked`, ...).
 ///
 /// Names are resolved once, at instrumentation time, into dense integer
-/// handles; every hot-path update is then a single indexed add/store with
-/// no hashing or string work. Counters accumulate (monotone deltas),
-/// gauges hold the latest sampled value — the distinction only matters to
-/// exporters (a CSV consumer differentiates counters, plots gauges).
+/// handles. Nothing on the simulation's hot path writes here: devices keep
+/// their own counts, and the fabric sets every instrument from them
+/// before each CSV row and snapshot (DESIGN.md §7). Counters hold monotone
+/// counts, gauges the latest sampled value — the distinction only matters
+/// to exporters (a CSV consumer differentiates counters, plots gauges).
 class CounterRegistry {
  public:
   enum class Kind : std::uint8_t { Counter, Gauge };
 
   /// Pre-resolved instrument reference. Invalid handles (default
-  /// constructed) are legal and make updates no-ops, so probe points can
-  /// hold handles unconditionally and skip registration when a detail
-  /// level is disabled.
+  /// constructed) are legal and make updates no-ops, so a device can
+  /// publish unconditionally and skip registration when a detail level is
+  /// disabled.
   struct Handle {
     std::int32_t idx = -1;
     [[nodiscard]] bool valid() const { return idx >= 0; }
@@ -36,11 +37,7 @@ class CounterRegistry {
   Handle counter(const std::string& name) { return resolve(name, Kind::Counter); }
   Handle gauge(const std::string& name) { return resolve(name, Kind::Gauge); }
 
-  // --- hot path ------------------------------------------------------------
-  void add(Handle h, std::int64_t delta) {
-    if (h.idx >= 0) values_[static_cast<std::size_t>(h.idx)] += delta;
-  }
-  void inc(Handle h) { add(h, 1); }
+  /// Store an instrument's current value (a no-op for an invalid handle).
   void set(Handle h, std::int64_t value) {
     if (h.idx >= 0) values_[static_cast<std::size_t>(h.idx)] = value;
   }
@@ -54,17 +51,6 @@ class CounterRegistry {
     IBSIM_ASSERT(h.valid(), "reading an invalid counter handle");
     return values_[static_cast<std::size_t>(h.idx)];
   }
-
-  /// Find an instrument by exact name; returns an invalid handle if the
-  /// name was never registered.
-  [[nodiscard]] Handle find(const std::string& name) const {
-    const auto it = index_.find(name);
-    return it == index_.end() ? Handle{} : Handle{it->second};
-  }
-
-  /// Sum of every instrument whose name starts with `prefix` — the
-  /// hierarchical roll-up (`switch.3.` sums all of switch 3's counters).
-  [[nodiscard]] std::int64_t prefix_sum(const std::string& prefix) const;
 
   /// (name, value) pairs in registration order — registration order is
   /// deterministic, so snapshots of identical runs compare equal.

@@ -19,8 +19,8 @@ namespace ibsim::telemetry {
 /// instrument the fabric first, then install.
 ///
 /// The optional `refresh` hook runs before each row and lets the owner
-/// update pull-style gauges (e.g. fabric-wide queued bytes, bytes per
-/// node class) that no hot path pushes.
+/// set the instruments from current state (device counts, fabric-wide
+/// queued bytes, bytes per node class): nothing else writes them.
 class CounterSampler final : public core::EventHandler {
  public:
   CounterSampler(const CounterRegistry* registry, core::Time interval, std::string csv_path,

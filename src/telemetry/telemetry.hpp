@@ -22,10 +22,11 @@ struct TelemetryOptions {
 };
 
 /// The observability root one simulation owns: a counter registry, an
-/// optional tracer, and the track names exporters render. Devices receive
-/// a `Telemetry*` at attach time (null = telemetry off, the only cost a
-/// probe then pays is that null check) and pre-resolve their counter
-/// handles once.
+/// optional tracer, and the track names exporters render. Devices never
+/// see it: they keep their own counts, which the fabric reads into the
+/// registry before each CSV row and snapshot, and receive only the tracer
+/// (null = tracing off, the only cost a probe then pays is that null
+/// check).
 class Telemetry {
  public:
   explicit Telemetry(const TelemetryOptions& options) : options_(options) {

@@ -92,21 +92,7 @@ TEST(Metrics, CountsPacketsAndBytes) {
   m.on_delivered(1, pkt, 10);
   m.on_delivered(1, pkt, 20);
   EXPECT_EQ(m.delivered_bytes(), 4096);
-  EXPECT_EQ(m.delivered_packets(), 2u);
-}
-
-TEST(Metrics, PerClassLatencySplit) {
-  MetricsCollector m(3, 1000.0);
-  m.set_hotspots({0});
-  m.reset_window(0);
-  ib::Packet pkt = make_packet(2, 100, 0);
-  m.on_delivered(0, pkt, 5 * core::kMicrosecond);   // hotspot
-  m.on_delivered(1, pkt, 50 * core::kMicrosecond);  // victim
-  m.on_delivered(1, pkt, 60 * core::kMicrosecond);
-  EXPECT_EQ(m.hotspot_latency_us().total(), 1u);
-  EXPECT_EQ(m.non_hotspot_latency_us().total(), 2u);
-  EXPECT_EQ(m.latency_us().total(), 3u);
-  EXPECT_GT(m.non_hotspot_latency_us().quantile(0.5), m.hotspot_latency_us().quantile(0.5));
+  EXPECT_EQ(m.latency_us().total(), 2u);
 }
 
 TEST(Metrics, SetHotspotsReplacesPrevious) {

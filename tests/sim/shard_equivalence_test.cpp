@@ -214,8 +214,8 @@ TEST(ShardEquivalence, ShardScalingCountsPinned) {
 }
 
 TEST(ShardEquivalence, ShardGaugesPublishedWithCountersTelemetry) {
-  // End-of-run counters are the one telemetry mode the sharded engine
-  // keeps; the run must label itself with the sched.shard.* gauges.
+  // A sharded run with counters must label itself with the
+  // sched.shard.* gauges.
   SimConfig config = small_clos_config();
   config.shards = 4;
   config.threads = 2;
@@ -231,6 +231,81 @@ TEST(ShardEquivalence, ShardGaugesPublishedWithCountersTelemetry) {
   EXPECT_GT(r.counters.at("sched.shard.absorbed_events"), 0);
   ASSERT_TRUE(r.counters.count("sched.shard.cut_links"));
   EXPECT_GT(r.counters.at("sched.shard.cut_links"), 0);
+}
+
+TEST(ShardEquivalence, FabricCountersReadDeviceCountsUnderShards) {
+  // Devices keep their own counts and the registry only reads them, so a
+  // sharded run reports the CC feedback loop's counters — equal to the
+  // SimResult's independently summed statistics — and the CC regime.
+  SimConfig config = small_clos_config();
+  config.shards = 4;
+  config.threads = 2;
+  config.telemetry.counters = true;
+  Simulation sim(config);
+  EXPECT_EQ(sim.effective_shards(), 4);
+  const SimResult r = sim.run();
+  ASSERT_TRUE(r.counters.count("fabric.fecn_marked"));
+  EXPECT_GT(r.fecn_marked, 0u);
+  EXPECT_EQ(r.counters.at("fabric.fecn_marked"), static_cast<std::int64_t>(r.fecn_marked));
+  ASSERT_TRUE(r.counters.count("fabric.becn_sent"));
+  EXPECT_EQ(r.counters.at("fabric.becn_sent"), static_cast<std::int64_t>(r.cnps_sent));
+  ASSERT_TRUE(r.counters.count("fabric.becn_delivered"));
+  EXPECT_EQ(r.counters.at("fabric.becn_delivered"),
+            static_cast<std::int64_t>(r.becn_received));
+  ASSERT_TRUE(r.counters.count("fabric.arb_grants"));
+  EXPECT_GT(r.counters.at("fabric.arb_grants"), 0);
+  ASSERT_TRUE(r.counters.count("cc.enabled"));
+  EXPECT_EQ(r.counters.at("cc.enabled"), 1);
+  ASSERT_TRUE(r.counters.count("cc.ccti_increase"));
+  EXPECT_EQ(r.counters.at("cc.ccti_increase"), config.cc.ccti_increase);
+}
+
+TEST(ShardEquivalence, DetailedTelemetryRunsShardedAndObservesOnly) {
+  // Detailed mode adds per-port and per-node instruments, all read from
+  // device state at the end of the run, so it needs no serial fallback:
+  // it runs on 4 shards, simulates exactly what the counters-only run
+  // does, and reports the same counters whatever the worker count.
+  SimConfig config = small_clos_config();
+  config.shards = 4;
+  config.telemetry.counters = true;
+  config.threads = 4;
+  const SimResult plain = run_sim(config);
+
+  config.telemetry.detailed = true;
+  SimResult by_threads[2];
+  const std::int32_t threads[2] = {1, 4};
+  for (int t = 0; t < 2; ++t) {
+    config.threads = threads[t];
+    Simulation sim(config);
+    EXPECT_EQ(sim.effective_shards(), 4);
+    by_threads[t] = sim.run();
+  }
+  const SimResult& detailed = by_threads[1];
+  EXPECT_EQ(by_threads[0].counters, detailed.counters);
+
+  SimResult plain_bare = plain;
+  SimResult detailed_bare = detailed;
+  plain_bare.counters.clear();
+  detailed_bare.counters.clear();
+  expect_identical(plain_bare, detailed_bare, "shards=4, counters vs detailed");
+  for (const auto& [name, value] : plain.counters) {
+    ASSERT_TRUE(detailed.counters.count(name)) << name;
+    EXPECT_EQ(detailed.counters.at(name), value) << name;
+  }
+
+  // The per-device instruments add up to the fabric-wide ones.
+  std::int64_t stall_ps = 0;
+  std::int64_t ccti = 0;
+  bool saw_queue_gauge = false;
+  for (const auto& [name, value] : detailed.counters) {
+    if (name.starts_with("switch.") && name.ends_with(".credit_stall_ps")) stall_ps += value;
+    if (name.starts_with("hca.") && name.ends_with(".cc.ccti")) ccti += value;
+    if (name.ends_with(".queue_bytes")) saw_queue_gauge = true;
+  }
+  EXPECT_TRUE(saw_queue_gauge);
+  EXPECT_GT(detailed.counters.at("fabric.credit_stalls"), 0);
+  EXPECT_EQ(stall_ps, detailed.counters.at("fabric.credit_stall_ps"));
+  EXPECT_EQ(ccti, detailed.counters.at("fabric.ccti_sum"));
 }
 
 TEST(ShardEquivalence, WorkloadRunsFallBackToSerial) {

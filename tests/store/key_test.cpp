@@ -136,7 +136,6 @@ TEST(RunKey, NamedFieldsChangeTheKey) {
       {"workload.bytes", [](sim::SimConfig* c) { c->workload.message_bytes += 1; }},
       {"sim_time", [](sim::SimConfig* c) { c->sim_time += 1; }},
       {"warmup", [](sim::SimConfig* c) { c->warmup += 1; }},
-      {"latency_hist_max_us", [](sim::SimConfig* c) { c->latency_hist_max_us += 1; }},
       // A proven bit-identical variant is still keyed conservatively: a
       // conservative key costs a miss, never a wrong result.
       {"fabric.fast_path", [](sim::SimConfig* c) { c->fabric.fast_path = !c->fabric.fast_path; }},
@@ -168,9 +167,8 @@ TEST(RunKey, CanonicalLinesPinStoredValues) {
   EXPECT_NE(text.find("\np=0x1.999999999999ap-4\n"), std::string::npos) << text;
   EXPECT_NE(text.find("\nlifetime_ps=9223372036854775807\n"), std::string::npos) << text;
   EXPECT_NE(text.find("\nlink_delay_ps=30000\n"), std::string::npos) << text;
-  // The one "_us" line left holds a double that really is microseconds.
-  EXPECT_EQ(text.find("_us="), text.rfind("_us=")) << text;
-  EXPECT_NE(text.find("\nlatency_hist_max_us="), std::string::npos) << text;
+  // Every time is stored in picoseconds: no line is in microseconds.
+  EXPECT_EQ(text.find("_us="), std::string::npos) << text;
 }
 
 TEST(RunKey, CodeVersionChangesTheKey) {

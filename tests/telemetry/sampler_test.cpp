@@ -42,7 +42,7 @@ TEST_F(SamplerTest, WritesHeaderAndOneRowPerInterval) {
   CounterSampler sampler(&reg, 10 * core::kMicrosecond, path_);
   ASSERT_TRUE(sampler.install(sched));
 
-  reg.add(c, 5);
+  reg.set(c, 5);
   reg.set(g, 123);
   sched.run_until(35 * core::kMicrosecond);  // samples at 10, 20, 30 us
   sampler.close();
