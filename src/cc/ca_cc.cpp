@@ -6,7 +6,7 @@
 namespace ibsim::cc {
 
 namespace {
-constexpr std::uint32_t kTimerEvent = 0xCC01;
+constexpr std::uint16_t kTimerEvent = 0xCC01;
 }
 
 CaCcAgent::CaCcAgent(ib::NodeId self, std::int32_t n_nodes, const ib::CcParams& params,

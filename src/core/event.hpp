@@ -26,23 +26,23 @@ class EventHandler {
 };
 
 /// A scheduled occurrence. `kind` and the payload words `a`/`b` are
-/// interpreted by the target handler (typically `a` carries a pointer or
-/// an index, `b` a secondary index).
+/// interpreted by the target handler: `a` carries 32 bits (a packet
+/// handle or packed credit info), `b` a 16-bit index such as a port.
 ///
 /// Layout is hot: events are copied during every queue operation, so the
-/// ordering key (at, seq) leads the struct and the whole record must stay
-/// within a single cache line (see the static_assert below).
+/// ordering key (at, seq) leads the struct and the whole record is
+/// 32 bytes, two to a cache line (see the static_assert below).
 struct Event {
   Time at = 0;             ///< absolute firing time
   std::uint64_t seq = 0;   ///< insertion sequence; breaks time ties deterministically
   EventHandler* target = nullptr;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  std::uint32_t kind = 0;
+  std::uint32_t a = 0;
+  std::uint16_t b = 0;
+  std::uint16_t kind = 0;
 };
 
-static_assert(sizeof(Event) <= 64,
-              "Event must fit one cache line; queue ops copy events constantly");
+static_assert(sizeof(Event) == 32,
+              "Event must stay 32 bytes; queue ops copy events constantly");
 
 /// Strict weak ordering for the scheduler's queues: earlier time first,
 /// then earlier insertion. Guarantees replay determinism independent of

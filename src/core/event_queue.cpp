@@ -1,11 +1,20 @@
 #include "core/event_queue.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <utility>
 
 #include "core/assert.hpp"
 
 namespace ibsim::core {
+
+namespace {
+// An inlined comparator for the sorts and the merge: passing
+// event_before as a function pointer costs an out-of-line call per
+// comparison.
+constexpr auto kBefore = [](const Event& lhs, const Event& rhs) { return event_before(lhs, rhs); };
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // HeapQueue
@@ -110,9 +119,8 @@ void CalendarQueue::release(Bucket& bucket) {
 }
 
 void CalendarQueue::advance() {
-  IBSIM_ASSERT(pos_ == current_.size() && overlay_.empty(),
+  IBSIM_ASSERT(pos_ == len_ && overlay_.empty(),
                "advancing a wheel bucket that still holds events");
-  current_.clear();
   pos_ = 0;
   if (wheel_count_ == 0) {
     // Every bucket is empty: jump straight to the bucket of the earliest
@@ -124,33 +132,110 @@ void CalendarQueue::advance() {
     base_ += kBucketWidth;
     cur_ = (cur_ + 1) & (kNumBuckets - 1);
   }
-  // Copy the bucket out and hand its chunks straight back: the next
-  // pushes reuse the lines this copy just read.
   Bucket& bucket = buckets_[cur_];
+  const Time end = base_ + kBucketWidth;
+  len_ = 0;
+  // Most steps of a quiet wheel land on an empty bucket: leave at once.
+  if (bucket.size == 0 && (far_.empty() || far_.top().at >= end)) return;
+  // Far events that now fall inside this bucket join it before it is
+  // ordered, which is what makes their ordering indistinguishable from
+  // events scheduled into the wheel directly. They leave the heap in
+  // (at, seq) order.
+  late_.clear();
+  while (!far_.empty() && far_.top().at < end) {
+    late_.push_back(far_.top());
+    far_.pop();
+  }
+  wheel_count_ += late_.size();
+  len_ = bucket.size + late_.size();
+  if (current_.size() < len_) {
+    current_.resize(len_);
+    scratch_.resize(len_);
+  }
+  if (len_ > kDenseBucket) {
+    radix_order(bucket);
+  } else {
+    Event* out = current_.data();
+    std::size_t left = bucket.size;
+    for (const Chunk* chunk = bucket.head; chunk != nullptr; chunk = chunk->next) {
+      const std::size_t n = std::min(left, kChunkEvents);
+      out = std::copy_n(chunk->events.begin(), n, out);
+      left -= n;
+    }
+    std::copy(late_.begin(), late_.end(), out);
+    std::sort(current_.begin(), current_.begin() + static_cast<std::ptrdiff_t>(len_), kBefore);
+  }
+  // Hand the chunks straight back: the next pushes reuse the lines the
+  // copy just read.
+  release(bucket);
+}
+
+void CalendarQueue::radix_order(const Bucket& bucket) {
+  // Copy the chunks head to tail, i.e. in push order. A fresh push takes
+  // a seq newer than every queued event, so the copied events are in
+  // ascending seq except those older than one copied before them:
+  // reserved seqs pushed late. Those join the migrated far events in
+  // late_; the rest go to current_ and are counted per key byte.
+  const Time base = base_;
+  std::array<std::uint32_t, 256> low{};
+  std::array<std::uint32_t, 256> high{};
+  Event* src = current_.data();
+  Event* dst = scratch_.data();
+  std::size_t n = 0;
+  std::uint64_t newest = 0;
   std::size_t left = bucket.size;
   for (const Chunk* chunk = bucket.head; chunk != nullptr; chunk = chunk->next) {
-    const std::size_t n = std::min(left, kChunkEvents);
-    current_.insert(current_.end(), chunk->events.begin(),
-                    chunk->events.begin() + static_cast<std::ptrdiff_t>(n));
-    left -= n;
+    const std::size_t k = std::min(left, kChunkEvents);
+    for (std::size_t i = 0; i < k; ++i) {
+      const Event& ev = chunk->events[i];
+      // The first event always goes to current_; seqs are unique, so no
+      // later one ties.
+      if (ev.seq >= newest) {
+        newest = ev.seq;
+        // Every event of this bucket has base <= at < base + 2^16.
+        const auto key = static_cast<std::uint32_t>(ev.at - base);
+        ++low[key & 0xffu];
+        ++high[key >> 8];
+        src[n++] = ev;
+      } else {
+        late_.push_back(ev);
+      }
+    }
+    left -= k;
   }
-  release(bucket);
-  // Far events that now fall inside this bucket join it before the sort,
-  // which is what makes their ordering indistinguishable from events
-  // scheduled into the wheel directly.
-  const Time end = base_ + kBucketWidth;
-  while (!far_.empty() && far_.top().at < end) {
-    current_.push_back(far_.top());
-    far_.pop();
-    ++wheel_count_;
+  // Two stable counting passes, low key byte then high, ping-ponging
+  // between current_ and scratch_. A pass whose byte is the same for
+  // every event would leave the order as it is, so it is skipped: a
+  // bucket of same-`at` events is not moved at all.
+  const auto pass = [&](std::array<std::uint32_t, 256>& count, int shift) {
+    if (n == 0 || count[(static_cast<std::uint32_t>(src[0].at - base) >> shift) & 0xffu] == n) {
+      return;
+    }
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : count) {
+      const std::uint32_t here = c;
+      c = offset;
+      offset += here;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t digit = (static_cast<std::uint32_t>(src[i].at - base) >> shift) & 0xffu;
+      dst[count[digit]++] = src[i];
+    }
+    std::swap(src, dst);
+  };
+  pass(low, 0);
+  pass(high, 8);
+  if (!late_.empty()) {
+    std::sort(late_.begin(), late_.end(), kBefore);
+    std::merge(src, src + n, late_.begin(), late_.end(), dst, kBefore);
+    std::swap(src, dst);
   }
-  std::sort(current_.begin(), current_.end(),
-            [](const Event& lhs, const Event& rhs) { return event_before(lhs, rhs); });
+  if (src != current_.data()) current_.swap(scratch_);
 }
 
 const Event* CalendarQueue::peek() {
   for (;;) {
-    const Event* bucket_front = pos_ < current_.size() ? &current_[pos_] : nullptr;
+    const Event* bucket_front = pos_ < len_ ? &current_[pos_] : nullptr;
     if (!overlay_.empty()) {
       const Event& o = overlay_.top();
       if (bucket_front == nullptr || event_before(o, *bucket_front)) {
@@ -172,7 +257,7 @@ void CalendarQueue::pop() {
     overlay_.pop();
     return;
   }
-  IBSIM_ASSERT(pos_ < current_.size() && wheel_count_ > 0,
+  IBSIM_ASSERT(pos_ < len_ && wheel_count_ > 0,
                "calendar pop without a preceding peek");
   ++pos_;
   --wheel_count_;

@@ -53,12 +53,21 @@ class HeapQueue {
 /// is bounded by the peak pending count plus one partial chunk per
 /// non-empty bucket, not by each bucket's own busiest moment.
 ///
+/// A bucket of up to kDenseBucket events is ordered by std::sort. A
+/// denser one is ordered by a stable LSD radix sort on `at - base_`
+/// (below 2^16 inside a bucket: two 8-bit counting passes). Chunks are
+/// copied head to tail, so the radix input is in push order, which is
+/// ascending seq except for the late set: events whose seq is older than
+/// one already copied (reserved seqs pushed late) and the far events
+/// that migrate into the bucket. The late set is sorted by (at, seq) and
+/// merged back, so no bucket costs more than O(n log n).
+///
 /// Determinism contract: extraction order is exactly ascending (at, seq)
 /// — identical, bit for bit, to a plain HeapQueue — because every
-/// bucket is sorted by (at, seq) before it drains, migrated heap events
-/// join the bucket before that sort, and same-bucket insertions made
-/// while the bucket drains go through a (at, seq)-ordered overlay heap
-/// that is merged on extraction.
+/// bucket is ordered by (at, seq) before it drains, migrated heap events
+/// join the bucket before that, and same-bucket insertions made while
+/// the bucket drains go through a (at, seq)-ordered overlay heap that is
+/// merged on extraction.
 class CalendarQueue {
  public:
   /// Bucket width of 2^16 ps ~= 65.5 ns: an MTU serialization spans ~16
@@ -70,8 +79,11 @@ class CalendarQueue {
   /// link-layer delay yet small enough that a full rotation of empty
   /// buckets is a trivial scan.
   static constexpr std::size_t kNumBuckets = 1024;
-  /// Events per pool chunk: 32 x 48 B = 1.5 KiB.
+  /// Events per pool chunk: 32 x 32 B = 1 KiB.
   static constexpr std::size_t kChunkEvents = 32;
+  /// Buckets holding more events than this are radix-sorted; std::sort
+  /// orders the rest, where its constant factor wins.
+  static constexpr std::size_t kDenseBucket = 16;
 
   CalendarQueue() : buckets_(kNumBuckets) {}
 
@@ -114,8 +126,13 @@ class CalendarQueue {
   /// Advance to the next bucket that can hold the earliest event:
   /// one step forward when the wheel still holds events, or a direct
   /// jump to the heap-top's bucket when it does not. Migrates heap
-  /// events that fall inside the new bucket, then sorts it.
+  /// events that fall inside the new bucket, then orders it into
+  /// current_.
   void advance();
+
+  /// Order a bucket of more than kDenseBucket events into current_:
+  /// radix-sort the chunk events in push order, then merge in late_.
+  void radix_order(const Bucket& bucket);
 
   [[nodiscard]] Time horizon() const {
     return base_ + static_cast<Time>(kNumBuckets) * kBucketWidth;
@@ -130,7 +147,12 @@ class CalendarQueue {
   std::vector<Bucket> buckets_;
   std::vector<std::unique_ptr<Chunk>> chunks_;  ///< owns every chunk
   Chunk* free_ = nullptr;        ///< LIFO free list through Chunk::next
-  std::vector<Event> current_;   ///< the draining bucket, sorted
+  /// The draining bucket, sorted, in its first len_ slots. current_
+  /// and scratch_ only grow, so each is bounded by the largest bucket.
+  std::vector<Event> current_;
+  std::vector<Event> scratch_;   ///< the radix sort's other buffer
+  std::vector<Event> late_;      ///< a dense bucket's out-of-seq-order events
+  std::size_t len_ = 0;          ///< events of the draining bucket
   std::size_t cur_ = 0;          ///< index of the bucket starting at base_
   std::size_t pos_ = 0;          ///< drain position within current_
   Time base_ = 0;                ///< start time of the current bucket

@@ -72,8 +72,8 @@ class Scheduler {
   /// Schedule an event at absolute time `at` (must not be in the past).
   /// Returns the insertion sequence assigned to the event, which fixes
   /// its position among same-timestamp peers.
-  std::uint64_t schedule_at(Time at, EventHandler* target, std::uint32_t kind,
-                            std::uint64_t a = 0, std::uint64_t b = 0) {
+  std::uint64_t schedule_at(Time at, EventHandler* target, std::uint16_t kind,
+                            std::uint32_t a = 0, std::uint16_t b = 0) {
     IBSIM_ASSERT(target != nullptr, "event needs a target handler");
     IBSIM_ASSERT(at >= now_, "cannot schedule an event in the past");
     const std::uint64_t seq = next_seq_++;
@@ -82,8 +82,8 @@ class Scheduler {
   }
 
   /// Schedule an event `delay` after the current time.
-  std::uint64_t schedule_in(Time delay, EventHandler* target, std::uint32_t kind,
-                            std::uint64_t a = 0, std::uint64_t b = 0) {
+  std::uint64_t schedule_in(Time delay, EventHandler* target, std::uint16_t kind,
+                            std::uint32_t a = 0, std::uint16_t b = 0) {
     return schedule_at(now_ + delay, target, kind, a, b);
   }
 
@@ -98,7 +98,7 @@ class Scheduler {
   /// reserve_seq(). The queue orders by (at, seq), so a deferred wakeup
   /// scheduled late still lands exactly where its eager twin would have.
   void schedule_at_reserved(Time at, std::uint64_t seq, EventHandler* target,
-                            std::uint32_t kind, std::uint64_t a = 0, std::uint64_t b = 0) {
+                            std::uint16_t kind, std::uint32_t a = 0, std::uint16_t b = 0) {
     IBSIM_ASSERT(target != nullptr, "event needs a target handler");
     IBSIM_ASSERT(at >= now_, "cannot schedule an event in the past");
     IBSIM_ASSERT(seq < next_seq_, "reserved seq must come from reserve_seq()");

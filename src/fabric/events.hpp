@@ -9,7 +9,7 @@ namespace ibsim::fabric {
 /// Event kinds exchanged between fabric components. Payload conventions:
 /// `a` carries a PacketHandle (PacketArrive) or packed credit info
 /// (CreditUpdate); `b` carries the port index on the *receiving* device.
-enum EventKind : std::uint32_t {
+enum EventKind : std::uint16_t {
   /// A packet's head reaches an input buffer (after link + pipeline
   /// delays). a = PacketHandle, b = input port.
   kEvPacketArrive = 1,
@@ -27,16 +27,20 @@ enum EventKind : std::uint32_t {
   kEvRetryInject = 5,
 };
 
-[[nodiscard]] inline std::uint64_t pack_credit(ib::Vl vl, std::int32_t bytes) {
-  return (static_cast<std::uint64_t>(vl) << 32) | static_cast<std::uint32_t>(bytes);
+/// A credit return refunds one packet, so its byte count fits the low
+/// 16 bits of the event's 32-bit payload and the VL the high 16.
+static_assert(ib::kMtuBytes <= 0xffff, "a credit return must pack into 16 bits of bytes");
+
+[[nodiscard]] inline std::uint32_t pack_credit(ib::Vl vl, std::int32_t bytes) {
+  return (static_cast<std::uint32_t>(vl) << 16) | static_cast<std::uint16_t>(bytes);
 }
 
-[[nodiscard]] inline ib::Vl credit_vl(std::uint64_t packed) {
-  return static_cast<ib::Vl>((packed >> 32) & 0xffffu);
+[[nodiscard]] inline ib::Vl credit_vl(std::uint32_t packed) {
+  return static_cast<ib::Vl>(packed >> 16);
 }
 
-[[nodiscard]] inline std::int32_t credit_bytes(std::uint64_t packed) {
-  return static_cast<std::int32_t>(packed & 0xffffffffu);
+[[nodiscard]] inline std::int32_t credit_bytes(std::uint32_t packed) {
+  return static_cast<std::int32_t>(packed & 0xffffu);
 }
 
 }  // namespace ibsim::fabric

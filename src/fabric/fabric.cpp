@@ -1,6 +1,8 @@
 #include "fabric/fabric.hpp"
 
+#include <cmath>
 #include <string>
+#include <utility>
 
 #include "fabric/events.hpp"
 
@@ -18,9 +20,22 @@ constexpr std::array<const char*, 10> kFabricInstruments = {
 constexpr std::size_t kFirstGauge = 7;
 }  // namespace
 
+std::string check_rate(const char* name, double gbps) {
+  // 2^63 ps is the first value past core::Time; NaN fails every compare.
+  if (std::isfinite(gbps) && gbps > 0.0 &&
+      static_cast<double>(ib::kMtuBytes) * 8000.0 / gbps < 0x1p63) {
+    return {};
+  }
+  return std::string(name) + " must be a finite, positive rate at which an MTU's transmit " +
+         "time fits the simulation clock";
+}
+
 std::string FabricParams::validate() const {
-  if (wire_gbps <= 0 || hca_inject_gbps <= 0 || hca_drain_gbps <= 0)
-    return "link rates must be positive";
+  for (const auto& [name, gbps] : {std::pair{"wire_gbps", wire_gbps},
+                                   std::pair{"hca_inject_gbps", hca_inject_gbps},
+                                   std::pair{"hca_drain_gbps", hca_drain_gbps}}) {
+    if (std::string err = check_rate(name, gbps); !err.empty()) return err;
+  }
   if (hca_inject_gbps > wire_gbps) return "injection pacing cannot exceed the wire rate";
   if (n_vls != 1 && n_vls != 2) {
     return "n_vls must be 1 (CNPs share VL0) or 2 (CNPs on VL1), not " + std::to_string(n_vls);
@@ -150,7 +165,7 @@ void Fabric::schedule_credit_return(core::Scheduler& sched, topo::DeviceId dev,
     return;
   }
   sched.schedule_at(at, handlers_[static_cast<std::size_t>(upstream.device)], kEvCreditUpdate,
-                    pack_credit(vl, bytes), static_cast<std::uint64_t>(upstream.port));
+                    pack_credit(vl, bytes), static_cast<std::uint16_t>(upstream.port));
 }
 
 void Fabric::send_packet(core::Scheduler& sched, topo::DeviceId from_dev, core::Time arrive,
@@ -159,7 +174,7 @@ void Fabric::send_packet(core::Scheduler& sched, topo::DeviceId from_dev, core::
   const std::int32_t dst = shard_of(to_dev);
   if (src == dst) {
     sched.schedule_at(arrive, handlers_[static_cast<std::size_t>(to_dev)], kEvPacketArrive, h,
-                      static_cast<std::uint64_t>(to_port));
+                      static_cast<std::uint16_t>(to_port));
     return;
   }
   ib::PacketArena& arena = *shard_arenas_[static_cast<std::size_t>(src)];
@@ -183,7 +198,7 @@ void Fabric::drain_mailboxes_into(std::int32_t dst_shard) {
     // interleavings, but one must be fixed for run-to-run determinism.
     for (const CreditMsg& m : mb.credits) {
       sched.schedule_at(m.at, handlers_[static_cast<std::size_t>(m.dev)], kEvCreditUpdate,
-                        pack_credit(m.vl, m.bytes), static_cast<std::uint64_t>(m.port));
+                        pack_credit(m.vl, m.bytes), static_cast<std::uint16_t>(m.port));
       sched.note_external_event();
     }
     mb.credits.clear();
@@ -193,7 +208,7 @@ void Fabric::drain_mailboxes_into(std::int32_t dst_shard) {
       pkt = m.pkt;  // keeps the source-assigned packet id (trace-only)
       pkt.next = ib::kNullPacket;
       sched.schedule_at(m.at, handlers_[static_cast<std::size_t>(m.dst_dev)], kEvPacketArrive, h,
-                        static_cast<std::uint64_t>(m.dst_port));
+                        static_cast<std::uint16_t>(m.dst_port));
       sched.note_external_event();
     }
     mb.packets.clear();

@@ -74,4 +74,9 @@ struct FabricParams {
   [[nodiscard]] std::string validate() const;
 };
 
+/// Why the data-path rate `gbps`, set by config key `name`, is unusable,
+/// or "" if it is finite, positive and fast enough that an MTU's
+/// transmit time fits core::Time.
+[[nodiscard]] std::string check_rate(const char* name, double gbps);
+
 }  // namespace ibsim::fabric

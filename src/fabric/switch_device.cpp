@@ -99,7 +99,7 @@ void SwitchDevice::try_send(core::Scheduler& sched, std::int32_t out_port) {
       // arbitration it would have run happens exactly where the slow
       // path's eager kEvLinkFree would have run it.
       sched.schedule_at_reserved(op.busy_until, op.wake_seq, this, kEvLinkFree, 0,
-                                 static_cast<std::uint64_t>(out_port));
+                                 static_cast<std::uint16_t>(out_port));
       op.wake = WakeState::kScheduled;
       if (now < op.busy_until) return;  // still serializing; nothing can grant yet
     } else {
@@ -113,13 +113,13 @@ void SwitchDevice::try_send(core::Scheduler& sched, std::int32_t out_port) {
   if (grant_one(sched, out_port)) {
     if (!fast_path_) {
       sched.schedule_at(op.busy_until, this, kEvLinkFree, 0,
-                        static_cast<std::uint64_t>(out_port));
+                        static_cast<std::uint16_t>(out_port));
     } else if (active_vls(out_port) != 0) {
       // Work still queued behind this grant: the wakeup will do real
       // arbitration, so schedule it eagerly (slow-path behaviour).
       op.wake = WakeState::kScheduled;
       op.wake_seq = sched.schedule_at(op.busy_until, this, kEvLinkFree, 0,
-                                      static_cast<std::uint64_t>(out_port));
+                                      static_cast<std::uint16_t>(out_port));
     } else {
       // Output drained: elide the wakeup but burn its sequence slot so
       // every later event keeps its slow-path (at, seq) position.

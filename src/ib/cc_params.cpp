@@ -1,5 +1,7 @@
 #include "ib/cc_params.hpp"
 
+#include <cmath>
+
 namespace ibsim::ib {
 
 std::string CcParams::validate() const {
@@ -8,6 +10,10 @@ std::string CcParams::validate() const {
   if (ccti_min > ccti_limit) return "ccti_min must not exceed ccti_limit";
   if (ccti_increase == 0 && enabled) return "ccti_increase of 0 makes BECNs no-ops";
   if (ccti_timer == 0 && enabled) return "ccti_timer of 0 would never recover";
+  // The table is filled whether or not CC is enabled.
+  if (cct_fill == CctFill::Geometric && !(std::isfinite(cct_base) && cct_base > 1.0)) {
+    return "cct_base must be a finite number above 1 for the geometric cct_fill";
+  }
   return {};
 }
 

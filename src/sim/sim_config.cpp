@@ -122,6 +122,10 @@ std::string check_config(const SimConfig& config) {
       return "hotspots = " + to_string(sc.n_hotspots) + " does not fit" + on_nodes;
     }
   }
+  if (std::string err = fabric::check_rate("inject_gbps", config.scenario.capacity_gbps);
+      !err.empty()) {
+    return err;
+  }
   if (std::string err = config.cc.validate(); !err.empty()) return err;
   if (std::string err = config.fabric.validate(); !err.empty()) return err;
   if (!config.telemetry.counters_csv.empty() && config.telemetry.sample_interval <= 0) {

@@ -7,7 +7,7 @@
 namespace ibsim::telemetry {
 
 namespace {
-constexpr std::uint32_t kSampleEvent = 0x7E1E;
+constexpr std::uint16_t kSampleEvent = 0x7E1E;
 }
 
 CounterSampler::CounterSampler(const CounterRegistry* registry, core::Time interval,

@@ -5,7 +5,7 @@
 namespace ibsim::traffic {
 
 namespace {
-constexpr std::uint32_t kMoveEvent = 0x4507;
+constexpr std::uint16_t kMoveEvent = 0x4507;
 }
 
 HotspotSchedule::HotspotSchedule(std::int32_t n_nodes, std::int32_t n_hotspots,

@@ -206,6 +206,13 @@ TEST_F(SweepServerTest, ProtocolErrorsKeepConnectionOpen) {
       R"({"op":"submit","name":"lanes","base":{"n_vls":3,"sim_time_us":10}})", "error");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NE(events[0].find("message")->as_string().find("n_vls must be 1"), std::string::npos);
+  // And a rate that is not a number.
+  events = client.roundtrip(
+      R"({"op":"submit","name":"nan","base":{"topology":"single","single_nodes":4,)"
+      R"("sim_time_us":20,"hotspots":1,"wire_gbps":"nan"}})",
+      "error");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].find("message")->as_string().find("wire_gbps"), std::string::npos);
   // A product of axes too large to expand (10^12 cells) is refused with
   // its count, not allocated.
   std::string axis = "[1";

@@ -85,6 +85,10 @@ TEST(CheckConfig, BuildableConfigsPass) {
   widest.topology = TopologyKind::FatTree3;
   widest.fat_tree3 = topo::FatTree3Params::scale_10k();
   EXPECT_EQ(check_config(widest), "");
+  // The linear CCT fill ignores cct_base, whatever it reads.
+  SimConfig linear;
+  ASSERT_EQ(apply_config_text("cct_fill = linear\ncct_base = nan\n", &linear), "");
+  EXPECT_EQ(check_config(linear), "");
 }
 
 TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
@@ -111,6 +115,20 @@ TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
       {"topology = single\nworkload = incast\nworkload_ranks = 16", "16 ranks"},
       {"ccti_timer = 0", "ccti_timer"},
       {"hca_inject_gbps = 100", "injection pacing"},
+      // Rates must be finite, positive, and fast enough that an MTU's
+      // transmit time fits core::Time.
+      {"wire_gbps = nan", "wire_gbps"},
+      {"wire_gbps = inf", "wire_gbps"},
+      {"hca_inject_gbps = nan", "hca_inject_gbps"},
+      {"hca_drain_gbps = nan", "hca_drain_gbps"},
+      {"hca_drain_gbps = 1e-300", "hca_drain_gbps"},
+      {"fraction_b = 1\ninject_gbps = 0", "inject_gbps"},
+      {"fraction_b = 1\ninject_gbps = nan", "inject_gbps"},
+      {"fraction_b = 1\ninject_gbps = -5", "inject_gbps"},
+      // The geometric CCT needs a finite base above 1, CC on or off.
+      {"cct_base = nan", "cct_base"},
+      {"cct_base = 0", "cct_base"},
+      {"cc_enabled = 0\ncct_base = 0", "cct_base"},
       {"counters_csv = out.csv\ntelemetry_sample_us = 0", "telemetry_sample_us"},
       {"shards = 0", "shards must be at least 1"},
       // One switch wider than the 64-port limit per builder and switch
