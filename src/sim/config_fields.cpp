@@ -200,10 +200,9 @@ constexpr ConfigField kFields[] = {
 
     // Telemetry. All of it is keyed: counters/detailed change
     // SimResult::counters, and the CSV sampler schedules events. The
-    // trace_file and counters_csv paths are keyed too, so in-flight
+    // trace_file and counters_csv paths are keyed too, so run_parallel's
     // dedup never merges two cells that write different files; such
-    // cells skip the store both ways (SweepService), so the paths never
-    // split it.
+    // cells skip the store both ways, so the paths never split it.
     {"telemetry_counters", IBSIM_MEMBER(telemetry.counters), kPlain, kKeyed,
      "collect and print fabric counters"},
     {"trace_file", IBSIM_MEMBER(telemetry.trace_path), kPlain, kKeyed,

@@ -21,7 +21,7 @@ enum class FieldUnit : std::uint8_t {
 
 /// Where a field appears.
 enum class FieldScope : std::uint8_t {
-  kKeyed,    ///< a text key (config file, sweepd, simulate flag) that feeds the run key
+  kKeyed,    ///< a text key (config file, simulate flag) that feeds the run key
   kKeyOnly,  ///< feeds the run key but is set in code only
   kUnkeyed,  ///< a text key kept out of the run key: orchestration that never changes results
 };
@@ -32,7 +32,7 @@ using FieldMember = T& (*)(SimConfig&);
 
 /// One row of the SimConfig field table.
 struct ConfigField {
-  /// Config-file and sweepd key; the simulate flag is this name with
+  /// Config-file key; the simulate flag is this name with
   /// '-' for '_'. Key-only rows use it for their run-key line alone.
   const char* name;
   /// The member, typed: the type fixes how text parses and the integer

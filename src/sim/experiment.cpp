@@ -1,15 +1,22 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "analysis/tmax.hpp"
 #include "ccalg/registry.hpp"
 #include "core/assert.hpp"
+#include "store/key.hpp"
+#include "store/result_store.hpp"
 
 namespace ibsim::sim {
 
@@ -90,33 +97,73 @@ std::vector<SimResult> run_parallel(const std::vector<SimConfig>& configs,
   if (report != nullptr) *report = SweepReport{};
   if (configs.empty()) return results;
   const auto sweep_start = std::chrono::steady_clock::now();
-
-  std::vector<SweepCell> cells;
-  cells.reserve(configs.size());
-  for (const SimConfig& config : configs) {
-    IBSIM_ASSERT(config.result_store == configs.front().result_store,
-                 "run_parallel: every config must name the same result_store");
-    cells.push_back({"", config});
-  }
   // One knob surface (DESIGN.md §15): a config-file `threads` key steers
-  // the sweep pool too, below an explicit harness argument.
-  SweepService service({configs.front().result_store,
-                        threads > 0 ? threads : configs.front().threads});
-  // Each outcome lands in its own slot, so callbacks from different
-  // workers never touch the same element.
-  service.submit("run_parallel", std::move(cells),
-                 [&results](const SweepService::CellOutcome& outcome) {
-                   results[outcome.index] = outcome.result;
-                 });
-  service.drain();
+  // the pool too, below an explicit harness argument.
+  const auto max_workers = static_cast<std::size_t>(
+      resolve_threads(threads > 0 ? threads : configs.front().threads));
+
+  const std::string& store_dir = configs.front().result_store;
+  std::shared_ptr<store::ResultStore> store;
+  if (!store_dir.empty()) store = store::StoreRegistry::instance().open(store_dir);
+  // A run that writes a trace or counter CSV skips the store both ways.
+  const auto stored = [&](std::size_t i) {
+    return store != nullptr && !configs[i].telemetry.writes_files();
+  };
+
+  // Key every config and serve store hits here. Each remaining key is
+  // simulated once, for the first config that names it; its duplicates
+  // copy that slot afterwards.
+  std::vector<std::string> keys(configs.size());
+  std::vector<std::size_t> runs;                            // slots to simulate
+  std::vector<std::pair<std::size_t, std::size_t>> copies;  // (duplicate, its run's slot)
+  std::unordered_map<std::string, std::size_t> first_run;   // key -> slot that runs it
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    IBSIM_ASSERT(configs[i].result_store == store_dir,
+                 "run_parallel: every config must name the same result_store");
+    keys[i] = store::run_key(configs[i]);
+    if (stored(i) && store->get(keys[i], &results[i])) {
+      ++hits;
+      continue;
+    }
+    const auto [it, first] = first_run.emplace(keys[i], i);
+    if (first) {
+      runs.push_back(i);
+    } else {
+      copies.emplace_back(i, it->second);
+    }
+  }
+
+  std::vector<SweepWorkerStats> workers(std::min(max_workers, runs.size()));
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::thread> pool;
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    pool.emplace_back([&, w] {
+      for (std::size_t r = cursor++; r < runs.size(); r = cursor++) {
+        const std::size_t i = runs[r];
+        const auto start = std::chrono::steady_clock::now();
+        results[i] = run_sim(configs[i]);
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+        // Publish after timing: busy time is simulation work only.
+        if (stored(i)) {
+          store->put(keys[i], store::canonical_config_text(configs[i]), results[i], wall);
+        }
+        workers[w].busy_seconds += wall;
+        ++workers[w].runs;
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  for (const auto& [slot, source] : copies) results[slot] = results[source];
 
   if (report != nullptr) {
     report->wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
-    report->workers = service.worker_stats();
-    if (service.store() != nullptr) {
-      report->store_hits = service.status().front().store_hits;
-      report->store_misses = configs.size() - report->store_hits;
+    report->workers = std::move(workers);
+    if (store != nullptr) {
+      report->store_hits = hits;
+      report->store_misses = configs.size() - hits;
     }
   }
   return results;

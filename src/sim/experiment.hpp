@@ -7,7 +7,6 @@
 #include "analysis/series.hpp"
 #include "analysis/table.hpp"
 #include "sim/simulation.hpp"
-#include "sim/sweep_service.hpp"
 
 namespace ibsim::sim {
 
@@ -52,6 +51,15 @@ struct ExperimentPreset {
 /// hardware concurrency.
 [[nodiscard]] std::int32_t resolve_threads(std::int32_t threads);
 
+/// What one pool worker did: how long it spent inside Simulation runs,
+/// and how many runs it claimed. Idle workers claim the next run, so
+/// the busy times should be near-equal even when run lengths are wildly
+/// skewed (moving/windy scenarios).
+struct SweepWorkerStats {
+  double busy_seconds = 0.0;
+  std::uint64_t runs = 0;
+};
+
 /// Per-sweep execution report filled by run_parallel.
 struct SweepReport {
   double wall_seconds = 0.0;
@@ -71,23 +79,26 @@ struct SweepReport {
 };
 
 /// Run many independent simulations concurrently — the sweep-level
-/// parallelism the harness uses. The configs go to a SweepService as
-/// one job (sim/sweep_service.hpp): idle workers claim the next queued
-/// run, so skewed run times cannot strand long tails on one thread the
-/// way a static partition does, and configs with one run key simulate
-/// once. Determinism is preserved exactly: seeding is per-config, every
-/// run executes on its own scheduler and snapshot, and results land in
-/// slots positionally matched to `configs`.
+/// parallelism the harness uses, and the only code that reads or writes
+/// the result store. Every config is keyed by its store run key
+/// (store/key.hpp); configs with one key simulate once and the result
+/// is copied into each of their slots. Idle workers claim the next run
+/// from a shared cursor, so skewed run times cannot strand long tails on
+/// one thread the way a static partition does. Determinism is preserved
+/// exactly: seeding is per-config, every run executes on its own
+/// scheduler and snapshot, and results land in slots positionally
+/// matched to `configs`.
 ///
 /// The worker count is `threads` if positive, else the first config's
-/// `threads`, else resolve_threads' default. Every config must name the
-/// same result_store. With one, cached runs fill their slots without
-/// scheduling and fresh runs are published after completion (runs that
-/// write a trace or counter CSV always simulate and are never stored). An
-/// interrupted sweep rerun therefore computes only the missing cells,
-/// and a fully warm rerun starts no worker — the store's serialization
-/// is bit-exact, so callers cannot tell a cached result from a fresh
-/// one.
+/// `threads`, else resolve_threads' default, and never more than the
+/// runs left to do. Every config must name the same result_store. With
+/// one, cached runs fill their slots on the calling thread and fresh
+/// runs are published after completion (runs that write a trace or
+/// counter CSV always simulate and are never stored: a stored result
+/// would leave their files unwritten). An interrupted sweep rerun
+/// therefore computes only the missing cells, and a fully warm rerun
+/// starts no worker — the store's serialization is bit-exact, so
+/// callers cannot tell a cached result from a fresh one.
 [[nodiscard]] std::vector<SimResult> run_parallel(const std::vector<SimConfig>& configs,
                                                   std::int32_t threads = 0,
                                                   SweepReport* report = nullptr);

@@ -48,7 +48,7 @@ struct TelemetrySettings {
 
   [[nodiscard]] bool tracing() const { return !trace_path.empty(); }
   /// The run writes a trace or counter CSV: only a live run can do that,
-  /// so SweepService neither serves it from the store nor publishes it.
+  /// so run_parallel neither serves it from the store nor publishes it.
   [[nodiscard]] bool writes_files() const { return tracing() || !counters_csv.empty(); }
   [[nodiscard]] bool active() const { return counters || writes_files() || detailed; }
 };
@@ -136,7 +136,7 @@ struct SimConfig {
   std::int32_t threads = 0;
 
   /// On-disk result store directory ("" = no store). When set, the
-  /// sweep pool (SweepService, under run_parallel and simulate) consults
+  /// sweep pool (run_parallel, under the benches and simulate) consults
   /// the content-addressed store (src/store) before running and
   /// publishes fresh results into it, so repeated and interrupted
   /// campaigns only compute missing cells. Orchestration-only, like `threads`: it is

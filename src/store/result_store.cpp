@@ -199,18 +199,6 @@ void ResultStore::put(const std::string& key, const std::string& config_text,
         << '\n';
 }
 
-std::uint64_t ResultStore::entries() const {
-  std::uint64_t n = 0;
-  std::error_code ec;
-  for (const auto& shard : fs::directory_iterator(fs::path(dir_) / "objects", ec)) {
-    if (!shard.is_directory()) continue;
-    for (const auto& object : fs::directory_iterator(shard.path(), ec)) {
-      if (object.is_regular_file()) ++n;
-    }
-  }
-  return n;
-}
-
 ResultStore::Stats ResultStore::stats() const {
   return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed),
           puts_.load(std::memory_order_relaxed), bad_records_.load(std::memory_order_relaxed)};

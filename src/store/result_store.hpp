@@ -70,9 +70,6 @@ class ResultStore {
   void put(const std::string& key, const std::string& config_text,
            const sim::SimResult& result, double wall_seconds);
 
-  /// Number of records currently on disk (scans the objects tree).
-  [[nodiscard]] std::uint64_t entries() const;
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -103,8 +100,8 @@ class ResultStore {
 };
 
 /// Process-wide directory-keyed registry of open stores, so every
-/// subsystem touching `--result-store=DIR` (the sweep service and the
-/// front ends reporting its stats) shares one ResultStore per directory
+/// subsystem touching `--result-store=DIR` (run_parallel and the front
+/// ends reporting its stats) shares one ResultStore per directory
 /// and its stats aggregate in one place.
 class StoreRegistry {
  public:

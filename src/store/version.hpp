@@ -18,7 +18,7 @@ namespace ibsim::store {
 [[nodiscard]] const char* code_version();
 
 /// "<program> <code-version>" — the --version output shared by the
-/// CLI binaries (simulate, sweepd, sweepctl, benches).
+/// CLI binaries (simulate and the benches).
 [[nodiscard]] std::string version_line(const char* program);
 
 }  // namespace ibsim::store

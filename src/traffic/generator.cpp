@@ -35,8 +35,12 @@ core::Time BNodeGenerator::stream_ready_at(Stream& stream, core::Time now) {
   // Budget: cumulative bytes must never exceed share x capacity x t.
   const double budget_rate = stream.share * params_.capacity_gbps;  // Gb/s
   const auto needed = static_cast<double>(stream.sent_bytes + params_.packet_bytes);
-  const auto budget_ready =
-      static_cast<core::Time>(std::ceil(needed * 8000.0 / budget_rate));
+  const double budget_ps = std::ceil(needed * 8000.0 / budget_rate);
+  // A share so small that the budget time lies past core::Time's range
+  // (about 1e308 ps at p_percent = 1e-300) never opens: converting it
+  // would be undefined.
+  if (budget_ps >= 0x1p63) return core::kTimeNever;
+  const auto budget_ready = static_cast<core::Time>(budget_ps);
   if (budget_ready > now) return budget_ready;  // budget gates regardless of flow
 
   const auto gate_ready = [&](ib::NodeId dst) {

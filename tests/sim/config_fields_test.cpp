@@ -53,7 +53,7 @@ TEST(ConfigFields, EverySimConfigFieldHasOneRow) {
 }
 
 TEST(ConfigFields, TextKeysAreTheConfigFileKeys) {
-  // The keys config files and sweepd requests have always accepted.
+  // The keys config files have always accepted.
   const std::set<std::string> expected = {
       "topology", "clos_leaves", "clos_spines", "clos_nodes_per_leaf", "single_nodes",
       "chain_switches", "chain_nodes", "dumbbell_nodes", "mesh_rows", "mesh_cols",

@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <thread>
+
+#include "store/result_store.hpp"
 
 namespace ibsim::sim {
 namespace {
@@ -90,6 +93,41 @@ TEST(RunParallel, HonoursThreadsEnv) {
   EXPECT_GT(results[0].delivered_bytes, 0u);
   EXPECT_GT(results[1].delivered_bytes, 0u);
   EXPECT_NE(results[0].delivered_bytes, results[1].delivered_bytes);
+}
+
+TEST(RunParallel, CounterCsvConfigRunsLiveOnEveryRerun) {
+  // A stored result cannot write a counter CSV, so a config that asks
+  // for one is neither served from the store nor published to it: each
+  // rerun simulates again and writes its file again.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ibsim_run_parallel_csv_store";
+  const fs::path csv = fs::path(::testing::TempDir()) / "ibsim_run_parallel_counters.csv";
+  fs::remove_all(dir);
+  fs::remove(csv);
+  SimConfig config = tiny_preset().base_config();
+  config.scenario.n_hotspots = 1;
+  config.sim_time = 200 * core::kMicrosecond;
+  config.warmup = 0;
+  config.telemetry.counters_csv = csv.string();
+  config.result_store = dir.string();
+  for (const char* pass : {"first", "rerun"}) {
+    SweepReport report;
+    const std::vector<SimResult> results = run_parallel({config}, 1, &report);
+    ASSERT_EQ(results.size(), 1u) << pass;
+    EXPECT_GT(results[0].delivered_bytes, 0u) << pass;
+    EXPECT_EQ(report.store_hits, 0u) << pass;
+    ASSERT_EQ(report.workers.size(), 1u) << pass;
+    EXPECT_EQ(report.workers[0].runs, 1u) << pass;
+    EXPECT_TRUE(fs::exists(csv)) << pass;
+    fs::remove(csv);
+  }
+  const store::ResultStore::Stats stats =
+      store::StoreRegistry::instance().open(dir.string())->stats();
+  EXPECT_EQ(stats.hits + stats.misses, 0u) << "the store was probed";
+  EXPECT_EQ(stats.puts, 0u);
+  EXPECT_TRUE(fs::is_empty(dir / "objects"));
+  fs::remove_all(dir);
+  store::StoreRegistry::instance().clear();
 }
 
 TEST(WindyFigureHarness, SeriesShapesAndGrids) {

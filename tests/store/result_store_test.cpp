@@ -34,6 +34,15 @@ class ResultStoreTest : public ::testing::Test {
 
   std::string dir_string() const { return dir_.string(); }
 
+  /// Records on disk: regular files under objects/.
+  std::size_t object_count() const {
+    std::size_t n = 0;
+    for (const auto& entry : fs::recursive_directory_iterator(dir_ / "objects")) {
+      if (entry.is_regular_file()) ++n;
+    }
+    return n;
+  }
+
   static sim::SimConfig small_config(std::uint64_t seed) {
     sim::SimConfig config;
     config.topology = sim::TopologyKind::SingleSwitch;
@@ -59,7 +68,7 @@ TEST_F(ResultStoreTest, PutGetRoundTripWithProvenance) {
   sim::SimResult cached;
   EXPECT_FALSE(store.get(key, &cached));
   store.put(key, canonical_config_text(config), result, 0.25);
-  EXPECT_EQ(store.entries(), 1u);
+  EXPECT_EQ(object_count(), 1u);
 
   RunRecord record;
   ASSERT_TRUE(store.get_record(key, &record));
@@ -91,7 +100,7 @@ TEST_F(ResultStoreTest, MissesCountAndKeysList) {
   EXPECT_TRUE(store.get(key, &result));
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(store.stats().puts, 1u);
-  EXPECT_EQ(store.entries(), 1u);
+  EXPECT_EQ(object_count(), 1u);
 }
 
 TEST_F(ResultStoreTest, TornRecordReadsAsMiss) {
