@@ -6,8 +6,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 
+#include "expect_identical.hpp"
 #include "store/result_store.hpp"
 
 namespace ibsim::sim {
@@ -93,6 +95,32 @@ TEST(RunParallel, HonoursThreadsEnv) {
   EXPECT_GT(results[0].delivered_bytes, 0u);
   EXPECT_GT(results[1].delivered_bytes, 0u);
   EXPECT_NE(results[0].delivered_bytes, results[1].delivered_bytes);
+}
+
+TEST(RunParallel, IdenticalConfigsRunOnce) {
+  // No store: configs that share a run key simulate once, even with a
+  // worker free for every slot, and each duplicate slot gets that run's
+  // result.
+  SimConfig config = tiny_preset().base_config();
+  config.scenario.n_hotspots = 1;
+  std::vector<SimConfig> configs;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const std::uint64_t seed : {1, 2}) {
+      configs.push_back(config);
+      configs.back().seed = seed;
+    }
+  }
+  SweepReport report;
+  const std::vector<SimResult> results = run_parallel(configs, 6, &report);
+  ASSERT_EQ(results.size(), 6u);
+  ASSERT_EQ(report.workers.size(), 2u);  // one per distinct key
+  std::uint64_t runs = 0;
+  for (const SweepWorkerStats& w : report.workers) runs += w.runs;
+  EXPECT_EQ(runs, 2u);
+  EXPECT_NE(results[0].delivered_bytes, results[1].delivered_bytes);
+  for (std::size_t i = 2; i < results.size(); ++i) {
+    expect_identical(results[i], results[i % 2], "duplicate slot " + std::to_string(i));
+  }
 }
 
 TEST(RunParallel, CounterCsvConfigRunsLiveOnEveryRerun) {
