@@ -8,22 +8,15 @@
 
 namespace ibsim::ccalg {
 
-CcAlgorithmRegistry::CcAlgorithmRegistry() {
-  add("iba_a10", &IbaA10::make);
-  add("dcqcn", &Dcqcn::make);
-  add("aimd", &Aimd::make);
-  add("none", &NoneAlgorithm::make);
-}
+CcAlgorithmRegistry::CcAlgorithmRegistry()
+    : factories_{{"aimd", &Aimd::make},
+                 {"dcqcn", &Dcqcn::make},
+                 {"iba_a10", &IbaA10::make},
+                 {"none", &NoneAlgorithm::make}} {}
 
 CcAlgorithmRegistry& CcAlgorithmRegistry::instance() {
   static CcAlgorithmRegistry registry;
   return registry;
-}
-
-void CcAlgorithmRegistry::add(const std::string& name, Factory factory) {
-  IBSIM_ASSERT(!name.empty(), "algorithm name must be non-empty");
-  IBSIM_ASSERT(factory != nullptr, "algorithm factory must be non-null");
-  factories_[name] = factory;
 }
 
 bool CcAlgorithmRegistry::contains(const std::string& name) const {

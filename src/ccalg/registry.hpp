@@ -10,22 +10,15 @@
 
 namespace ibsim::ccalg {
 
-/// String-keyed factory for reaction-point algorithms. The four built-in
-/// algorithms (`aimd`, `dcqcn`, `iba_a10`, `none`) are registered on
-/// first use; experiments and tests may register additional ones. The
-/// backing map keeps names sorted, so enumeration order — and the
-/// numeric ids derived from it — is deterministic and independent of
-/// registration order.
+/// String-keyed factory for reaction-point algorithms, a fixed table of
+/// the four built-in algorithms (`aimd`, `dcqcn`, `iba_a10`, `none`).
+/// The backing map keeps names sorted, so enumeration order — and the
+/// numeric ids derived from it — is deterministic.
 class CcAlgorithmRegistry {
  public:
   using Factory = std::unique_ptr<CcAlgorithm> (*)(const CcAlgoContext&);
 
   [[nodiscard]] static CcAlgorithmRegistry& instance();
-
-  /// Register `factory` under `name`. Re-registering an existing name
-  /// replaces its factory (tests use this to inject instrumented
-  /// doubles); names must be non-empty.
-  void add(const std::string& name, Factory factory);
 
   [[nodiscard]] bool contains(const std::string& name) const;
 
@@ -49,7 +42,7 @@ class CcAlgorithmRegistry {
  private:
   CcAlgorithmRegistry();
 
-  std::map<std::string, Factory> factories_;
+  const std::map<std::string, Factory> factories_;
 };
 
 }  // namespace ibsim::ccalg

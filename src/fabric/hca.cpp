@@ -9,8 +9,8 @@ namespace ibsim::fabric {
 
 Hca::Hca(Fabric* fabric, topo::DeviceId dev, ib::NodeId node, std::int32_t n_nodes,
          const cc::CcManager& ccm)
-    : fabric_(fabric), dev_(dev), node_(node), fast_path_(fabric->params().fast_path),
-      arena_(&fabric->arena_for(dev)), home_sched_(&fabric->sched_for(dev)) {
+    : fabric_(fabric), dev_(dev), node_(node), arena_(&fabric->arena_for(dev)),
+      home_sched_(&fabric->sched_for(dev)) {
   const FabricParams& p = fabric_->params();
   drain_gbps_ = p.hca_drain_gbps;
   rx_.resize(static_cast<std::size_t>(p.n_vls));
@@ -29,21 +29,10 @@ void Hca::on_event(core::Scheduler& sched, const core::Event& ev) {
       receive(sched, static_cast<ib::PacketHandle>(ev.a));
       break;
     case kEvLinkFree:
-      if (fast_path_) {
-        // Same live-wakeup discipline as the switch: a superseded
-        // wakeup would only run try_inject against a busy port, so it
-        // is dropped instead.
-        if (out_.wake != WakeState::kScheduled || ev.seq != out_.wake_seq) break;
-        out_.wake = WakeState::kNone;
-      }
       try_inject(sched);
       break;
     case kEvCreditUpdate:
       bank_.credit(0, credit_vl(ev.a)).refund(credit_bytes(ev.a));
-      // While the port is pacing out a packet, try_inject could not
-      // grant; and an elided wakeup implies nothing is waiting to go
-      // out (credits never create work), so skip the attempt.
-      if (fast_path_ && !out_.idle(sched.now())) break;
       try_inject(sched);
       break;
     case kEvSinkFree:
@@ -94,24 +83,9 @@ void Hca::publish(telemetry::CounterRegistry& registry) const {
 
 void Hca::try_inject(core::Scheduler& sched) {
   const core::Time now = sched.now();
-  if (fast_path_ && out_.wake == WakeState::kElided) {
-    if (now < out_.busy_until ||
-        (now == out_.busy_until && out_.wake_seq > sched.current_seq())) {
-      // New work surfaced (a CNP, a nudge) while the port's wakeup was
-      // elided and its slot is still ahead: materialize it so injection
-      // resumes exactly where the slow path's eager event would have.
-      sched.schedule_at_reserved(out_.busy_until, out_.wake_seq, this, kEvLinkFree, 0, 0);
-      out_.wake = WakeState::kScheduled;
-      if (now < out_.busy_until) return;
-    } else {
-      // Slot passed. The elided wakeup was a guaranteed no-op — it was
-      // only elided with no CNPs queued, no staged packet and no source
-      // to poll — so, as on the switch, it is simply forgotten
-      // (DESIGN.md §11).
-      out_.wake = WakeState::kNone;
-    }
-  }
-  if (!out_.idle(now)) return;  // the pending LinkFree event will re-enter
+  // A busy port does nothing, so a superseded wakeup or a refund that
+  // lands mid-packet is a no-op; the pending LinkFree event re-enters.
+  if (!out_.idle(now)) return;
 
   ib::PacketArena& arena = *arena_;
 
@@ -167,20 +141,7 @@ void Hca::grant(core::Scheduler& sched, ib::PacketHandle h) {
   core::Time arrive = now + out_.prop_delay + out_.rx_pipeline_delay;
   if (!fabric_->params().cut_through) arrive += out_.ser_time(pkt_bytes);
   fabric_->send_packet(sched, dev_, arrive, out_.peer_dev, out_.peer_port, h);
-  if (!fast_path_) {
-    sched.schedule_at(out_.busy_until, this, kEvLinkFree, 0, 0);
-  } else if (!cnp_queue_.empty() || staged_ != ib::kNullPacket || source_ != nullptr) {
-    // More to send — or a source whose poll() must run at the wakeup
-    // (polling mutates generator state, so it cannot be deferred):
-    // schedule eagerly, slow-path style.
-    out_.wake = WakeState::kScheduled;
-    out_.wake_seq = sched.schedule_at(out_.busy_until, this, kEvLinkFree, 0, 0);
-  } else {
-    // Source-less node (pure receiver answering with CNPs) with nothing
-    // queued: elide the wakeup, burning its sequence slot.
-    out_.wake = WakeState::kElided;
-    out_.wake_seq = sched.reserve_seq();
-  }
+  sched.schedule_at(out_.busy_until, this, kEvLinkFree, 0, 0);
 
   if (!is_cnp) {
     // The injection-rate delay for this flow's next packet starts when

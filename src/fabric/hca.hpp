@@ -86,7 +86,6 @@ class Hca final : public core::EventHandler, public cc::CnpSender {
   Fabric* fabric_;
   topo::DeviceId dev_;
   ib::NodeId node_;
-  bool fast_path_;  ///< FabricParams::fast_path, cached off the hot path
   /// This device's shard-local arena and scheduler (the fabric-wide ones
   /// when the fabric is serial). Cached so the hot paths never consult
   /// the shard map.

@@ -8,13 +8,14 @@
 
 namespace ibsim::fabric {
 
-/// Fast-path link-wakeup state (FabricParams::fast_path). The slow path
-/// schedules kEvLinkFree unconditionally after every grant; the fast
-/// path elides it when the output drained, remembering the (at, seq)
-/// slot the event would have occupied so a later materialization — or
-/// forgetting it once the slot has passed, since the skipped wakeup was
-/// a no-op — is indistinguishable from the eager schedule (DESIGN.md
-/// §11).
+/// Fast-path link-wakeup state of a switch output port
+/// (FabricParams::fast_path). The slow path schedules kEvLinkFree
+/// unconditionally after every grant; the fast path elides it when the
+/// output drained, remembering the (at, seq) slot the event would have
+/// occupied so a later materialization — or forgetting it once the slot
+/// has passed, since the skipped wakeup was a no-op — is
+/// indistinguishable from the eager schedule (DESIGN.md §11). An HCA
+/// schedules every wakeup, so its port stays kNone.
 enum class WakeState : std::uint8_t {
   kNone = 0,       ///< no wakeup outstanding (slow path always here)
   kScheduled = 1,  ///< a kEvLinkFree with seq == wake_seq is in the queue
@@ -22,11 +23,11 @@ enum class WakeState : std::uint8_t {
 };
 
 /// Per-output-port state shared by switches and HCAs: the downstream
-/// link, timing and the wakeup bookkeeping. This is a flat value type —
-/// no heap blocks behind it. The per-(port, VL) hot arrays (credits,
-/// round-robin cursors, CC detectors) live in the owning device's
-/// PortVlBank so the grant loop reads them from stride-indexed
-/// contiguous storage (DESIGN.md §13).
+/// link, timing and (switches only) the wakeup bookkeeping. This is a
+/// flat value type — no heap blocks behind it. The per-(port, VL) hot
+/// arrays (credits, round-robin cursors, CC detectors) live in the
+/// owning device's PortVlBank so the grant loop reads them from
+/// stride-indexed contiguous storage (DESIGN.md §13).
 ///
 /// Behaviour (arbitration loops, event scheduling) lives in the owning
 /// device; this struct is deliberately state-plus-small-helpers so both
@@ -48,9 +49,9 @@ struct OutputPort {
 
   core::Time busy_until = 0;
 
-  // Fast-path wakeup bookkeeping (see WakeState). wake_seq identifies the
-  // live wakeup: an in-queue kEvLinkFree whose seq differs is stale and
-  // must be dropped without acting.
+  // Fast-path wakeup bookkeeping of a switch port (see WakeState).
+  // wake_seq identifies the live wakeup: an in-queue kEvLinkFree whose
+  // seq differs is stale and must be dropped without acting.
   WakeState wake = WakeState::kNone;
   std::uint64_t wake_seq = 0;
 

@@ -53,9 +53,10 @@ struct FabricParams {
   /// arrival) versus store-and-forward.
   bool cut_through = true;
 
-  /// Fabric event fast path: elide no-op link wakeups (reserving their
-  /// (at, seq) slots) and skip arbitration on credit updates that arrive
-  /// while the port is serializing. Bit-identical simulation results on
+  /// Fabric event fast path: switch output ports elide no-op link
+  /// wakeups (reserving their (at, seq) slots) and skip arbitration on
+  /// credit updates that arrive while the port is serializing. HCAs run
+  /// the reference chain either way. Bit-identical simulation results on
   /// vs. off by construction (DESIGN.md §11); off runs the reference
   /// event-per-hop chain for A/B testing.
   bool fast_path = true;

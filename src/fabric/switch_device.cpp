@@ -105,8 +105,8 @@ void SwitchDevice::try_send(core::Scheduler& sched, std::int32_t out_port) {
     } else {
       // The slot has passed. While elided the port had no queued work
       // (work arrival materializes above), so the skipped event's
-      // try_send found nothing to grant and changed nothing: forget it,
-      // as the HCA does (DESIGN.md §11).
+      // try_send found nothing to grant and changed nothing: forget it
+      // (DESIGN.md §11).
       op.wake = WakeState::kNone;
     }
   }

@@ -109,6 +109,14 @@ std::string check_config(const SimConfig& config) {
         return "workload_file: " + err;
       }
       ranks = spec.ranks;
+    } else {
+      // What the canned builders and the engine's spec check assert.
+      if (ranks < 2 && w.name != "idle") {
+        return "workload " + w.name + " needs at least 2 ranks (workload_ranks), not " +
+               to_string(ranks);
+      }
+      if (w.message_bytes < 1) return "workload_bytes must be at least 1";
+      if (w.compute < 0) return "workload_compute_us must be non-negative";
     }
     if (ranks > nodes) return "the workload has " + to_string(ranks) + " ranks" + on_nodes;
   } else {

@@ -225,8 +225,6 @@ void Simulation::refresh_gauges() const {
   reg.set(g_rcv_non_hotspot_, fabric_->total_delivered_bytes() - hotspot);
 }
 
-SimResult Simulation::snapshot() const { return snapshot_at(sched_.now()); }
-
 SimResult Simulation::snapshot_at(core::Time now) const {
   SimResult r;
   r.hotspot_rcv_gbps = metrics_->avg_hotspot_gbps(now);

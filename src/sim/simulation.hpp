@@ -124,18 +124,14 @@ class Simulation {
   [[nodiscard]] telemetry::Telemetry* telemetry() { return telemetry_.get(); }
   [[nodiscard]] const telemetry::Telemetry* telemetry() const { return telemetry_.get(); }
 
-  /// Compute the result over the current measurement window without
-  /// running further (used by harnesses sampling mid-run). Rates are
-  /// referenced to the scheduler clock, i.e. the last executed event.
-  [[nodiscard]] SimResult snapshot() const;
-
-  /// Same, with rates referenced to an explicit instant. run() uses the
-  /// configured sim_time so rate denominators never depend on when the
-  /// last bookkeeping event happened to fire (the fabric fast path
-  /// elides some of those, and results must be bit-identical fast/slow).
+ private:
+  /// The result over the current measurement window, with rates
+  /// referenced to `now`. run() passes the configured sim_time so rate
+  /// denominators never depend on when the last bookkeeping event
+  /// happened to fire (the fabric fast path elides some of those, and
+  /// results must be bit-identical fast/slow).
   [[nodiscard]] SimResult snapshot_at(core::Time now) const;
 
- private:
   /// Decide the shard count, build per-shard schedulers and the fabric
   /// ShardLayout. Returns null (serial) unless sharding is enabled,
   /// possible, and compatible with the run's features.

@@ -92,7 +92,7 @@ std::string ResultStore::object_path(const std::string& key) const {
   return (fs::path(dir_) / "objects" / shard / key).string();
 }
 
-bool ResultStore::get_record(const std::string& key, RunRecord* record) {
+bool ResultStore::get(const std::string& key, sim::SimResult* result) {
   if (!error_.empty()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -115,33 +115,24 @@ bool ResultStore::get_record(const std::string& key, RunRecord* record) {
   };
   std::size_t pos = 0;
   std::string line;
+  std::string value;
   if (!read_line(text, &pos, &line) || line != kRecordHeader) return bad();
-  RunRecord r;
-  if (!read_named(text, &pos, "key", &r.key) || r.key != key) return bad();
-  if (!read_named(text, &pos, "version", &r.provenance.code_version)) return bad();
-  if (!read_named(text, &pos, "host", &r.provenance.host)) return bad();
-  std::string stamp;
-  if (!read_named(text, &pos, "timestamp_us", &stamp)) return bad();
-  r.provenance.timestamp_us = std::strtoll(stamp.c_str(), nullptr, 10);
-  std::string wall;
-  if (!read_named(text, &pos, "wall_seconds", &wall)) return bad();
-  r.provenance.wall_seconds = std::strtod(wall.c_str(), nullptr);
-  if (!read_block(text, &pos, "config_bytes", &r.config_text)) return bad();
+  if (!read_named(text, &pos, "key", &value) || value != key) return bad();
+  // Provenance and the config text are for people reading the file; a
+  // lookup only needs them present.
+  for (const char* name : {"version", "host", "timestamp_us", "wall_seconds"}) {
+    if (!read_named(text, &pos, name, &value)) return bad();
+  }
+  if (!read_block(text, &pos, "config_bytes", &value)) return bad();
   std::string result_text;
   if (!read_block(text, &pos, "result_bytes", &result_text)) return bad();
   if (!read_line(text, &pos, &line) || line != kRecordTrailer) return bad();
   if (pos != text.size()) return bad();
-  if (!parse_result(result_text, &r.result)) return bad();
+  sim::SimResult parsed;
+  if (!parse_result(result_text, &parsed)) return bad();
 
   hits_.fetch_add(1, std::memory_order_relaxed);
-  *record = std::move(r);
-  return true;
-}
-
-bool ResultStore::get(const std::string& key, sim::SimResult* result) {
-  RunRecord record;
-  if (!get_record(key, &record)) return false;
-  *result = std::move(record.result);
+  *result = std::move(parsed);
   return true;
 }
 

@@ -11,24 +11,6 @@
 
 namespace ibsim::store {
 
-/// Provenance of one stored run: who computed it, when, with which
-/// build. Not part of the key — two hosts computing the same cell
-/// produce records that differ only here, and either is valid.
-struct RunProvenance {
-  std::string code_version;
-  std::string host;
-  std::int64_t timestamp_us = 0;  ///< wall clock at publish (unix epoch)
-  double wall_seconds = 0.0;      ///< simulation wall time on the producer
-};
-
-/// One record as loaded back from disk.
-struct RunRecord {
-  std::string key;
-  RunProvenance provenance;
-  std::string config_text;  ///< canonical config text (store/key.hpp)
-  sim::SimResult result;
-};
-
 /// On-disk, content-addressed store of simulation results.
 ///
 /// Layout under the store directory:
@@ -60,9 +42,6 @@ class ResultStore {
 
   /// Look up a run by key. On a hit fills `*result` and returns true.
   bool get(const std::string& key, sim::SimResult* result);
-
-  /// Like get, but also returns provenance and config text.
-  bool get_record(const std::string& key, RunRecord* record);
 
   /// Publish a run. `config_text` is the canonical config
   /// (store/key.hpp) kept for provenance and debugging; `wall_seconds`

@@ -8,8 +8,8 @@
 namespace ibsim::workload {
 namespace {
 
-std::map<std::string, WorkloadRegistry::Builder>& builders() {
-  static std::map<std::string, WorkloadRegistry::Builder> map = {
+const std::map<std::string, WorkloadRegistry::Builder>& builders() {
+  static const std::map<std::string, WorkloadRegistry::Builder> map = {
       {"all_to_all", &build_all_to_all}, {"idle", &build_idle},
       {"incast", &build_incast},         {"ring_allreduce", &build_ring_allreduce},
       {"stencil", &build_stencil},       {"tree_allreduce", &build_tree_allreduce},
@@ -22,13 +22,6 @@ std::map<std::string, WorkloadRegistry::Builder>& builders() {
 WorkloadRegistry& WorkloadRegistry::instance() {
   static WorkloadRegistry registry;
   return registry;
-}
-
-void WorkloadRegistry::add(const std::string& name, Builder builder) {
-  IBSIM_ASSERT(!name.empty(), "workload name must be non-empty");
-  IBSIM_ASSERT(name != "file", "'file' is reserved for DSL workload files");
-  IBSIM_ASSERT(builder != nullptr, "workload builder must be non-null");
-  builders()[name] = builder;
 }
 
 bool WorkloadRegistry::contains(const std::string& name) const {

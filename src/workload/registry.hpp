@@ -7,20 +7,16 @@
 
 namespace ibsim::workload {
 
-/// String-keyed factory for the canned workload patterns. The built-in
-/// patterns (`all_to_all`, `idle`, `incast`, `ring_allreduce`,
-/// `stencil`, `tree_allreduce`) are registered on first use; tests may
-/// register additional ones. Like `ccalg::CcAlgorithmRegistry`, the
-/// backing map keeps names sorted so enumeration order is deterministic.
+/// String-keyed factory for the canned workload patterns, a fixed table:
+/// `all_to_all`, `idle`, `incast`, `ring_allreduce`, `stencil` and
+/// `tree_allreduce` ("file" names a DSL file instead). Like
+/// `ccalg::CcAlgorithmRegistry`, the backing map keeps names sorted so
+/// enumeration order is deterministic.
 class WorkloadRegistry {
  public:
   using Builder = WorkloadSpec (*)(const WorkloadParams&);
 
   [[nodiscard]] static WorkloadRegistry& instance();
-
-  /// Register `builder` under `name`; re-registering replaces. Names
-  /// must be non-empty and must not be "file" (reserved for DSL files).
-  void add(const std::string& name, Builder builder);
 
   [[nodiscard]] bool contains(const std::string& name) const;
 

@@ -1,7 +1,9 @@
 #include "workload/spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/assert.hpp"
@@ -254,15 +256,22 @@ WorkloadSpec build_idle(const WorkloadParams& params) {
 
 namespace {
 
-bool parse_int(const std::string& tok, std::int64_t* out) {
-  if (tok.empty()) return false;
-  std::size_t pos = 0;
-  try {
-    *out = std::stoll(tok, &pos);
-  } catch (...) {
-    return false;
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
+/// Reads the whole of `tok` as a decimal integer in [lo, hi]. Returns ""
+/// with `*out` set, or what is wrong in config_fields.cpp's words.
+std::string read_int(const std::string& key, const std::string& tok, std::int64_t lo,
+                     std::int64_t hi, std::int64_t* out) {
+  const char* last = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), last, *out);
+  if (ptr != last || ec == std::errc::invalid_argument) {
+    return "'" + key + "' needs an integer value";
   }
-  return pos == tok.size();
+  if (ec != std::errc{} || *out < lo || *out > hi) {
+    return "value " + tok + " out of range for '" + key + "' (" + std::to_string(lo) + ".." +
+           std::to_string(hi) + ")";
+  }
+  return "";
 }
 
 std::string fail(int line_no, const std::string& what) {
@@ -293,9 +302,10 @@ std::string parse_workload_text(const std::string& text, WorkloadSpec* out) {
       if (tokens.size() != 2) return fail(line_no, "expected: name <identifier>");
       spec.name = tokens[1];
     } else if (tokens[0] == "ranks") {
+      if (tokens.size() != 2) return fail(line_no, "expected: ranks <positive integer>");
       std::int64_t value = 0;
-      if (tokens.size() != 2 || !parse_int(tokens[1], &value) || value < 1)
-        return fail(line_no, "expected: ranks <positive integer>");
+      if (std::string err = read_int("ranks", tokens[1], 1, kInt32Max, &value); !err.empty())
+        return fail(line_no, err);
       spec.ranks = static_cast<std::int32_t>(value);
       ranks_seen = true;
     } else if (tokens[0] == "op") {
@@ -312,14 +322,30 @@ std::string parse_workload_text(const std::string& text, WorkloadSpec* out) {
           std::istringstream ids(value);
           std::string id_tok;
           while (std::getline(ids, id_tok, ',')) {
-            if (!parse_int(id_tok, &num) || num < 0 ||
-                num >= static_cast<std::int64_t>(spec.ops.size()))
+            const auto last_op = static_cast<std::int64_t>(spec.ops.size()) - 1;
+            if (!read_int(key, id_tok, 0, last_op, &num).empty())
               return fail(line_no, "'after' must list earlier op numbers");
             op.deps.push_back(static_cast<std::int32_t>(num));
           }
-        } else if (!parse_int(value, &num)) {
-          return fail(line_no, "'" + key + "' needs an integer value");
-        } else if (key == "src") {
+          continue;
+        }
+        // The values each attribute's field can hold; validate() checks
+        // the rest (src and dst below ranks, bytes positive).
+        std::int64_t lo = 0;
+        std::int64_t hi = kInt32Max;
+        if (key == "bytes") {
+          lo = std::numeric_limits<std::int64_t>::min();
+          hi = std::numeric_limits<std::int64_t>::max();
+        } else if (key == "phase") {
+          hi = kInt32Max - 1;  // phase_count() is the largest phase plus one
+        } else if (key == "compute_us") {
+          hi = std::numeric_limits<core::Time>::max() / core::kMicrosecond;
+        } else if (key != "src" && key != "dst") {
+          return fail(line_no, "unknown op attribute '" + key + "'");
+        }
+        if (std::string err = read_int(key, value, lo, hi, &num); !err.empty())
+          return fail(line_no, err);
+        if (key == "src") {
           op.src_rank = static_cast<std::int32_t>(num);
           src_seen = true;
         } else if (key == "dst") {
@@ -330,10 +356,8 @@ std::string parse_workload_text(const std::string& text, WorkloadSpec* out) {
           bytes_seen = true;
         } else if (key == "phase") {
           op.phase = static_cast<std::int32_t>(num);
-        } else if (key == "compute_us") {
-          op.compute = num * core::kMicrosecond;
         } else {
-          return fail(line_no, "unknown op attribute '" + key + "'");
+          op.compute = num * core::kMicrosecond;
         }
       }
       if (tokens.size() % 2 == 0)

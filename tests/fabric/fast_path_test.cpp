@@ -1,10 +1,10 @@
 // Unit tests for the fabric event fast path at the single-device level:
-// the lazy-wakeup elision (no kEvLinkFree for an output whose queues
-// drained), eager wakeups while work is queued, and one credit event per
-// refund even when refunds meet at one instant. The full-simulation
-// bit-identity guarantee lives in
-// tests/integration/fast_path_equivalence_test.cpp; here we pin the
-// exact per-kind event counts on hand-built scenarios.
+// the lazy-wakeup elision (no kEvLinkFree for a switch output whose
+// queues drained), eager wakeups while work is queued, an HCA that
+// schedules every wakeup, and one credit event per refund even when
+// refunds meet at one instant. The full-simulation bit-identity
+// guarantee lives in tests/integration/fast_path_equivalence_test.cpp;
+// here we pin the exact per-kind event counts on hand-built scenarios.
 
 #include <gtest/gtest.h>
 
@@ -65,6 +65,40 @@ TEST(FastPath, DrainedOutputSchedulesNoWakeup) {
   EXPECT_EQ(fast.by_kind[kEvSinkFree], slow.by_kind[kEvSinkFree]);
   EXPECT_EQ(fast.by_kind[kEvCreditUpdate], slow.by_kind[kEvCreditUpdate]);
   EXPECT_EQ(fast.executed + 1, slow.executed);
+}
+
+// A pure receiver answering with a CNP has nothing else to inject, yet
+// its grant schedules a kEvLinkFree on both paths: only switch outputs
+// elide wakeups. The switch output toward HCA 0 drains with its grant,
+// so the fast path elides that one alone.
+TEST(FastPath, SourcelessHcaSchedulesItsWakeup) {
+  RunStats stats[2];
+  for (const bool fast : {true, false}) {
+    FabricParams params;
+    params.fast_path = fast;
+    FabricFixture fx(topo::single_switch(4), ib::CcParams::disabled(), params);
+    fx.fabric.start(fx.sched);
+    fx.fabric.hca(1).send_cnp(/*to=*/0, /*flow_dst=*/1);  // HCA 1 has no source
+    fx.sched.run_until(core::kTimeNever);
+    RunStats& st = stats[fast ? 0 : 1];
+    st.by_kind = fx.sched.executed_by_kind();
+    st.executed = fx.sched.executed();
+  }
+  const RunStats& fast = stats[0];
+  const RunStats& slow = stats[1];
+  // Both paths: the CNP arrives at the switch and at HCA 0, HCA 0's
+  // sink drains it once, and each hop returns its credits.
+  for (const RunStats* st : {&fast, &slow}) {
+    EXPECT_EQ(st->by_kind[kEvPacketArrive], 2u);
+    EXPECT_EQ(st->by_kind[kEvSinkFree], 1u);
+    EXPECT_EQ(st->by_kind[kEvCreditUpdate], 2u);
+  }
+  // HCA 1's wakeup runs on both paths; the switch's runs on the slow
+  // path only.
+  EXPECT_EQ(fast.by_kind[kEvLinkFree], 1u);
+  EXPECT_EQ(slow.by_kind[kEvLinkFree], 2u);
+  EXPECT_EQ(fast.executed, 6u);
+  EXPECT_EQ(slow.executed, 7u);
 }
 
 // Fan-in backlog: two sources feed one output faster than the wire

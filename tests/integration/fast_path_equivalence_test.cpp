@@ -120,7 +120,8 @@ SimConfig clos72_cell() {
 
 TEST(FastPathEquivalence, Table2SilentForest) {
   // Table II: silent congestion trees (no background traffic), CC on.
-  // Victims answer with CNPs only — the HCA-side wakeup elision's case.
+  // Every node has a traffic source, so only switch outputs elide
+  // wakeups here.
   SimConfig config = base_config(42);
   config.scenario.fraction_b = 0.0;
   config.scenario.n_hotspots = 2;

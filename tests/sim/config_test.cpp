@@ -77,6 +77,11 @@ TEST(CheckConfig, BuildableConfigsPass) {
   ASSERT_EQ(apply_config_text("topology = single\nhotspots = 8\nworkload = incast\n", &config),
             "");
   EXPECT_EQ(check_config(config), "");
+  // An idle workload sends nothing, so one rank is enough.
+  SimConfig idle;
+  ASSERT_EQ(apply_config_text("topology = single\nworkload = idle\nworkload_ranks = 1\n", &idle),
+            "");
+  EXPECT_EQ(check_config(idle), "");
   // Switches exactly at the 64-port limit: one crossbar, and the 10k
   // fat-tree's aggregation and core switches.
   SimConfig widest;
@@ -113,6 +118,17 @@ TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
       {"workload = file\nworkload_file = /nonexistent/w.wl", "workload_file: "},
       {"topology = single\nworkload = file\nworkload_file = " + sixteen_ranks, "16 ranks"},
       {"topology = single\nworkload = incast\nworkload_ranks = 16", "16 ranks"},
+      // What the canned builders and the workload engine assert.
+      {"topology = single\nworkload = incast\nworkload_ranks = 1", "workload_ranks"},
+      {"topology = single\nworkload = stencil\nworkload_ranks = 1", "workload_ranks"},
+      {"topology = single\nworkload = tree_allreduce\nworkload_ranks = 1", "workload_ranks"},
+      {"topology = single\nworkload = all_to_all\nworkload_ranks = 1", "workload_ranks"},
+      {"topology = single\nworkload = ring_allreduce\nworkload_ranks = 1", "workload_ranks"},
+      {"topology = single\nworkload = incast\nworkload_ranks = 4\nworkload_bytes = 0",
+       "workload_bytes"},
+      {"topology = single\nworkload = incast\nworkload_ranks = 4\nworkload_iters = 2\n"
+       "workload_compute_us = -5",
+       "workload_compute_us"},
       {"ccti_timer = 0", "ccti_timer"},
       {"hca_inject_gbps = 100", "injection pacing"},
       // Rates must be finite, positive, and fast enough that an MTU's

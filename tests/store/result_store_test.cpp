@@ -70,14 +70,21 @@ TEST_F(ResultStoreTest, PutGetRoundTripWithProvenance) {
   store.put(key, canonical_config_text(config), result, 0.25);
   EXPECT_EQ(object_count(), 1u);
 
-  RunRecord record;
-  ASSERT_TRUE(store.get_record(key, &record));
-  EXPECT_EQ(record.key, key);
-  EXPECT_EQ(record.config_text, canonical_config_text(config));
-  EXPECT_EQ(record.provenance.code_version, code_version());
-  EXPECT_DOUBLE_EQ(record.provenance.wall_seconds, 0.25);
-  EXPECT_EQ(record.result.delivered_bytes, result.delivered_bytes);
-  EXPECT_EQ(record.result.events_executed, result.events_executed);
+  ASSERT_TRUE(store.get(key, &cached));
+  EXPECT_EQ(cached.delivered_bytes, result.delivered_bytes);
+  EXPECT_EQ(cached.events_executed, result.events_executed);
+
+  // The record keeps its provenance and config text for whoever reads
+  // the file.
+  std::ifstream in(dir_ / "objects" / key.substr(0, 2) / key, std::ios::binary);
+  const std::string record{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  EXPECT_NE(record.find("\nkey " + key + "\n"), std::string::npos);
+  EXPECT_NE(record.find("\nversion " + std::string(code_version()) + "\n"), std::string::npos);
+  EXPECT_NE(record.find("\nwall_seconds 0x1p-2\n"), std::string::npos);  // 0.25, as %a
+  const std::string config_text = canonical_config_text(config);
+  EXPECT_NE(record.find("\nconfig_bytes " + std::to_string(config_text.size()) + "\n" +
+                        config_text + "result_bytes "),
+            std::string::npos);
 
   // A second store on the same directory sees the record (cross-process
   // sharing is just cross-instance sharing of the same tree).

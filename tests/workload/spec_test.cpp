@@ -213,6 +213,37 @@ TEST(WorkloadDsl, RejectsStructurallyInvalidSpecs) {
             std::string::npos);
 }
 
+// An integer that the field cannot hold is named, never wrapped or
+// overflowed into a valid-looking value.
+TEST(WorkloadDsl, RejectsOutOfRangeIntegers) {
+  WorkloadSpec spec;
+  EXPECT_EQ(parse_workload_text("ranks 4\nop src 4294967297 dst 2 bytes 4096\n", &spec),
+            "line 2: value 4294967297 out of range for 'src' (0..2147483647)");
+  EXPECT_EQ(parse_workload_text("ranks 4\nop src 0 dst -1 bytes 4096\n", &spec),
+            "line 2: value -1 out of range for 'dst' (0..2147483647)");
+  EXPECT_EQ(parse_workload_text("ranks 4294967298\n", &spec),
+            "line 1: value 4294967298 out of range for 'ranks' (1..2147483647)");
+  EXPECT_EQ(parse_workload_text("ranks 0\n", &spec),
+            "line 1: value 0 out of range for 'ranks' (1..2147483647)");
+  EXPECT_EQ(
+      parse_workload_text("ranks 4\nop src 0 dst 1 bytes 4096 compute_us 9223372036854775\n",
+                          &spec),
+      "line 2: value 9223372036854775 out of range for 'compute_us' (0..9223372036854)");
+  EXPECT_EQ(parse_workload_text("ranks 4\nop src 0 dst 1 bytes 4096 phase 2147483647\n", &spec),
+            "line 2: value 2147483647 out of range for 'phase' (0..2147483646)");
+  // Beyond int64 too.
+  EXPECT_EQ(parse_workload_text("ranks 4\nop src 0 dst 1 bytes 99999999999999999999\n", &spec),
+            "line 2: value 99999999999999999999 out of range for 'bytes' "
+            "(-9223372036854775808..9223372036854775807)");
+  // The largest values that fit still parse.
+  ASSERT_EQ(parse_workload_text("ranks 4\nop src 0 dst 3 bytes 4096 phase 2147483646 "
+                                "compute_us 9223372036854\n",
+                                &spec),
+            "");
+  EXPECT_EQ(spec.ops[0].phase, 2147483646);
+  EXPECT_EQ(spec.ops[0].compute, 9223372036854 * core::kMicrosecond);
+}
+
 TEST(WorkloadRegistry, BuiltinsRegisteredSorted) {
   const auto& registry = WorkloadRegistry::instance();
   const std::vector<std::string> names = registry.names();
