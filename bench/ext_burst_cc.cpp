@@ -15,7 +15,6 @@
 #include "analysis/table.hpp"
 #include "cc/cc_manager.hpp"
 #include "sim/cli.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulation.hpp"
 #include "topo/builders.hpp"
 #include "traffic/burst.hpp"
@@ -69,18 +68,24 @@ Outcome run_case(double duty, bool cc_on, core::Time sim_time, std::uint64_t see
     fab.hca(node).attach_source(sources.back().get());
   }
 
-  sim::MetricsCollector metrics(n, 20000.0);
-  metrics.set_hotspots({hotspot});
-  for (ib::NodeId node = 0; node < n; ++node) fab.hca(node).attach_observer(&metrics);
-
   fab.start(sched);
   sched.run_until(sim_time / 4);
-  metrics.reset_window(sched.now());
+  // Receive rates over the rest of the run, from each HCA's own count.
+  const core::Time window_start = sched.now();
+  std::vector<std::int64_t> base(static_cast<std::size_t>(n));
+  for (ib::NodeId node = 0; node < n; ++node) {
+    base[static_cast<std::size_t>(node)] = fab.hca(node).delivered_bytes();
+  }
   sched.run_until(sim_time);
+  const auto gbps = [&](ib::NodeId node) {
+    return core::rate_gbps(fab.hca(node).delivered_bytes() - base[static_cast<std::size_t>(node)],
+                           sched.now() - window_start);
+  };
 
   Outcome outcome;
-  outcome.hotspot_gbps = metrics.avg_hotspot_gbps(sched.now());
-  outcome.victim_gbps = metrics.avg_non_hotspot_gbps(sched.now());
+  outcome.hotspot_gbps = gbps(hotspot);
+  for (ib::NodeId node = 0; node < n - 1; ++node) outcome.victim_gbps += gbps(node);
+  outcome.victim_gbps /= static_cast<double>(n - 1);
   outcome.fecn = fab.total_fecn_marked();
   return outcome;
 }

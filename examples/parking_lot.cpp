@@ -8,6 +8,7 @@
 //
 //   ./parking_lot [--switches=N] [--sim-time-us=T] [--seed=S]
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -80,17 +81,17 @@ RunResult run(bool cc_on, std::int32_t switches, core::Time sim_time, std::uint6
 
   const ib::NodeId sink = switches - 1;
   std::vector<std::unique_ptr<ToSinkSource>> sources;
-  std::vector<core::RateCounter> rx_by_src(static_cast<std::size_t>(switches));
+  std::vector<std::int64_t> rx_by_src(static_cast<std::size_t>(switches));
 
   class PerSourceObserver final : public fabric::SinkObserver {
    public:
-    explicit PerSourceObserver(std::vector<core::RateCounter>* by_src) : by_src_(by_src) {}
+    explicit PerSourceObserver(std::vector<std::int64_t>* by_src) : by_src_(by_src) {}
     void on_delivered(ib::NodeId, const ib::Packet& pkt, core::Time) override {
-      (*by_src_)[static_cast<std::size_t>(pkt.src)].add(pkt.bytes);
+      (*by_src_)[static_cast<std::size_t>(pkt.src)] += pkt.bytes;
     }
 
    private:
-    std::vector<core::RateCounter>* by_src_;
+    std::vector<std::int64_t>* by_src_;
   } observer(&rx_by_src);
 
   for (ib::NodeId n = 0; n < switches - 1; ++n) {
@@ -103,12 +104,13 @@ RunResult run(bool cc_on, std::int32_t switches, core::Time sim_time, std::uint6
   fab.start(sched);
   const core::Time warmup = sim_time / 2;
   sched.run_until(warmup);
-  for (auto& counter : rx_by_src) counter.reset(warmup);
+  std::fill(rx_by_src.begin(), rx_by_src.end(), 0);
   sched.run_until(sim_time);
 
   RunResult result;
   for (ib::NodeId n = 0; n < switches - 1; ++n) {
-    result.per_source_gbps.push_back(rx_by_src[static_cast<std::size_t>(n)].gbps(sim_time));
+    result.per_source_gbps.push_back(
+        core::rate_gbps(rx_by_src[static_cast<std::size_t>(n)], sim_time - warmup));
     result.sink_gbps += result.per_source_gbps.back();
   }
   result.jain = core::jain_fairness(result.per_source_gbps);

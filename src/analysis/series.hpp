@@ -17,9 +17,6 @@ struct Series {
   }
   [[nodiscard]] std::size_t size() const { return x.size(); }
 
-  /// y at the largest x value (for quick summaries).
-  [[nodiscard]] double last_y() const { return y.empty() ? 0.0 : y.back(); }
-
   /// Maximum y and its x position.
   [[nodiscard]] double max_y() const;
   [[nodiscard]] double x_of_max_y() const;

@@ -15,14 +15,4 @@ double tmax_gbps(const TmaxInputs& in) {
   return std::min(per_node, in.drain_gbps);
 }
 
-double hotspot_offered_gbps(const TmaxInputs& in, std::int32_t n_hotspots) {
-  if (n_hotspots <= 0) return 0.0;
-  // Hotspot-directed load: all of C plus p of B, split across hotspots;
-  // uniform traffic also lands on hotspots at 1/n_nodes per sender but
-  // that term is negligible and the paper's analysis ignores it too.
-  const double hotspot_offered =
-      (static_cast<double>(in.n_c) + static_cast<double>(in.n_b) * in.p) * in.inject_gbps;
-  return hotspot_offered / static_cast<double>(n_hotspots);
-}
-
 }  // namespace ibsim::analysis

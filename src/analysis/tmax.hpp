@@ -11,7 +11,6 @@ namespace ibsim::analysis {
 struct TmaxInputs {
   std::int32_t n_nodes = 648;
   std::int32_t n_b = 0;   ///< B nodes (send p to hotspot, 1-p uniform)
-  std::int32_t n_c = 0;   ///< C nodes (send everything to a hotspot)
   std::int32_t n_v = 0;   ///< V nodes (send everything uniformly)
   double p = 0.0;         ///< hotspot fraction of B traffic
   double inject_gbps = 13.5;
@@ -25,10 +24,5 @@ struct TmaxInputs {
 /// network (e.g. 25% B at p=0: (162+97) x 13.5 / 648 = 5.4 Gb/s, the
 /// tmax value quoted in section V-B.1).
 [[nodiscard]] double tmax_gbps(const TmaxInputs& in);
-
-/// Expected per-hotspot receive rate when contributors saturate it: the
-/// drain ceiling (13.6 Gb/s in the calibrated model), provided offered
-/// hotspot load exceeds it.
-[[nodiscard]] double hotspot_offered_gbps(const TmaxInputs& in, std::int32_t n_hotspots);
 
 }  // namespace ibsim::analysis

@@ -1,50 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "core/time.hpp"
-
 namespace ibsim::core {
-
-/// Windowed byte/packet counter. `reset(now)` starts a measurement
-/// window (used to discard warm-up transients); rates are computed
-/// against the window start.
-class RateCounter {
- public:
-  void add(std::int64_t bytes) {
-    bytes_ += bytes;
-    ++packets_;
-  }
-  void reset(Time now) {
-    bytes_ = 0;
-    packets_ = 0;
-    window_start_ = now;
-  }
-  [[nodiscard]] std::int64_t bytes() const { return bytes_; }
-  [[nodiscard]] std::int64_t packets() const { return packets_; }
-  [[nodiscard]] Time window_start() const { return window_start_; }
-  /// Average rate in Gb/s between window start and `now`. A zero-length
-  /// (or inverted) window reports 0.0 rather than dividing by zero —
-  /// callers sample at arbitrary times, including the window-start
-  /// instant itself.
-  [[nodiscard]] double gbps(Time now) const {
-    if (now <= window_start_) return 0.0;
-    return rate_gbps(bytes_, now - window_start_);
-  }
-  /// Fold another counter's traffic into this one (shard-metrics merge;
-  /// both counters must share a window start for the rate to be valid).
-  void absorb(const RateCounter& other) {
-    bytes_ += other.bytes_;
-    packets_ += other.packets_;
-  }
-
- private:
-  std::int64_t bytes_ = 0;
-  std::int64_t packets_ = 0;
-  Time window_start_ = 0;
-};
 
 /// Fixed-bin histogram over [lo, hi) with overflow/underflow bins.
 /// Used for packet latency distributions.

@@ -13,27 +13,20 @@ Cli::Cli(std::string program_description) : description_(std::move(program_descr
 }
 
 void Cli::add_flag(const std::string& name, const std::string& help) {
-  options_[name] = Option{Kind::Flag, help, false, 0, 0.0, {}};
+  options_[name] = Option{Kind::Flag, help, false, 0, {}};
   order_.push_back(name);
 }
 
 void Cli::add_int(const std::string& name, std::int64_t default_value, const std::string& help) {
-  Option opt{Kind::Int, help, false, 0, 0.0, {}};
+  Option opt{Kind::Int, help, false, 0, {}};
   opt.int_value = default_value;
-  options_[name] = std::move(opt);
-  order_.push_back(name);
-}
-
-void Cli::add_double(const std::string& name, double default_value, const std::string& help) {
-  Option opt{Kind::Double, help, false, 0, 0.0, {}};
-  opt.double_value = default_value;
   options_[name] = std::move(opt);
   order_.push_back(name);
 }
 
 void Cli::add_string(const std::string& name, std::string default_value,
                      const std::string& help, std::string placeholder) {
-  Option opt{Kind::String, help, false, 0, 0.0, {}};
+  Option opt{Kind::String, help, false, 0, {}};
   opt.string_value = std::move(default_value);
   opt.placeholder = std::move(placeholder);
   options_[name] = std::move(opt);
@@ -83,12 +76,6 @@ bool Cli::parse(int argc, char** argv) {
           fail("'--" + arg + "' expects an integer");
         }
         break;
-      case Kind::Double:
-        opt.double_value = std::strtod(value.c_str(), &end);
-        if (value.empty() || *end != '\0' || errno == ERANGE) {
-          fail("'--" + arg + "' expects a number");
-        }
-        break;
       case Kind::String:
         opt.string_value = value;
         break;
@@ -122,10 +109,6 @@ std::int64_t Cli::get_int(const std::string& name) const {
   return require(name, Kind::Int).int_value;
 }
 
-double Cli::get_double(const std::string& name) const {
-  return require(name, Kind::Double).double_value;
-}
-
 const std::string& Cli::get_string(const std::string& name) const {
   return require(name, Kind::String).string_value;
 }
@@ -138,12 +121,6 @@ void Cli::print_usage() const {
     switch (opt.kind) {
       case Kind::Flag: break;
       case Kind::Int: left += "=<int> (default " + std::to_string(opt.int_value) + ")"; break;
-      case Kind::Double: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g", opt.double_value);
-        left += "=<num> (default " + std::string(buf) + ")";
-        break;
-      }
       case Kind::String:
         left += "=<" + opt.placeholder + ">" +
                 (opt.string_value.empty() ? std::string{}

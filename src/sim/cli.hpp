@@ -17,7 +17,6 @@ class Cli {
   /// Register options with defaults (also defines the help text).
   void add_flag(const std::string& name, const std::string& help);
   void add_int(const std::string& name, std::int64_t default_value, const std::string& help);
-  void add_double(const std::string& name, double default_value, const std::string& help);
   /// `placeholder` names the value form in the usage text.
   void add_string(const std::string& name, std::string default_value, const std::string& help,
                   std::string placeholder = "str");
@@ -32,19 +31,17 @@ class Cli {
   /// config file without the defaults clobbering it.
   [[nodiscard]] bool was_set(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
-  [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
 
   void print_usage() const;
 
  private:
-  enum class Kind { Flag, Int, Double, String };
+  enum class Kind { Flag, Int, String };
   struct Option {
     Kind kind;
     std::string help;
     bool flag_value = false;
     std::int64_t int_value = 0;
-    double double_value = 0.0;
     std::string string_value;
     std::string placeholder = "str";
     bool set_on_command_line = false;

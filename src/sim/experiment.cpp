@@ -270,7 +270,6 @@ WindyFigure run_windy_figure(const ExperimentPreset& preset, double fraction_b) 
     analysis::TmaxInputs tin;
     tin.n_nodes = n;
     tin.n_b = n_b;
-    tin.n_c = n_c;
     tin.n_v = n_v;
     tin.p = preset.p_values[i];
     fig.tmax.add(p_pct, analysis::tmax_gbps(tin));
@@ -298,6 +297,20 @@ void write_windy_csv(const WindyFigure& fig, const std::string& prefix) {
                       {&fig.hotspot_off, &fig.hotspot_on});
   analysis::write_csv(prefix + "_c_improvement.csv", "p_pct", {&fig.improvement});
 }
+
+namespace {
+/// Time a moving-hotspot cell by its hotspot lifetime: simulate a fixed
+/// number of hotspot periods, with a floor so the shortest lifetimes
+/// still measure a meaningful window, after a warmup of at most one
+/// lifetime.
+void time_moving_cell(const ExperimentPreset& preset, core::Time lifetime, SimConfig* config) {
+  config->scenario.hotspot_lifetime = lifetime;
+  core::Time sim = lifetime * preset.moving_lifetimes_per_run;
+  if (sim < preset.moving_min_sim_time) sim = preset.moving_min_sim_time;
+  config->sim_time = sim;
+  config->warmup = lifetime < preset.base.warmup ? lifetime : preset.base.warmup;
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // CC-algorithm comparison
@@ -350,12 +363,7 @@ CcCompareResult run_cc_compare(const ExperimentPreset& preset,
       config.cc_algo = algo;
       if (spec.moving) {
         IBSIM_ASSERT(!preset.lifetimes.empty(), "preset needs moving lifetimes");
-        const core::Time lifetime = preset.lifetimes[preset.lifetimes.size() / 2];
-        config.scenario.hotspot_lifetime = lifetime;
-        core::Time sim = lifetime * preset.moving_lifetimes_per_run;
-        if (sim < preset.moving_min_sim_time) sim = preset.moving_min_sim_time;
-        config.sim_time = sim;
-        config.warmup = lifetime < preset.base.warmup ? lifetime : preset.base.warmup;
+        time_moving_cell(preset, preset.lifetimes[preset.lifetimes.size() / 2], &config);
       }
       configs.push_back(config);
     }
@@ -401,14 +409,8 @@ MovingCurve run_moving(const ExperimentPreset& preset, const traffic::ScenarioSp
     for (const bool cc_on : {false, true}) {
       SimConfig config = preset.base_config();
       config.scenario = scenario;
-      config.scenario.hotspot_lifetime = lifetime;
       config.cc.enabled = cc_on;
-      // Simulate a fixed number of hotspot periods, with a floor so the
-      // shortest lifetimes still measure a meaningful window.
-      core::Time sim = lifetime * preset.moving_lifetimes_per_run;
-      if (sim < preset.moving_min_sim_time) sim = preset.moving_min_sim_time;
-      config.sim_time = sim;
-      config.warmup = lifetime < preset.base.warmup ? lifetime : preset.base.warmup;
+      time_moving_cell(preset, lifetime, &config);
       configs.push_back(config);
     }
   }

@@ -72,7 +72,7 @@ Simulation::Simulation(const SimConfig& config,
   }
 
   core::Rng rng(config.seed);
-  metrics_ = std::make_unique<MetricsCollector>(topo.node_count(), kLatencyHistMaxUs);
+  latency_ = std::make_unique<LatencyCollector>(kLatencyHistMaxUs);
   if (config_.workload.active()) {
     // The workload engine replaces the synthetic scenario: rank nodes
     // inject dependency-gated application messages, the remaining nodes
@@ -83,28 +83,24 @@ Simulation::Simulation(const SimConfig& config,
     wopts.background_gbps = config_.scenario.capacity_gbps;
     workload_ = std::make_unique<workload::WorkloadEngine>(
         resolve_workload_spec(config_), wopts, rng.fork("workload", 0));
-    workload_->install(*fabric_, metrics_.get());
+    workload_->install(*fabric_, latency_.get());
     hotspot_nodes_ = workload_->rank_nodes();
-    metrics_->set_hotspots(hotspot_nodes_);
   } else {
     scenario_ = std::make_unique<traffic::Scenario>(topo.node_count(), config.scenario, rng);
     hotspot_nodes_ = scenario_->schedule().hotspots();
-    metrics_->set_hotspots(hotspot_nodes_);
     if (engine_ != nullptr) {
       // One collector per shard so delivery callbacks never touch shared
-      // state from worker threads; merged into metrics_ after the run.
+      // state from worker threads; merged into latency_ after the run.
       for (std::int32_t s = 0; s < shard_plan_.n_shards; ++s) {
-        shard_metrics_.push_back(
-            std::make_unique<MetricsCollector>(topo.node_count(), kLatencyHistMaxUs));
-        shard_metrics_.back()->set_hotspots(hotspot_nodes_);
+        shard_latency_.push_back(std::make_unique<LatencyCollector>(kLatencyHistMaxUs));
       }
       for (ib::NodeId node = 0; node < topo.node_count(); ++node) {
         const std::int32_t shard = fabric_->shard_of(topo.hca_device(node));
-        fabric_->hca(node).attach_observer(shard_metrics_[static_cast<std::size_t>(shard)].get());
+        fabric_->hca(node).attach_observer(shard_latency_[static_cast<std::size_t>(shard)].get());
       }
     } else {
       for (ib::NodeId node = 0; node < topo.node_count(); ++node) {
-        fabric_->hca(node).attach_observer(metrics_.get());
+        fabric_->hca(node).attach_observer(latency_.get());
       }
     }
     scenario_->install(*fabric_, sched_);
@@ -177,24 +173,28 @@ SimResult Simulation::run() {
     IBSIM_LOG(core::LogLevel::Warn, sched_.now(), "cannot open counters CSV '%s'",
               config_.telemetry.counters_csv.c_str());
   }
-  if (engine_ != nullptr) {
-    engine_->run_until(config_.warmup);
-    metrics_->reset_window(config_.warmup);
-    for (auto& m : shard_metrics_) m->reset_window(config_.warmup);
-    engine_->run_until(config_.sim_time);
-    // Merge the per-shard collectors; window starts match, so rates and
-    // histograms add exactly.
-    for (const auto& m : shard_metrics_) metrics_->absorb(*m);
-  } else {
-    sched_.run_until(config_.warmup);
-    // Pin the measurement window to the configured instants, not to
-    // sched_.now(): the scheduler clock rests on the last *executed*
-    // event, and the fabric fast path elides bookkeeping events, so a
-    // last-event-based window would make rate denominators depend on the
-    // event-chain mode and break the fast/slow bit-identity guarantee.
-    metrics_->reset_window(config_.warmup);
-    sched_.run_until(config_.sim_time);
+  const auto run_until = [this](core::Time t) {
+    if (engine_ != nullptr) {
+      engine_->run_until(t);  // returns once every shard worker has joined
+    } else {
+      sched_.run_until(t);
+    }
+  };
+  run_until(config_.warmup);
+  // The measurement window opens at the configured warmup, which is
+  // what snapshot_at's rate denominators use, not at sched_.now(): the
+  // scheduler clock rests on the last *executed* event, and the fabric
+  // fast path elides bookkeeping events, so a last-event-based window
+  // would make rate denominators depend on the event-chain mode and
+  // break the fast/slow bit-identity guarantee.
+  latency_->reset();
+  for (auto& c : shard_latency_) c->reset();
+  window_base_.resize(static_cast<std::size_t>(fabric_->node_count()));
+  for (ib::NodeId node = 0; node < fabric_->node_count(); ++node) {
+    window_base_[static_cast<std::size_t>(node)] = fabric_->hca(node).delivered_bytes();
   }
+  run_until(config_.sim_time);
+  for (const auto& c : shard_latency_) latency_->absorb(*c);
 
   if (sampler_ != nullptr) sampler_->close();
   if (telemetry_ != nullptr && config_.telemetry.tracing()) {
@@ -227,19 +227,44 @@ void Simulation::refresh_gauges() const {
 
 SimResult Simulation::snapshot_at(core::Time now) const {
   SimResult r;
-  r.hotspot_rcv_gbps = metrics_->avg_hotspot_gbps(now);
-  r.non_hotspot_rcv_gbps = metrics_->avg_non_hotspot_gbps(now);
-  r.all_rcv_gbps = metrics_->avg_all_gbps(now);
-  r.total_throughput_gbps = metrics_->total_throughput_gbps(now);
-  r.jain_non_hotspot = metrics_->jain_non_hotspot(now);
-  if (metrics_->latency_us().total() > 0) {
-    r.median_latency_us = metrics_->latency_us().quantile(0.50);
-    r.p99_latency_us = metrics_->latency_us().quantile(0.99);
+  // Receive rates: each node's sink bytes since the window opened, read
+  // from its HCA. Sums run in node order, so every double is the same
+  // whatever order hotspot_nodes_ lists the class in.
+  const std::size_t n_nodes = window_base_.size();
+  std::vector<bool> hotspot(n_nodes, false);
+  for (const ib::NodeId node : hotspot_nodes_) hotspot[static_cast<std::size_t>(node)] = true;
+  std::vector<double> non_hotspot_rates;
+  non_hotspot_rates.reserve(n_nodes);
+  double hotspot_sum = 0.0;
+  double non_hotspot_sum = 0.0;
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    const std::int64_t bytes =
+        fabric_->hca(static_cast<ib::NodeId>(i)).delivered_bytes() - window_base_[i];
+    const double gbps = core::rate_gbps(bytes, now - config_.warmup);
+    r.delivered_bytes += bytes;
+    r.total_throughput_gbps += gbps;
+    if (hotspot[i]) {
+      hotspot_sum += gbps;
+    } else {
+      non_hotspot_sum += gbps;
+      non_hotspot_rates.push_back(gbps);
+    }
+  }
+  if (!hotspot_nodes_.empty()) {
+    r.hotspot_rcv_gbps = hotspot_sum / static_cast<double>(hotspot_nodes_.size());
+  }
+  if (!non_hotspot_rates.empty()) {
+    r.non_hotspot_rcv_gbps = non_hotspot_sum / static_cast<double>(non_hotspot_rates.size());
+  }
+  r.all_rcv_gbps = r.total_throughput_gbps / static_cast<double>(n_nodes);
+  r.jain_non_hotspot = core::jain_fairness(non_hotspot_rates);
+  if (latency_->latency_us().total() > 0) {
+    r.median_latency_us = latency_->latency_us().quantile(0.50);
+    r.p99_latency_us = latency_->latency_us().quantile(0.99);
   }
   r.fecn_marked = fabric_->total_fecn_marked();
   r.cnps_sent = fabric_->total_cnps_sent();
   r.becn_received = fabric_->total_becn_received();
-  r.delivered_bytes = metrics_->delivered_bytes();
   if (engine_ != nullptr) {
     r.events_executed = engine_->total_executed();
     r.events_by_kind = engine_->total_executed_by_kind();

@@ -108,7 +108,6 @@ class Simulation {
   [[nodiscard]] traffic::Scenario& scenario() { return *scenario_; }
   /// The workload engine; null when the config has no workload.
   [[nodiscard]] workload::WorkloadEngine* workload_engine() { return workload_.get(); }
-  [[nodiscard]] MetricsCollector& metrics() { return *metrics_; }
   [[nodiscard]] const topo::Topology& topology() const { return snapshot_->topology->topo; }
   [[nodiscard]] const topo::RoutingTables& routing() const { return snapshot_->tables; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
@@ -125,11 +124,11 @@ class Simulation {
   [[nodiscard]] const telemetry::Telemetry* telemetry() const { return telemetry_.get(); }
 
  private:
-  /// The result over the current measurement window, with rates
-  /// referenced to `now`. run() passes the configured sim_time so rate
-  /// denominators never depend on when the last bookkeeping event
-  /// happened to fire (the fabric fast path elides some of those, and
-  /// results must be bit-identical fast/slow).
+  /// The result over the measurement window that opened at the
+  /// configured warmup, with rates referenced to `now`. run() passes the
+  /// configured sim_time so rate denominators never depend on when the
+  /// last bookkeeping event happened to fire (the fabric fast path
+  /// elides some of those, and results must be bit-identical fast/slow).
   [[nodiscard]] SimResult snapshot_at(core::Time now) const;
 
   /// Decide the shard count, build per-shard schedulers and the fabric
@@ -152,16 +151,19 @@ class Simulation {
   std::vector<std::unique_ptr<core::Scheduler>> shard_scheds_;
   fabric::Fabric::ShardLayout shard_layout_;
   std::unique_ptr<fabric::Fabric> fabric_;
-  std::vector<std::unique_ptr<MetricsCollector>> shard_metrics_;
+  std::vector<std::unique_ptr<LatencyCollector>> shard_latency_;
   std::unique_ptr<ShardEngine> engine_;
   std::unique_ptr<traffic::Scenario> scenario_;
   std::unique_ptr<workload::WorkloadEngine> workload_;
-  std::unique_ptr<MetricsCollector> metrics_;
+  std::unique_ptr<LatencyCollector> latency_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
   std::unique_ptr<telemetry::CounterSampler> sampler_;
-  /// The node class MetricsCollector::set_hotspots received: the initial
+  /// The hotspot node class of every receive figure: the initial
   /// hotspots, or the workload's rank nodes.
   std::vector<ib::NodeId> hotspot_nodes_;
+  /// Each node's HCA delivered-byte count when the measurement window
+  /// opened; the window's receive volume is the growth since.
+  std::vector<std::int64_t> window_base_;
   telemetry::CounterRegistry::Handle g_rcv_hotspot_;
   telemetry::CounterRegistry::Handle g_rcv_non_hotspot_;
   bool ran_ = false;

@@ -7,35 +7,17 @@
 
 namespace ibsim::traffic {
 
-/// Strategy for drawing the destination of a new message.
-class DestinationDistribution {
- public:
-  virtual ~DestinationDistribution() = default;
-  [[nodiscard]] virtual ib::NodeId draw(core::Rng& rng) = 0;
-};
-
 /// Uniform over all end nodes except the sender itself — the paper's
 /// "uniform destination distribution including all nodes in the network
 /// (except the node itself)" (Frame I).
-class UniformDestination final : public DestinationDistribution {
+class UniformDestination {
  public:
   UniformDestination(ib::NodeId self, std::int32_t n_nodes);
-  [[nodiscard]] ib::NodeId draw(core::Rng& rng) override;
+  [[nodiscard]] ib::NodeId draw(core::Rng& rng);
 
  private:
   ib::NodeId self_;
   std::int32_t n_nodes_;
-};
-
-/// Always the same destination (used by tests and fixed-pattern
-/// examples).
-class FixedDestination final : public DestinationDistribution {
- public:
-  explicit FixedDestination(ib::NodeId dst) : dst_(dst) {}
-  [[nodiscard]] ib::NodeId draw(core::Rng&) override { return dst_; }
-
- private:
-  ib::NodeId dst_;
 };
 
 }  // namespace ibsim::traffic

@@ -83,7 +83,7 @@ void WorkloadEngine::install(fabric::Fabric& fabric, fabric::SinkObserver* next)
     }
   }
   // Observe every sink (application completions resolve here; everything
-  // is forwarded to the metrics collector).
+  // is forwarded to the latency collector).
   for (ib::NodeId node = 0; node < fabric.node_count(); ++node)
     fabric.hca(node).attach_observer(this);
 }

@@ -62,7 +62,7 @@ class WorkloadEngine final : public fabric::SinkObserver {
 
   /// Attach rank sources and background generators, and install this
   /// engine as every HCA's sink observer, forwarding each delivery to
-  /// `next` (the metrics collector). Rank r runs on end node r; the
+  /// `next` (the latency collector). Rank r runs on end node r; the
   /// fabric must have at least spec.ranks end nodes.
   void install(fabric::Fabric& fabric, fabric::SinkObserver* next);
 

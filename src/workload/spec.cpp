@@ -28,12 +28,6 @@ std::int32_t WorkloadSpec::phase_count() const {
   return max_phase + 1;
 }
 
-std::int64_t WorkloadSpec::total_bytes() const {
-  std::int64_t total = 0;
-  for (const WorkloadOp& op : ops) total += op.bytes;
-  return total;
-}
-
 std::string WorkloadSpec::validate() const {
   if (ranks < 1) return "workload needs at least one rank";
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -45,6 +39,10 @@ std::string WorkloadSpec::validate() const {
     if (op.src_rank == op.dst_rank) return at.str() + "src and dst rank are the same";
     if (op.bytes <= 0) return at.str() + "bytes must be positive";
     if (op.phase < 0) return at.str() + "phase must be non-negative";
+    if (static_cast<std::size_t>(op.phase) >= ops.size()) {
+      at << "phase " << op.phase << " must be below the op count (" << ops.size() << ")";
+      return at.str();
+    }
     if (op.compute < 0) return at.str() + "compute must be non-negative";
     for (const std::int32_t d : op.deps) {
       if (d < 0 || static_cast<std::size_t>(d) >= i)

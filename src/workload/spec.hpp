@@ -39,10 +39,9 @@ struct WorkloadSpec {
 
   /// Number of phases (max phase index + 1; 0 when there are no ops).
   [[nodiscard]] std::int32_t phase_count() const;
-  /// Total payload bytes across all ops.
-  [[nodiscard]] std::int64_t total_bytes() const;
   /// Structural check: ranks >= 1, src/dst in range and distinct,
-  /// bytes > 0, deps strictly earlier. Returns "" or a description.
+  /// bytes > 0, phase below the op count (so phase_count() never
+  /// exceeds it), deps strictly earlier. Returns "" or a description.
   [[nodiscard]] std::string validate() const;
 };
 

@@ -15,14 +15,12 @@ TEST(Series, AddAndQuery) {
   s.add(10.0, 5.0);
   s.add(20.0, 3.0);
   EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.last_y(), 3.0);
   EXPECT_EQ(s.max_y(), 5.0);
   EXPECT_EQ(s.x_of_max_y(), 10.0);
 }
 
 TEST(Series, EmptyQueries) {
   Series s;
-  EXPECT_EQ(s.last_y(), 0.0);
   EXPECT_EQ(s.max_y(), 0.0);
   EXPECT_EQ(s.x_of_max_y(), 0.0);
 }

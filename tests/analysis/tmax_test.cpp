@@ -10,8 +10,8 @@ TmaxInputs windy_648(std::int32_t n_b, double p) {
   in.n_nodes = 648;
   in.n_b = n_b;
   const std::int32_t rest = 648 - n_b;
-  in.n_c = static_cast<std::int32_t>(rest * 0.8 + 0.5);
-  in.n_v = rest - in.n_c;
+  const auto n_c = static_cast<std::int32_t>(rest * 0.8 + 0.5);
+  in.n_v = rest - n_c;
   in.p = p;
   return in;
 }
@@ -63,20 +63,6 @@ TEST(Tmax, SteeperSlopeWithMoreBNodes) {
   const double slope_75 =
       tmax_gbps(windy_648(486, 0.0)) - tmax_gbps(windy_648(486, 1.0));
   EXPECT_GT(slope_75, slope_25);
-}
-
-TEST(HotspotOffered, SplitsAcrossHotspots) {
-  TmaxInputs in = windy_648(0, 0.0);  // pure 80/20 C/V split
-  // 518 C nodes over 8 hotspots at 13.5 Gb/s each.
-  EXPECT_NEAR(hotspot_offered_gbps(in, 8), 518.0 * 13.5 / 8.0, 1.0);
-  EXPECT_EQ(hotspot_offered_gbps(in, 0), 0.0);
-}
-
-TEST(HotspotOffered, BContributionScalesWithP) {
-  TmaxInputs in = windy_648(648, 0.5);
-  in.n_c = 0;
-  in.n_v = 0;
-  EXPECT_NEAR(hotspot_offered_gbps(in, 8), 648.0 * 0.5 * 13.5 / 8.0, 1.0);
 }
 
 }  // namespace

@@ -2,44 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace ibsim::core {
 namespace {
-
-TEST(RateCounter, AccumulatesBytesAndPackets) {
-  RateCounter counter;
-  counter.add(1000);
-  counter.add(2000);
-  EXPECT_EQ(counter.bytes(), 3000);
-  EXPECT_EQ(counter.packets(), 2);
-}
-
-TEST(RateCounter, GbpsOverWindow) {
-  RateCounter counter;
-  counter.reset(kMicrosecond);
-  counter.add(capacity_bytes(10.0, kMicrosecond));
-  EXPECT_NEAR(counter.gbps(2 * kMicrosecond), 10.0, 0.01);
-}
-
-TEST(RateCounter, ResetStartsNewWindow) {
-  RateCounter counter;
-  counter.add(999999);
-  counter.reset(100);
-  EXPECT_EQ(counter.bytes(), 0);
-  EXPECT_EQ(counter.window_start(), 100);
-}
-
-TEST(RateCounter, ZeroLengthWindowReportsZero) {
-  // Sampling at (or before) the window-start instant must not divide by
-  // zero — samplers run at arbitrary times, including reset time itself.
-  RateCounter counter;
-  counter.reset(kMicrosecond);
-  counter.add(12345);
-  EXPECT_EQ(counter.gbps(kMicrosecond), 0.0);
-  EXPECT_EQ(counter.gbps(0), 0.0);  // inverted window, same guarantee
-  EXPECT_TRUE(std::isfinite(counter.gbps(kMicrosecond)));
-}
 
 TEST(Histogram, BinsAndRanges) {
   Histogram h(0.0, 10.0, 10);

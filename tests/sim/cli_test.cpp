@@ -16,12 +16,10 @@ bool parse(Cli& cli, std::vector<const char*> args) {
 TEST(Cli, DefaultsApplyWithoutArgs) {
   Cli cli("test");
   cli.add_int("count", 42, "a count");
-  cli.add_double("rate", 1.5, "a rate");
   cli.add_string("name", "abc", "a name");
   cli.add_flag("verbose", "a flag");
   EXPECT_TRUE(parse(cli, {}));
   EXPECT_EQ(cli.get_int("count"), 42);
-  EXPECT_DOUBLE_EQ(cli.get_double("rate"), 1.5);
   EXPECT_EQ(cli.get_string("name"), "abc");
   EXPECT_FALSE(cli.flag("verbose"));
 }
@@ -29,11 +27,9 @@ TEST(Cli, DefaultsApplyWithoutArgs) {
 TEST(Cli, EqualsSyntax) {
   Cli cli("test");
   cli.add_int("count", 0, "");
-  cli.add_double("rate", 0, "");
   cli.add_string("name", "", "");
-  EXPECT_TRUE(parse(cli, {"--count=7", "--rate=2.25", "--name=xyz"}));
+  EXPECT_TRUE(parse(cli, {"--count=7", "--name=xyz"}));
   EXPECT_EQ(cli.get_int("count"), 7);
-  EXPECT_DOUBLE_EQ(cli.get_double("rate"), 2.25);
   EXPECT_EQ(cli.get_string("name"), "xyz");
 }
 
@@ -59,10 +55,8 @@ TEST(Cli, HelpReturnsFalse) {
 TEST(Cli, NegativeNumbers) {
   Cli cli("test");
   cli.add_int("offset", 0, "");
-  cli.add_double("delta", 0, "");
-  EXPECT_TRUE(parse(cli, {"--offset=-5", "--delta=-0.5"}));
+  EXPECT_TRUE(parse(cli, {"--offset=-5"}));
   EXPECT_EQ(cli.get_int("offset"), -5);
-  EXPECT_DOUBLE_EQ(cli.get_double("delta"), -0.5);
 }
 
 TEST(Cli, StringOptionAcceptsEmptyValue) {
@@ -85,11 +79,13 @@ TEST(CliDeath, BadIntegerExits) {
   }
 }
 
+// Options hold integers only: a fractional or exponent number is as
+// wrong as a word.
 TEST(CliDeath, BadNumberExits) {
-  for (const char* arg : {"--rate=", "--rate=1e999"}) {
+  for (const char* arg : {"--count=2.25", "--count=1e3"}) {
     Cli cli("test");
-    cli.add_double("rate", 0, "");
-    EXPECT_EXIT(parse(cli, {arg}), ::testing::ExitedWithCode(2), "expects a number") << arg;
+    cli.add_int("count", 0, "");
+    EXPECT_EXIT(parse(cli, {arg}), ::testing::ExitedWithCode(2), "expects an integer") << arg;
   }
 }
 
@@ -114,7 +110,7 @@ TEST(CliDeath, WrongTypeQueryAborts) {
   Cli cli("test");
   cli.add_int("count", 0, "");
   EXPECT_TRUE(parse(cli, {}));
-  EXPECT_DEATH((void)cli.get_double("count"), "wrong type");
+  EXPECT_DEATH((void)cli.get_string("count"), "wrong type");
 }
 
 }  // namespace

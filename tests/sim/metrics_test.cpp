@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ib/packet.hpp"
+#include "sim/simulation.hpp"
+#include "workload/engine.hpp"
 
 namespace ibsim::sim {
 namespace {
@@ -15,96 +21,161 @@ ib::Packet make_packet(ib::NodeId src, std::int32_t bytes, core::Time injected) 
   return pkt;
 }
 
-TEST(Metrics, PerNodeRates) {
-  MetricsCollector m(4, 1000.0);
-  m.reset_window(0);
-  const std::int64_t bytes = core::capacity_bytes(5.0, core::kMillisecond);
-  ib::Packet pkt = make_packet(1, static_cast<std::int32_t>(bytes), 0);
-  m.on_delivered(2, pkt, 100);
-  EXPECT_NEAR(m.node_gbps(2, core::kMillisecond), 5.0, 0.01);
-  EXPECT_EQ(m.node_gbps(0, core::kMillisecond), 0.0);
-}
-
-TEST(Metrics, HotspotAggregation) {
-  MetricsCollector m(4, 1000.0);
-  m.set_hotspots({0});
-  m.reset_window(0);
-  ib::Packet pkt = make_packet(3, 1000, 0);
-  m.on_delivered(0, pkt, 10);  // hotspot
-  m.on_delivered(1, pkt, 10);
-  m.on_delivered(2, pkt, 10);
-  const core::Time now = core::kMicrosecond;
-  const double one_node = core::rate_gbps(1000, now);
-  EXPECT_NEAR(m.avg_hotspot_gbps(now), one_node, 1e-9);
-  EXPECT_NEAR(m.avg_non_hotspot_gbps(now), 2.0 * one_node / 3.0, 1e-9);
-  EXPECT_NEAR(m.avg_all_gbps(now), 3.0 * one_node / 4.0, 1e-9);
-  EXPECT_NEAR(m.total_throughput_gbps(now), 3.0 * one_node, 1e-9);
-}
-
-TEST(Metrics, NoHotspotsConfigured) {
-  MetricsCollector m(2, 1000.0);
-  m.reset_window(0);
-  EXPECT_EQ(m.avg_hotspot_gbps(100), 0.0);
-  ib::Packet pkt = make_packet(0, 500, 0);
-  m.on_delivered(1, pkt, 10);
-  EXPECT_GT(m.avg_non_hotspot_gbps(core::kMicrosecond), 0.0);
+SimConfig silent_clos_config() {
+  SimConfig config;
+  config.topology = TopologyKind::FoldedClos;
+  config.clos = topo::FoldedClosParams::scaled(4, 2, 4);  // 16 nodes
+  config.cc.ccti_increase = 4;
+  config.cc.ccti_timer = 38;
+  config.scenario.fraction_b = 0.0;
+  config.scenario.fraction_c_of_rest = 0.8;
+  config.scenario.n_hotspots = 2;
+  config.sim_time = 1500 * core::kMicrosecond;
+  config.warmup = 300 * core::kMicrosecond;
+  return config;
 }
 
 TEST(Metrics, ResetWindowDiscardsHistory) {
-  MetricsCollector m(2, 1000.0);
-  m.reset_window(0);
+  LatencyCollector m(1000.0);
   ib::Packet pkt = make_packet(0, 99999, 0);
   m.on_delivered(1, pkt, 10);
-  m.reset_window(core::kMicrosecond);
-  EXPECT_EQ(m.delivered_bytes(), 0);
-  EXPECT_EQ(m.node_gbps(1, 2 * core::kMicrosecond), 0.0);
+  m.reset();
   EXPECT_EQ(m.latency_us().total(), 0u);
+  m.on_delivered(1, pkt, 20);
+  EXPECT_EQ(m.latency_us().total(), 1u);
 }
 
 TEST(Metrics, LatencyHistogramInMicroseconds) {
-  MetricsCollector m(2, 1000.0);
-  m.reset_window(0);
+  LatencyCollector m(1000.0);
   ib::Packet pkt = make_packet(0, 100, 0);
   m.on_delivered(1, pkt, 5 * core::kMicrosecond);
   EXPECT_EQ(m.latency_us().total(), 1u);
   EXPECT_NEAR(m.latency_us().quantile(0.5), 5.0, 4.0);
 }
 
-TEST(Metrics, JainFairnessOverNonHotspots) {
-  MetricsCollector m(3, 1000.0);
-  m.set_hotspots({0});
-  m.reset_window(0);
-  ib::Packet pkt = make_packet(0, 1000, 0);
-  // Equal delivery to both non-hotspots: perfectly fair.
-  m.on_delivered(1, pkt, 10);
-  m.on_delivered(2, pkt, 10);
-  EXPECT_NEAR(m.jain_non_hotspot(core::kMicrosecond), 1.0, 1e-12);
-  // Skew it.
-  m.on_delivered(1, pkt, 20);
-  m.on_delivered(1, pkt, 30);
-  EXPECT_LT(m.jain_non_hotspot(core::kMicrosecond), 1.0);
+TEST(Metrics, NoHotspotsConfigured) {
+  // Without a hotspot class every node is a non-hotspot, and the hotspot
+  // average reads 0 rather than dividing by an empty class.
+  SimConfig config = silent_clos_config();
+  config.scenario.fraction_c_of_rest = 0.0;  // all uniform
+  config.scenario.n_hotspots = 0;
+  const SimResult r = run_sim(config);
+  EXPECT_EQ(r.hotspot_rcv_gbps, 0.0);
+  EXPECT_GT(r.non_hotspot_rcv_gbps, 0.0);
+  EXPECT_EQ(r.non_hotspot_rcv_gbps, r.all_rcv_gbps);
 }
 
-TEST(Metrics, CountsPacketsAndBytes) {
-  MetricsCollector m(2, 1000.0);
-  m.reset_window(0);
-  ib::Packet pkt = make_packet(0, 2048, 0);
-  m.on_delivered(1, pkt, 10);
-  m.on_delivered(1, pkt, 20);
-  EXPECT_EQ(m.delivered_bytes(), 4096);
-  EXPECT_EQ(m.latency_us().total(), 2u);
+// --- The receive window: rates are read from the HCAs' own counts --------
+
+/// The window's figures recomputed from each node's HCA count: `full`
+/// ran the whole config, `prefix` the same config up to its warmup.
+/// Sums run in node order, as Simulation reports them.
+SimResult expected_window(Simulation& prefix, Simulation& full,
+                          const std::vector<ib::NodeId>& hotspots) {
+  const SimConfig& config = full.config();
+  const std::int32_t n = full.fabric().node_count();
+  std::vector<bool> is_hotspot(static_cast<std::size_t>(n), false);
+  for (const ib::NodeId node : hotspots) is_hotspot[static_cast<std::size_t>(node)] = true;
+  SimResult r;
+  double hotspot_sum = 0.0;
+  double non_hotspot_sum = 0.0;
+  std::vector<double> non_hotspot_rates;
+  for (ib::NodeId node = 0; node < n; ++node) {
+    const std::int64_t bytes =
+        full.fabric().hca(node).delivered_bytes() - prefix.fabric().hca(node).delivered_bytes();
+    const double gbps = core::rate_gbps(bytes, config.sim_time - config.warmup);
+    r.delivered_bytes += bytes;
+    r.total_throughput_gbps += gbps;
+    if (is_hotspot[static_cast<std::size_t>(node)]) {
+      hotspot_sum += gbps;
+    } else {
+      non_hotspot_sum += gbps;
+      non_hotspot_rates.push_back(gbps);
+    }
+  }
+  r.hotspot_rcv_gbps = hotspot_sum / static_cast<double>(hotspots.size());
+  r.non_hotspot_rcv_gbps = non_hotspot_sum / static_cast<double>(non_hotspot_rates.size());
+  r.all_rcv_gbps = r.total_throughput_gbps / static_cast<double>(n);
+  r.jain_non_hotspot = core::jain_fairness(non_hotspot_rates);
+  return r;
 }
 
-TEST(Metrics, SetHotspotsReplacesPrevious) {
-  MetricsCollector m(4, 1000.0);
-  m.set_hotspots({0, 1});
-  m.set_hotspots({2});
-  m.reset_window(0);
-  ib::Packet pkt = make_packet(0, 1000, 0);
-  m.on_delivered(0, pkt, 10);
-  // Node 0 is no longer a hotspot.
-  EXPECT_EQ(m.avg_hotspot_gbps(core::kMicrosecond), 0.0);
-  EXPECT_GT(m.avg_non_hotspot_gbps(core::kMicrosecond), 0.0);
+TEST(ReceiveWindow, RatesAreTheGrowthOfEachHcaCount) {
+  std::vector<std::pair<std::string, SimConfig>> cases;
+  cases.emplace_back("serial silent forest", silent_clos_config());
+
+  SimConfig sharded;
+  sharded.topology = TopologyKind::FatTree3;
+  sharded.fat_tree3 = topo::FatTree3Params::scale_2k();
+  sharded.cc.ccti_increase = 4;
+  sharded.cc.ccti_timer = 38;
+  sharded.scenario.fraction_b = 1.0;
+  sharded.scenario.p = 0.5;
+  sharded.scenario.n_hotspots = 2;
+  sharded.sim_time = 150 * core::kMicrosecond;
+  sharded.warmup = 50 * core::kMicrosecond;
+  sharded.shards = 2;
+  sharded.threads = 2;
+  cases.emplace_back("2-shard ft3-2k", sharded);
+
+  SimConfig workload;
+  workload.topology = TopologyKind::SingleSwitch;
+  workload.single_switch_nodes = 8;
+  workload.workload.name = "incast";
+  workload.workload.ranks = 4;
+  workload.workload.iterations = 4;
+  workload.sim_time = 1500 * core::kMicrosecond;
+  workload.warmup = 300 * core::kMicrosecond;
+  cases.emplace_back("incast workload", workload);
+
+  SimConfig moving = silent_clos_config();
+  moving.scenario.hotspot_lifetime = 200 * core::kMicrosecond;
+  cases.emplace_back("moving hotspots", moving);
+
+  for (const auto& [what, config] : cases) {
+    SCOPED_TRACE(what);
+    SimConfig warmup_only = config;
+    warmup_only.sim_time = config.warmup;
+    Simulation prefix(warmup_only);
+    (void)prefix.run();
+
+    Simulation full(config);
+    // The node class is fixed when the run is built (the initial
+    // hotspots, or the workload's ranks), before any hotspot moves.
+    const std::vector<ib::NodeId> hotspots =
+        full.workload_engine() != nullptr ? full.workload_engine()->rank_nodes()
+                                          : full.scenario().schedule().hotspots();
+    const SimResult r = full.run();
+    EXPECT_EQ(full.effective_shards(), config.shards);
+
+    const SimResult want = expected_window(prefix, full, hotspots);
+    EXPECT_GT(want.hotspot_rcv_gbps, 0.0);
+    EXPECT_GT(want.non_hotspot_rcv_gbps, 0.0);
+    EXPECT_EQ(r.hotspot_rcv_gbps, want.hotspot_rcv_gbps);
+    EXPECT_EQ(r.non_hotspot_rcv_gbps, want.non_hotspot_rcv_gbps);
+    EXPECT_EQ(r.all_rcv_gbps, want.all_rcv_gbps);
+    EXPECT_EQ(r.total_throughput_gbps, want.total_throughput_gbps);
+    EXPECT_EQ(r.jain_non_hotspot, want.jain_non_hotspot);
+    EXPECT_EQ(r.delivered_bytes, want.delivered_bytes);
+  }
+}
+
+TEST(ReceiveWindow, ZeroLengthWindowReadsZero) {
+  // The HCAs deliver traffic during the warmup, but a window that closes
+  // where it opens (or before) holds none of it and divides by nothing.
+  for (const core::Time sim_time : {300 * core::kMicrosecond, 200 * core::kMicrosecond}) {
+    SimConfig config = silent_clos_config();
+    config.sim_time = sim_time;
+    Simulation sim(config);
+    const SimResult r = sim.run();
+    EXPECT_GT(sim.fabric().total_delivered_bytes(), 0);
+    EXPECT_EQ(r.hotspot_rcv_gbps, 0.0);
+    EXPECT_EQ(r.non_hotspot_rcv_gbps, 0.0);
+    EXPECT_EQ(r.all_rcv_gbps, 0.0);
+    EXPECT_EQ(r.total_throughput_gbps, 0.0);
+    EXPECT_EQ(r.jain_non_hotspot, 1.0);
+    EXPECT_EQ(r.delivered_bytes, 0);
+  }
 }
 
 }  // namespace

@@ -42,11 +42,5 @@ TEST(UniformDestination, TwoNodeNetworkIsDeterministic) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(dist.draw(rng), 1);
 }
 
-TEST(FixedDestination, AlwaysSame) {
-  core::Rng rng(5);
-  FixedDestination dist(7);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(dist.draw(rng), 7);
-}
-
 }  // namespace
 }  // namespace ibsim::traffic

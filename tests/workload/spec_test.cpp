@@ -23,7 +23,6 @@ TEST(WorkloadSpec, IncastShape) {
   EXPECT_TRUE(spec.validate().empty()) << spec.validate();
   ASSERT_EQ(spec.ops.size(), 6u);  // (ranks-1) senders x 2 iterations
   EXPECT_EQ(spec.phase_count(), 2);
-  EXPECT_EQ(spec.total_bytes(), 6 * 8192);
   for (const WorkloadOp& op : spec.ops) EXPECT_EQ(op.dst_rank, 0);
   // First iteration starts unconstrained; the second barriers on all of it.
   for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(spec.ops[i].deps.empty());
@@ -129,7 +128,6 @@ TEST(WorkloadSpec, IdleIsEmpty) {
   EXPECT_TRUE(spec.validate().empty());
   EXPECT_TRUE(spec.ops.empty());
   EXPECT_EQ(spec.phase_count(), 0);
-  EXPECT_EQ(spec.total_bytes(), 0);
 }
 
 TEST(WorkloadSpec, ComputeAppliedToIterationStarts) {
@@ -235,13 +233,37 @@ TEST(WorkloadDsl, RejectsOutOfRangeIntegers) {
   EXPECT_EQ(parse_workload_text("ranks 4\nop src 0 dst 1 bytes 99999999999999999999\n", &spec),
             "line 2: value 99999999999999999999 out of range for 'bytes' "
             "(-9223372036854775808..9223372036854775807)");
-  // The largest values that fit still parse.
-  ASSERT_EQ(parse_workload_text("ranks 4\nop src 0 dst 3 bytes 4096 phase 2147483646 "
-                                "compute_us 9223372036854\n",
+  // The largest phase the field holds is read, then refused: a one-op
+  // workload has one phase. The largest compute delay still parses.
+  EXPECT_EQ(parse_workload_text("ranks 4\nop src 0 dst 3 bytes 4096 phase 2147483646\n", &spec),
+            "op 0: phase 2147483646 must be below the op count (1)");
+  ASSERT_EQ(parse_workload_text("ranks 4\nop src 0 dst 3 bytes 4096 compute_us 9223372036854\n",
                                 &spec),
             "");
-  EXPECT_EQ(spec.ops[0].phase, 2147483646);
   EXPECT_EQ(spec.ops[0].compute, 9223372036854 * core::kMicrosecond);
+}
+
+// Phases only label ops for reporting, and the engine keeps one slot per
+// phase: a label at or past the op count is refused, so a file cannot
+// size that table.
+TEST(WorkloadDsl, PhaseLabelsStayBelowTheOpCount) {
+  WorkloadSpec spec;
+  EXPECT_EQ(parse_workload_text("ranks 2\nop src 0 dst 1 bytes 4096 phase 10000000\n", &spec),
+            "op 0: phase 10000000 must be below the op count (1)");
+  EXPECT_EQ(parse_workload_text("ranks 2\nop src 0 dst 1 bytes 8 phase 1\n"
+                                "op src 1 dst 0 bytes 8 phase 2\n",
+                                &spec),
+            "op 1: phase 2 must be below the op count (2)");
+  ASSERT_EQ(parse_workload_text("ranks 2\nop src 0 dst 1 bytes 8 phase 1\n"
+                                "op src 1 dst 0 bytes 8 phase 1\n",
+                                &spec),
+            "");
+  EXPECT_EQ(spec.phase_count(), 2);
+  // The canned builders already keep every phase label below the op count.
+  for (const std::string& name : WorkloadRegistry::instance().names()) {
+    const WorkloadSpec built = WorkloadRegistry::instance().build(name, params(5, 3));
+    EXPECT_EQ(built.validate(), "") << name;
+  }
 }
 
 TEST(WorkloadRegistry, BuiltinsRegisteredSorted) {
