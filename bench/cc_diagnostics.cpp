@@ -12,6 +12,7 @@
 #include <map>
 
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 #include "traffic/scenario.hpp"
 
@@ -33,12 +34,16 @@ int main(int argc, char** argv) {
                                      : topo::FoldedClosParams::scaled(18, 9, 12);
   config.sim_time = cli.get_int("sim-ms") * core::kMillisecond;
   config.warmup = cli.get_int("warmup-ms") * core::kMillisecond;
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.cc.ccti_increase = static_cast<std::uint16_t>(cli.get_int("increase"));
-  config.cc.ccti_timer = static_cast<std::uint16_t>(cli.get_int("timer"));
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.8;
   config.scenario.n_hotspots = 8;
+  std::string err = sim::apply_int_options(
+      cli, {{"increase", "ccti_increase"}, {"timer", "ccti_timer"}, {"seed", "seed"}}, &config);
+  if (err.empty()) err = sim::check_config(config);
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
+  }
 
   sim::Simulation s(config);
   const sim::SimResult r = s.run();

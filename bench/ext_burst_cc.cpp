@@ -69,9 +69,11 @@ Outcome run_case(double duty, bool cc_on, core::Time sim_time, std::uint64_t see
   }
 
   fab.start(sched);
-  sched.run_until(sim_time / 4);
-  // Receive rates over the rest of the run, from each HCA's own count.
-  const core::Time window_start = sched.now();
+  // Receive rates over the rest of the run, from each HCA's own count:
+  // the window is the configured one, not the span between the last
+  // events before its ends.
+  const core::Time window_start = sim_time / 4;
+  sched.run_until(window_start);
   std::vector<std::int64_t> base(static_cast<std::size_t>(n));
   for (ib::NodeId node = 0; node < n; ++node) {
     base[static_cast<std::size_t>(node)] = fab.hca(node).delivered_bytes();
@@ -79,7 +81,7 @@ Outcome run_case(double duty, bool cc_on, core::Time sim_time, std::uint64_t see
   sched.run_until(sim_time);
   const auto gbps = [&](ib::NodeId node) {
     return core::rate_gbps(fab.hca(node).delivered_bytes() - base[static_cast<std::size_t>(node)],
-                           sched.now() - window_start);
+                           sim_time - window_start);
   };
 
   Outcome outcome;

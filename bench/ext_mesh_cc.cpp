@@ -17,6 +17,7 @@
 
 #include "analysis/table.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 
 int main(int argc, char** argv) {
@@ -32,15 +33,19 @@ int main(int argc, char** argv) {
 
   sim::SimConfig base;
   base.topology = sim::TopologyKind::Mesh2D;
-  base.mesh_rows = static_cast<std::int32_t>(cli.get_int("rows"));
-  base.mesh_cols = static_cast<std::int32_t>(cli.get_int("cols"));
-  base.mesh_nodes_per_switch = static_cast<std::int32_t>(cli.get_int("nodes"));
   base.sim_time = (cli.flag("full") ? 30 : 10) * core::kMillisecond;
   base.warmup = base.sim_time / 2;
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   base.cc.ccti_increase = 4;
   base.cc.ccti_timer = 38;
   base.scenario.n_hotspots = 4;
+  std::string err = sim::apply_int_options(
+      cli, {{"rows", "mesh_rows"}, {"cols", "mesh_cols"}, {"nodes", "mesh_nodes"}, {"seed", "seed"}},
+      &base);
+  if (err.empty()) err = sim::check_config(base);
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
+  }
 
   std::printf("mesh %dx%d, %d nodes/switch (%d end nodes), XY routing\n\n",
               base.mesh_rows, base.mesh_cols, base.mesh_nodes_per_switch,

@@ -17,6 +17,7 @@
 #include "store_opt.hpp"
 #include "ccalg/registry.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 #include "workload/registry.hpp"
@@ -87,7 +88,12 @@ int main(int argc, char** argv) {
   sim::SimConfig base;
   base.topology = sim::TopologyKind::FoldedClos;
   base.clos = topo::FoldedClosParams::scaled(12, 6, 6);
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  if (const std::string err =
+          sim::apply_int_options(cli, {{"seed", "seed"}, {"threads", "threads"}}, &base);
+      !err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
+  }
   base.warmup = 0;
   base.workload.ranks = 24;
   base.workload.message_bytes = full ? 128 * 1024 : 32 * 1024;
@@ -118,7 +124,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(base.seed));
 
   const std::vector<sim::SimResult> results =
-      sim::run_parallel(configs, static_cast<std::int32_t>(cli.get_int("threads")));
+      sim::run_parallel(configs, base.threads);
 
   analysis::TextTable table(
       {"workload", "algorithm", "makespan_us", "completed", "victim_gbps", "victim_slowdown"});

@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -65,23 +66,26 @@ int main(int argc, char** argv) {
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
   config.clos = topo::FoldedClosParams::scaled(8, 4, 4);  // 32 nodes
-  config.sim_time = cli.get_int("sim-time-us") * core::kMicrosecond;
+  std::string err = sim::apply_int_options(cli,
+                                           {{"sim-time-us", "sim_time_us"},
+                                            {"interval-us", "telemetry_sample_us"},
+                                            {"seed", "seed"}},
+                                           &config);
   config.warmup = 0;  // the transient IS the experiment
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.cc.enabled = !cli.flag("no-cc");
   config.cc.ccti_increase = 4;
   config.cc.ccti_timer = 38;
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.75;
   config.scenario.n_hotspots = 1;
-  config.telemetry.sample_interval = cli.get_int("interval-us") * core::kMicrosecond;
   const std::string csv = cli.get_string("csv");
   config.telemetry.counters_csv =
       !csv.empty() ? csv
                    : (std::filesystem::temp_directory_path() /
                       ("cc_timeline." + std::to_string(::getpid()) + ".csv"))
                          .string();
-  if (const std::string err = sim::check_config(config); !err.empty()) {
+  if (err.empty()) err = sim::check_config(config);
+  if (!err.empty()) {
     std::fprintf(stderr, "error: %s\n", err.c_str());
     return 2;
   }

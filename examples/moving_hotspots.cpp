@@ -4,12 +4,13 @@
 // advance. Shows how the CC advantage shrinks (but doesn't turn harmful)
 // as the dynamics speed up.
 //
-//   ./moving_hotspots [--lifetime-us=L] [--steps=N] [--sim-time-us=T]
+//   ./moving_hotspots [--lifetime-us=L] [--steps=N] [--seed=S]
 
 #include <cstdio>
 
 #include "analysis/table.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 
 int main(int argc, char** argv) {
@@ -24,7 +25,11 @@ int main(int argc, char** argv) {
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
   config.clos = topo::FoldedClosParams::scaled(8, 4, 4);  // 32 nodes
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  if (const std::string err = sim::apply_int_options(cli, {{"seed", "seed"}}, &config);
+      !err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
+  }
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.8;  // silent trees...
   config.scenario.n_hotspots = 2;
@@ -41,6 +46,10 @@ int main(int argc, char** argv) {
     config.scenario.hotspot_lifetime = lifetime;  // ...that now move
     config.sim_time = 8 * lifetime;
     config.warmup = lifetime;
+    if (const std::string err = sim::check_config(config); !err.empty()) {
+      std::fprintf(stderr, "error: %s\n", err.c_str());
+      return 2;
+    }
     config.cc.enabled = false;
     const sim::SimResult off = sim::run_sim(config);
     config.cc.enabled = true;

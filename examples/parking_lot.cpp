@@ -6,7 +6,7 @@
 // flows share one — the classic parking-lot unfairness. IB CC throttles
 // every contributor to its fair share.
 //
-//   ./parking_lot [--switches=N] [--sim-time-us=T] [--seed=S]
+//   ./parking_lot [--switches=N] [--sim-time-us=T]
 
 #include <algorithm>
 #include <cstdio>
@@ -15,6 +15,7 @@
 #include "analysis/table.hpp"
 #include "core/stats.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 #include "topo/builders.hpp"
 
@@ -65,8 +66,7 @@ struct RunResult {
   double jain = 0.0;
 };
 
-RunResult run(bool cc_on, std::int32_t switches, core::Time sim_time, std::uint64_t seed) {
-  (void)seed;
+RunResult run(bool cc_on, std::int32_t switches, core::Time sim_time) {
   core::Scheduler sched;
   // One node per switch; the node on the last switch is the sink, every
   // other node sends to it. Traffic from switch 0 crosses the most
@@ -123,18 +123,29 @@ int main(int argc, char** argv) {
   sim::Cli cli("parking_lot: chain-topology fairness with and without IB CC");
   cli.add_int("switches", 5, "switches in the chain (sources = switches - 1)");
   cli.add_int("sim-time-us", 30000, "simulated time in microseconds");
-  cli.add_int("seed", 1, "random seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto switches = static_cast<std::int32_t>(cli.get_int("switches"));
-  const core::Time sim_time = cli.get_int("sim-time-us") * core::kMicrosecond;
+  // The chain's fields of a SimConfig hold the flags, so the field table
+  // rejects a value they cannot hold.
+  sim::SimConfig chain;
+  std::string err = sim::apply_int_options(
+      cli, {{"switches", "chain_switches"}, {"sim-time-us", "sim_time_us"}}, &chain);
+  if (err.empty() && chain.chain_switches < 2) {
+    err = "--switches must be at least 2: a source and the sink";
+  }
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
+  }
+  const std::int32_t switches = chain.chain_switches;
+  const core::Time sim_time = chain.sim_time;
 
   std::printf("parking lot: %d sources merging towards one sink along a chain\n\n",
               switches - 1);
 
   analysis::TextTable table({"Source (hops from sink)", "CC off Gb/s", "CC on Gb/s"});
-  const RunResult off = run(false, switches, sim_time, 1);
-  const RunResult on = run(true, switches, sim_time, 1);
+  const RunResult off = run(false, switches, sim_time);
+  const RunResult on = run(true, switches, sim_time);
   for (std::size_t i = 0; i < off.per_source_gbps.size(); ++i) {
     table.add_row({"source " + std::to_string(i) + " (" +
                        std::to_string(off.per_source_gbps.size() - i) + " merges)",

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 
@@ -24,17 +25,25 @@ int main(int argc, char** argv) {
 
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
-  config.clos = topo::FoldedClosParams::scaled(6, 3, static_cast<std::int32_t>(
-                                                         cli.get_int("nodes-per-leaf")));
-  config.sim_time = cli.get_int("sim-time-us") * core::kMicrosecond;
+  config.clos.leaves = 6;
+  config.clos.spines = 3;
+  std::string err = sim::apply_int_options(cli,
+                                           {{"nodes-per-leaf", "clos_nodes_per_leaf"},
+                                            {"sim-time-us", "sim_time_us"},
+                                            {"seed", "seed"}},
+                                           &config);
   config.warmup = config.sim_time / 4;
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   // Half the nodes hammer one hotspot (C nodes), the rest send uniformly
   // (V nodes) and become the victims of the congestion tree.
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.5;
   config.scenario.n_hotspots = 1;
+  if (err.empty()) err = sim::check_config(config);
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
+  }
 
   std::printf("fabric: %d leaves x %d spines, %d end nodes\n", config.clos.leaves,
               config.clos.spines, config.clos.node_count());

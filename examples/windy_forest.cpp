@@ -11,6 +11,7 @@
 
 #include "analysis/table.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 
 int main(int argc, char** argv) {
@@ -27,17 +28,23 @@ int main(int argc, char** argv) {
 
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
-  config.clos = topo::FoldedClosParams::scaled(
-      static_cast<std::int32_t>(cli.get_int("leaves")),
-      static_cast<std::int32_t>(cli.get_int("spines")),
-      static_cast<std::int32_t>(cli.get_int("nodes-per-leaf")));
-  config.sim_time = cli.get_int("sim-time-us") * core::kMicrosecond;
+  std::string err = sim::apply_int_options(cli,
+                                           {{"leaves", "clos_leaves"},
+                                            {"spines", "clos_spines"},
+                                            {"nodes-per-leaf", "clos_nodes_per_leaf"},
+                                            {"hotspots", "hotspots"},
+                                            {"sim-time-us", "sim_time_us"},
+                                            {"seed", "seed"}},
+                                           &config);
   config.warmup = config.sim_time / 2;
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.scenario.fraction_b = 1.0;  // pure windy forest
-  config.scenario.n_hotspots = static_cast<std::int32_t>(cli.get_int("hotspots"));
   config.cc.ccti_increase = 4;  // quick loop for a demo-sized run
   config.cc.ccti_timer = 38;
+  if (err.empty()) err = sim::check_config(config);
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 2;
+  }
 
   std::printf("windy forest: %d nodes, %d hotspots, all B nodes\n\n",
               config.clos.node_count(), config.scenario.n_hotspots);

@@ -18,6 +18,11 @@ constexpr std::array<const char*, 10> kFabricInstruments = {
     "fabric.arb_grants",      "fabric.queued_bytes",   "fabric.active_cc_flows",
     "fabric.ccti_sum"};
 constexpr std::size_t kFirstGauge = 7;
+
+/// Bounds of the latency histograms behind SimResult's median and p99:
+/// [0, 20000) us in 256 bins of 78.125 us.
+constexpr double kLatencyHistMaxUs = 20000.0;
+constexpr std::size_t kLatencyHistBins = 256;
 }  // namespace
 
 std::string check_rate(const char* name, double gbps) {
@@ -91,6 +96,8 @@ Fabric::Fabric(const topo::Topology& topo, const topo::RoutingTables& routing,
     }
   }
 
+  latency_us_.assign(static_cast<std::size_t>(n_shards_),
+                     core::Histogram(0.0, kLatencyHistMaxUs, kLatencyHistBins));
   handlers_.resize(static_cast<std::size_t>(topo.device_count()), nullptr);
   switches_.reserve(topo.switches().size());
   hcas_.reserve(static_cast<std::size_t>(topo.node_count()));
@@ -362,6 +369,16 @@ std::uint64_t Fabric::total_delivered_packets() const {
   std::uint64_t total = 0;
   for (const auto& h : hcas_) total += h->delivered_packets();
   return total;
+}
+
+core::Histogram Fabric::latency_us() const {
+  core::Histogram folded = latency_us_.front();
+  for (std::size_t s = 1; s < latency_us_.size(); ++s) folded.absorb(latency_us_[s]);
+  return folded;
+}
+
+void Fabric::reset_latency() {
+  for (core::Histogram& h : latency_us_) h.reset();
 }
 
 }  // namespace ibsim::fabric

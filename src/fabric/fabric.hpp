@@ -7,6 +7,7 @@
 
 #include "cc/cc_manager.hpp"
 #include "core/scheduler.hpp"
+#include "core/stats.hpp"
 #include "fabric/hca.hpp"
 #include "fabric/params.hpp"
 #include "fabric/switch_device.hpp"
@@ -22,8 +23,8 @@ namespace ibsim::fabric {
 /// balances, and CC configured everywhere from the CcManager.
 ///
 /// The Fabric borrows the topology, routing tables, CC manager and
-/// scheduler — they must outlive it. Traffic sources and the sink
-/// observer are attached afterwards by the simulation builder.
+/// scheduler — they must outlive it. Traffic sources and sink observers
+/// are attached afterwards by the simulation builder.
 ///
 /// All packets live in one per-fabric PacketArena and travel as 32-bit
 /// handles; the arena grows with the peak live-packet count, so
@@ -77,6 +78,11 @@ class Fabric {
   /// Arena that owns packets created or buffered at `dev`.
   [[nodiscard]] ib::PacketArena& arena_for(topo::DeviceId dev) {
     return shard_arenas_.empty() ? arena_ : *shard_arenas_[static_cast<std::size_t>(shard_of(dev))];
+  }
+  /// Latency histogram of `dev`'s shard: the HCAs of that shard add each
+  /// data packet they drain to it, so only that shard's worker writes it.
+  [[nodiscard]] core::Histogram& latency_for(topo::DeviceId dev) {
+    return latency_us_[static_cast<std::size_t>(shard_of(dev))];
   }
   /// Arena for packets injected by end node `node` (traffic generators).
   [[nodiscard]] ib::PacketArena& arena_for_node(ib::NodeId node) {
@@ -150,6 +156,14 @@ class Fabric {
   /// Packets handed to sinks across every HCA (lifetime of the run).
   [[nodiscard]] std::uint64_t total_delivered_packets() const;
 
+  /// End-to-end latency in microseconds, injection to drain, of every
+  /// data packet the HCAs drained since the last reset_latency: each
+  /// shard's histogram folded in shard order. Call only while no shard
+  /// worker runs, as for reset_latency.
+  [[nodiscard]] core::Histogram latency_us() const;
+  /// Empty every shard's latency histogram (a measurement window opens).
+  void reset_latency();
+
  private:
   Fabric(const topo::Topology& topo, const topo::RoutingTables& routing,
          const FabricParams& params, const cc::CcManager& ccm, core::Scheduler* sched,
@@ -194,6 +208,9 @@ class Fabric {
     std::uint64_t credits = 0;
   };
   std::vector<ShardTraffic> crossings_;             // per source shard
+  /// One latency histogram per shard (one when serial), sized before the
+  /// HCAs cache pointers into it and never resized.
+  std::vector<core::Histogram> latency_us_;
 
   const topo::Topology* topo_;
   const topo::RoutingTables* routing_;

@@ -10,7 +10,7 @@ namespace ibsim::fabric {
 Hca::Hca(Fabric* fabric, topo::DeviceId dev, ib::NodeId node, std::int32_t n_nodes,
          const cc::CcManager& ccm)
     : fabric_(fabric), dev_(dev), node_(node), arena_(&fabric->arena_for(dev)),
-      home_sched_(&fabric->sched_for(dev)) {
+      home_sched_(&fabric->sched_for(dev)), latency_us_(&fabric->latency_for(dev)) {
   const FabricParams& p = fabric_->params();
   drain_gbps_ = p.hca_drain_gbps;
   rx_.resize(static_cast<std::size_t>(p.n_vls));
@@ -202,6 +202,8 @@ void Hca::finish_drain(core::Scheduler& sched) {
   } else {
     delivered_bytes_ += pkt.bytes;
     ++delivered_packets_;
+    latency_us_->add(static_cast<double>(now - pkt.injected_at) /
+                     static_cast<double>(core::kMicrosecond));
     if (pkt.fecn) {
       ++fecn_delivered_;
       cc_agent_->on_fecn(pkt.src);

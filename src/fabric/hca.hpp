@@ -7,6 +7,7 @@
 #include "cc/ca_cc.hpp"
 #include "cc/cc_manager.hpp"
 #include "core/event.hpp"
+#include "core/stats.hpp"
 #include "fabric/interfaces.hpp"
 #include "fabric/output_port.hpp"
 #include "fabric/port_state.hpp"
@@ -22,7 +23,8 @@ class Fabric;
 /// A host channel adapter: traffic injection (paced at the PCIe-limited
 /// rate, CNPs ahead of data, per-flow IRD throttling via the CC agent)
 /// and the receive path (per-VL receive queues drained by the sink at the
-/// calibrated end-node rate, FECN-to-CNP turnaround, metrics delivery).
+/// calibrated end-node rate, FECN-to-CNP turnaround, delivery counts and
+/// latency).
 ///
 /// Packets are arena handles throughout; the per-VL credit balances live
 /// in a one-port PortVlBank (no CC detectors — an HCA never marks FECN).
@@ -86,11 +88,12 @@ class Hca final : public core::EventHandler, public cc::CnpSender {
   Fabric* fabric_;
   topo::DeviceId dev_;
   ib::NodeId node_;
-  /// This device's shard-local arena and scheduler (the fabric-wide ones
-  /// when the fabric is serial). Cached so the hot paths never consult
-  /// the shard map.
+  /// This device's shard-local arena, scheduler and latency histogram
+  /// (the fabric-wide ones when the fabric is serial). Cached so the hot
+  /// paths never consult the shard map.
   ib::PacketArena* arena_ = nullptr;
   core::Scheduler* home_sched_ = nullptr;
+  core::Histogram* latency_us_ = nullptr;
 
   // Injection side.
   OutputPort out_;

@@ -24,8 +24,9 @@ class TrafficSource {
   [[nodiscard]] virtual Poll poll(core::Time now) = 0;
 };
 
-/// Observer of packets fully drained by an HCA sink. The metrics
-/// collector implements this; CNPs are consumed by the CC agent and do
+/// Observer of data packets fully drained by an HCA sink: the workload
+/// engine resolves application messages with it. The HCA counts bytes,
+/// packets and latency itself; CNPs are consumed by the CC agent and do
 /// not reach the observer.
 class SinkObserver {
  public:

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/assert.hpp"
 #include "sim/config_fields.hpp"
 
 namespace ibsim::sim {
@@ -131,6 +132,20 @@ std::string apply_config_flags(const Cli& cli, SimConfig* config) {
     const std::string& value = cli.get_string(flag);
     if (std::string err = set_field(field, value, config); !err.empty()) {
       return "--" + flag + "=" + value + ": " + err;
+    }
+  }
+  return {};
+}
+
+std::string apply_int_options(
+    const Cli& cli, std::initializer_list<std::pair<const char*, const char*>> options,
+    SimConfig* config) {
+  for (const auto& [option, key] : options) {
+    const ConfigField* field = find_config_field(key);
+    IBSIM_ASSERT(field != nullptr, "apply_int_options names no settable config key");
+    const std::string value = std::to_string(cli.get_int(option));
+    if (std::string err = set_field(*field, value, config); !err.empty()) {
+      return "--" + std::string(option) + "=" + value + ": " + err;
     }
   }
   return {};

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "sim/cli.hpp"
 #include "sim/sim_config.hpp"
@@ -36,5 +38,14 @@ void add_config_flags(Cli* cli, const SimConfig& defaults);
 /// a flag not given leaves its field as it is, so flags layer over a
 /// config file. Returns "" or a "--flag=value: ..." diagnostic.
 [[nodiscard]] std::string apply_config_flags(const Cli& cli, SimConfig* config);
+
+/// Store a program's own integer options in SimConfig fields: each
+/// {option, key} pair sets the field of config key `key` to the value of
+/// `cli`'s integer option `option`, through set_field, so a value the
+/// field cannot hold is rejected rather than cast. Returns "" or an
+/// "--option=value: ..." diagnostic.
+[[nodiscard]] std::string apply_int_options(
+    const Cli& cli, std::initializer_list<std::pair<const char*, const char*>> options,
+    SimConfig* config);
 
 }  // namespace ibsim::sim

@@ -129,6 +129,11 @@ std::string check_config(const SimConfig& config) {
     if (sc.n_hotspots < 0 || sc.n_hotspots > nodes) {
       return "hotspots = " + to_string(sc.n_hotspots) + " does not fit" + on_nodes;
     }
+    // A move at the instant of the last would reschedule itself forever.
+    if (sc.hotspot_lifetime <= 0) {
+      return "moving hotspots need a positive lifetime_us, not " +
+             core::format_time(sc.hotspot_lifetime);
+    }
   }
   if (std::string err = fabric::check_rate("inject_gbps", config.scenario.capacity_gbps);
       !err.empty()) {

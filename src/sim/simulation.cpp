@@ -14,10 +14,6 @@
 namespace ibsim::sim {
 
 namespace {
-/// Upper bound of the latency histogram behind SimResult's median and
-/// p99 (microseconds).
-constexpr double kLatencyHistMaxUs = 20000.0;
-
 workload::WorkloadSpec resolve_workload_spec(const SimConfig& config) {
   const WorkloadSettings& w = config.workload;
   if (w.name == "file") {
@@ -72,7 +68,6 @@ Simulation::Simulation(const SimConfig& config,
   }
 
   core::Rng rng(config.seed);
-  latency_ = std::make_unique<LatencyCollector>(kLatencyHistMaxUs);
   if (config_.workload.active()) {
     // The workload engine replaces the synthetic scenario: rank nodes
     // inject dependency-gated application messages, the remaining nodes
@@ -83,26 +78,11 @@ Simulation::Simulation(const SimConfig& config,
     wopts.background_gbps = config_.scenario.capacity_gbps;
     workload_ = std::make_unique<workload::WorkloadEngine>(
         resolve_workload_spec(config_), wopts, rng.fork("workload", 0));
-    workload_->install(*fabric_, latency_.get());
+    workload_->install(*fabric_);
     hotspot_nodes_ = workload_->rank_nodes();
   } else {
     scenario_ = std::make_unique<traffic::Scenario>(topo.node_count(), config.scenario, rng);
     hotspot_nodes_ = scenario_->schedule().hotspots();
-    if (engine_ != nullptr) {
-      // One collector per shard so delivery callbacks never touch shared
-      // state from worker threads; merged into latency_ after the run.
-      for (std::int32_t s = 0; s < shard_plan_.n_shards; ++s) {
-        shard_latency_.push_back(std::make_unique<LatencyCollector>(kLatencyHistMaxUs));
-      }
-      for (ib::NodeId node = 0; node < topo.node_count(); ++node) {
-        const std::int32_t shard = fabric_->shard_of(topo.hca_device(node));
-        fabric_->hca(node).attach_observer(shard_latency_[static_cast<std::size_t>(shard)].get());
-      }
-    } else {
-      for (ib::NodeId node = 0; node < topo.node_count(); ++node) {
-        fabric_->hca(node).attach_observer(latency_.get());
-      }
-    }
     scenario_->install(*fabric_, sched_);
   }
 
@@ -187,14 +167,12 @@ SimResult Simulation::run() {
   // fast path elides bookkeeping events, so a last-event-based window
   // would make rate denominators depend on the event-chain mode and
   // break the fast/slow bit-identity guarantee.
-  latency_->reset();
-  for (auto& c : shard_latency_) c->reset();
+  fabric_->reset_latency();
   window_base_.resize(static_cast<std::size_t>(fabric_->node_count()));
   for (ib::NodeId node = 0; node < fabric_->node_count(); ++node) {
     window_base_[static_cast<std::size_t>(node)] = fabric_->hca(node).delivered_bytes();
   }
   run_until(config_.sim_time);
-  for (const auto& c : shard_latency_) latency_->absorb(*c);
 
   if (sampler_ != nullptr) sampler_->close();
   if (telemetry_ != nullptr && config_.telemetry.tracing()) {
@@ -258,9 +236,9 @@ SimResult Simulation::snapshot_at(core::Time now) const {
   }
   r.all_rcv_gbps = r.total_throughput_gbps / static_cast<double>(n_nodes);
   r.jain_non_hotspot = core::jain_fairness(non_hotspot_rates);
-  if (latency_->latency_us().total() > 0) {
-    r.median_latency_us = latency_->latency_us().quantile(0.50);
-    r.p99_latency_us = latency_->latency_us().quantile(0.99);
+  if (const core::Histogram latency = fabric_->latency_us(); latency.total() > 0) {
+    r.median_latency_us = latency.quantile(0.50);
+    r.p99_latency_us = latency.quantile(0.99);
   }
   r.fecn_marked = fabric_->total_fecn_marked();
   r.cnps_sent = fabric_->total_cnps_sent();

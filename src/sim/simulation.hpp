@@ -10,7 +10,6 @@
 #include "cc/cc_manager.hpp"
 #include "core/scheduler.hpp"
 #include "fabric/fabric.hpp"
-#include "sim/metrics.hpp"
 #include "sim/shard_engine.hpp"
 #include "sim/sim_config.hpp"
 #include "sim/snapshot.hpp"
@@ -151,11 +150,9 @@ class Simulation {
   std::vector<std::unique_ptr<core::Scheduler>> shard_scheds_;
   fabric::Fabric::ShardLayout shard_layout_;
   std::unique_ptr<fabric::Fabric> fabric_;
-  std::vector<std::unique_ptr<LatencyCollector>> shard_latency_;
   std::unique_ptr<ShardEngine> engine_;
   std::unique_ptr<traffic::Scenario> scenario_;
   std::unique_ptr<workload::WorkloadEngine> workload_;
-  std::unique_ptr<LatencyCollector> latency_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
   std::unique_ptr<telemetry::CounterSampler> sampler_;
   /// The hotspot node class of every receive figure: the initial

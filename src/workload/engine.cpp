@@ -56,11 +56,10 @@ WorkloadEngine::WorkloadEngine(WorkloadSpec spec, const Options& options, core::
 
 WorkloadEngine::~WorkloadEngine() = default;
 
-void WorkloadEngine::install(fabric::Fabric& fabric, fabric::SinkObserver* next) {
+void WorkloadEngine::install(fabric::Fabric& fabric) {
   IBSIM_ASSERT(spec_.ranks <= fabric.node_count(),
                "workload has more ranks than the fabric has end nodes");
   fabric_ = &fabric;
-  next_ = next;
   arena_ = &fabric.arena();
   const bool cc_on = fabric.cc_manager().enabled();
   sources_.reserve(static_cast<std::size_t>(spec_.ranks));
@@ -82,10 +81,8 @@ void WorkloadEngine::install(fabric::Fabric& fabric, fabric::SinkObserver* next)
       hca.attach_source(background_.back().get());
     }
   }
-  // Observe every sink (application completions resolve here; everything
-  // is forwarded to the latency collector).
-  for (ib::NodeId node = 0; node < fabric.node_count(); ++node)
-    fabric.hca(node).attach_observer(this);
+  // Application completions resolve at the rank nodes' sinks.
+  for (const ib::NodeId node : rank_nodes_) fabric.hca(node).attach_observer(this);
 }
 
 fabric::TrafficSource::Poll WorkloadEngine::poll_rank(std::int32_t rank, core::Time now) {
@@ -129,17 +126,14 @@ fabric::TrafficSource::Poll WorkloadEngine::poll_rank(std::int32_t rank, core::T
 }
 
 void WorkloadEngine::on_delivered(ib::NodeId node, const ib::Packet& pkt, core::Time now) {
-  if (pkt.app) {
-    const auto op_id = static_cast<std::size_t>(pkt.msg_seq);
-    IBSIM_ASSERT(op_id < spec_.ops.size(), "app packet with unknown op id");
-    IBSIM_ASSERT(node == rank_nodes_[static_cast<std::size_t>(spec_.ops[op_id].dst_rank)],
-                 "app packet drained at the wrong node");
-    OpRun& run = run_[op_id];
-    run.delivered += pkt.bytes;
-    if (run.delivered == spec_.ops[op_id].bytes)
-      complete_op(static_cast<std::int32_t>(op_id), now);
-  }
-  if (next_ != nullptr) next_->on_delivered(node, pkt, now);
+  if (!pkt.app) return;  // background traffic to a rank node
+  const auto op_id = static_cast<std::size_t>(pkt.msg_seq);
+  IBSIM_ASSERT(op_id < spec_.ops.size(), "app packet with unknown op id");
+  IBSIM_ASSERT(node == rank_nodes_[static_cast<std::size_t>(spec_.ops[op_id].dst_rank)],
+               "app packet drained at the wrong node");
+  OpRun& run = run_[op_id];
+  run.delivered += pkt.bytes;
+  if (run.delivered == spec_.ops[op_id].bytes) complete_op(static_cast<std::int32_t>(op_id), now);
 }
 
 void WorkloadEngine::complete_op(std::int32_t op_id, core::Time now) {

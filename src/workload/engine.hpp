@@ -61,10 +61,10 @@ class WorkloadEngine final : public fabric::SinkObserver {
   WorkloadEngine& operator=(const WorkloadEngine&) = delete;
 
   /// Attach rank sources and background generators, and install this
-  /// engine as every HCA's sink observer, forwarding each delivery to
-  /// `next` (the latency collector). Rank r runs on end node r; the
-  /// fabric must have at least spec.ranks end nodes.
-  void install(fabric::Fabric& fabric, fabric::SinkObserver* next);
+  /// engine as the sink observer of every rank node's HCA, where
+  /// application packets drain. Rank r runs on end node r; the fabric
+  /// must have at least spec.ranks end nodes.
+  void install(fabric::Fabric& fabric);
 
   void on_delivered(ib::NodeId node, const ib::Packet& pkt, core::Time now) override;
 
@@ -115,7 +115,6 @@ class WorkloadEngine final : public fabric::SinkObserver {
   std::vector<ib::NodeId> rank_nodes_;
 
   fabric::Fabric* fabric_ = nullptr;
-  fabric::SinkObserver* next_ = nullptr;
   ib::PacketArena* arena_ = nullptr;
   std::vector<const cc::FlowGate*> gate_;  ///< per rank; null when CC is off
   std::vector<std::unique_ptr<RankSource>> sources_;

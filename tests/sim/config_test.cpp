@@ -171,6 +171,19 @@ TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
   std::remove(sixteen_ranks.c_str());
 }
 
+TEST(CheckConfig, RejectsNonPositiveMovingLifetime) {
+  // The text keys read lifetime_us = 0 as static hotspots; only a config
+  // built in code can hold a lifetime of zero or less.
+  for (const core::Time lifetime : {core::Time{0}, core::Time{-1}}) {
+    SimConfig config;
+    config.scenario.hotspot_lifetime = lifetime;
+    EXPECT_NE(check_config(config).find("lifetime_us"), std::string::npos) << lifetime;
+  }
+  SimConfig moving;
+  moving.scenario.hotspot_lifetime = 1;
+  EXPECT_EQ(check_config(moving), "");
+}
+
 TEST(ExperimentPreset, QuickScalesLoopConsistently) {
   const ExperimentPreset quick = ExperimentPreset::quick();
   const ExperimentPreset paper = ExperimentPreset::paper();

@@ -2,25 +2,34 @@
 
 // Field-for-field SimResult equality for the tests that prove two ways
 // of running one config (a shared or a private snapshot, any worker
-// count, a repeat run) give one answer. EXPECT_EQ on every field, with
-// no tolerance: doubles must match to the bit.
+// count, a repeat run, a store round trip) give one answer. No
+// tolerance anywhere: doubles are compared bit for bit, so -0.0 differs
+// from 0.0 and a NaN equals only the same NaN.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "sim/simulation.hpp"
 
 namespace ibsim::sim {
 
+inline void expect_same_bits(double a, double b, const char* field, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << what << ": " << field << " " << a << " vs " << b;
+}
+
 inline void expect_identical(const SimResult& a, const SimResult& b, const std::string& what) {
-  EXPECT_EQ(a.hotspot_rcv_gbps, b.hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.non_hotspot_rcv_gbps, b.non_hotspot_rcv_gbps) << what;
-  EXPECT_EQ(a.all_rcv_gbps, b.all_rcv_gbps) << what;
-  EXPECT_EQ(a.total_throughput_gbps, b.total_throughput_gbps) << what;
-  EXPECT_EQ(a.jain_non_hotspot, b.jain_non_hotspot) << what;
-  EXPECT_EQ(a.median_latency_us, b.median_latency_us) << what;
-  EXPECT_EQ(a.p99_latency_us, b.p99_latency_us) << what;
+  expect_same_bits(a.hotspot_rcv_gbps, b.hotspot_rcv_gbps, "hotspot_rcv_gbps", what);
+  expect_same_bits(a.non_hotspot_rcv_gbps, b.non_hotspot_rcv_gbps, "non_hotspot_rcv_gbps", what);
+  expect_same_bits(a.all_rcv_gbps, b.all_rcv_gbps, "all_rcv_gbps", what);
+  expect_same_bits(a.total_throughput_gbps, b.total_throughput_gbps, "total_throughput_gbps",
+                   what);
+  expect_same_bits(a.jain_non_hotspot, b.jain_non_hotspot, "jain_non_hotspot", what);
+  expect_same_bits(a.median_latency_us, b.median_latency_us, "median_latency_us", what);
+  expect_same_bits(a.p99_latency_us, b.p99_latency_us, "p99_latency_us", what);
   EXPECT_EQ(a.fecn_marked, b.fecn_marked) << what;
   EXPECT_EQ(a.cnps_sent, b.cnps_sent) << what;
   EXPECT_EQ(a.becn_received, b.becn_received) << what;

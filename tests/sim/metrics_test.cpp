@@ -1,25 +1,14 @@
-#include "sim/metrics.hpp"
-
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ib/packet.hpp"
 #include "sim/simulation.hpp"
 #include "workload/engine.hpp"
 
 namespace ibsim::sim {
 namespace {
-
-ib::Packet make_packet(ib::NodeId src, std::int32_t bytes, core::Time injected) {
-  ib::Packet pkt;
-  pkt.src = src;
-  pkt.bytes = bytes;
-  pkt.injected_at = injected;
-  return pkt;
-}
 
 SimConfig silent_clos_config() {
   SimConfig config;
@@ -35,24 +24,6 @@ SimConfig silent_clos_config() {
   return config;
 }
 
-TEST(Metrics, ResetWindowDiscardsHistory) {
-  LatencyCollector m(1000.0);
-  ib::Packet pkt = make_packet(0, 99999, 0);
-  m.on_delivered(1, pkt, 10);
-  m.reset();
-  EXPECT_EQ(m.latency_us().total(), 0u);
-  m.on_delivered(1, pkt, 20);
-  EXPECT_EQ(m.latency_us().total(), 1u);
-}
-
-TEST(Metrics, LatencyHistogramInMicroseconds) {
-  LatencyCollector m(1000.0);
-  ib::Packet pkt = make_packet(0, 100, 0);
-  m.on_delivered(1, pkt, 5 * core::kMicrosecond);
-  EXPECT_EQ(m.latency_us().total(), 1u);
-  EXPECT_NEAR(m.latency_us().quantile(0.5), 5.0, 4.0);
-}
-
 TEST(Metrics, NoHotspotsConfigured) {
   // Without a hotspot class every node is a non-hotspot, and the hotspot
   // average reads 0 rather than dividing by an empty class.
@@ -65,7 +36,44 @@ TEST(Metrics, NoHotspotsConfigured) {
   EXPECT_EQ(r.non_hotspot_rcv_gbps, r.all_rcv_gbps);
 }
 
-// --- The receive window: rates are read from the HCAs' own counts --------
+// --- The measurement window: rates and latency are read from the HCAs ----
+
+/// One config of each kind the window is read from: serial, sharded, an
+/// incast workload over the default uniform background traffic, and
+/// moving hotspots.
+std::vector<std::pair<std::string, SimConfig>> window_cases() {
+  std::vector<std::pair<std::string, SimConfig>> cases;
+  cases.emplace_back("serial silent forest", silent_clos_config());
+
+  SimConfig sharded;
+  sharded.topology = TopologyKind::FatTree3;
+  sharded.fat_tree3 = topo::FatTree3Params::scale_2k();
+  sharded.cc.ccti_increase = 4;
+  sharded.cc.ccti_timer = 38;
+  sharded.scenario.fraction_b = 1.0;
+  sharded.scenario.p = 0.5;
+  sharded.scenario.n_hotspots = 2;
+  sharded.sim_time = 150 * core::kMicrosecond;
+  sharded.warmup = 50 * core::kMicrosecond;
+  sharded.shards = 2;
+  sharded.threads = 2;
+  cases.emplace_back("2-shard ft3-2k", sharded);
+
+  SimConfig workload;
+  workload.topology = TopologyKind::SingleSwitch;
+  workload.single_switch_nodes = 8;
+  workload.workload.name = "incast";
+  workload.workload.ranks = 4;
+  workload.workload.iterations = 4;
+  workload.sim_time = 1500 * core::kMicrosecond;
+  workload.warmup = 300 * core::kMicrosecond;
+  cases.emplace_back("incast workload", workload);
+
+  SimConfig moving = silent_clos_config();
+  moving.scenario.hotspot_lifetime = 200 * core::kMicrosecond;
+  cases.emplace_back("moving hotspots", moving);
+  return cases;
+}
 
 /// The window's figures recomputed from each node's HCA count: `full`
 /// ran the whole config, `prefix` the same config up to its warmup.
@@ -101,38 +109,7 @@ SimResult expected_window(Simulation& prefix, Simulation& full,
 }
 
 TEST(ReceiveWindow, RatesAreTheGrowthOfEachHcaCount) {
-  std::vector<std::pair<std::string, SimConfig>> cases;
-  cases.emplace_back("serial silent forest", silent_clos_config());
-
-  SimConfig sharded;
-  sharded.topology = TopologyKind::FatTree3;
-  sharded.fat_tree3 = topo::FatTree3Params::scale_2k();
-  sharded.cc.ccti_increase = 4;
-  sharded.cc.ccti_timer = 38;
-  sharded.scenario.fraction_b = 1.0;
-  sharded.scenario.p = 0.5;
-  sharded.scenario.n_hotspots = 2;
-  sharded.sim_time = 150 * core::kMicrosecond;
-  sharded.warmup = 50 * core::kMicrosecond;
-  sharded.shards = 2;
-  sharded.threads = 2;
-  cases.emplace_back("2-shard ft3-2k", sharded);
-
-  SimConfig workload;
-  workload.topology = TopologyKind::SingleSwitch;
-  workload.single_switch_nodes = 8;
-  workload.workload.name = "incast";
-  workload.workload.ranks = 4;
-  workload.workload.iterations = 4;
-  workload.sim_time = 1500 * core::kMicrosecond;
-  workload.warmup = 300 * core::kMicrosecond;
-  cases.emplace_back("incast workload", workload);
-
-  SimConfig moving = silent_clos_config();
-  moving.scenario.hotspot_lifetime = 200 * core::kMicrosecond;
-  cases.emplace_back("moving hotspots", moving);
-
-  for (const auto& [what, config] : cases) {
+  for (const auto& [what, config] : window_cases()) {
     SCOPED_TRACE(what);
     SimConfig warmup_only = config;
     warmup_only.sim_time = config.warmup;
@@ -157,6 +134,28 @@ TEST(ReceiveWindow, RatesAreTheGrowthOfEachHcaCount) {
     EXPECT_EQ(r.total_throughput_gbps, want.total_throughput_gbps);
     EXPECT_EQ(r.jain_non_hotspot, want.jain_non_hotspot);
     EXPECT_EQ(r.delivered_bytes, want.delivered_bytes);
+  }
+}
+
+TEST(LatencyWindow, OneSamplePerDeliveredPacket) {
+  // Every HCA adds each data packet it drains to its shard's histogram;
+  // the window holds exactly the packets delivered after the warmup, so
+  // a shard dropped from the fold or a missed reset shows as a count gap.
+  for (const auto& [what, config] : window_cases()) {
+    SCOPED_TRACE(what);
+    SimConfig warmup_only = config;
+    warmup_only.sim_time = config.warmup;
+    const SimResult prefix = run_sim(warmup_only);
+
+    Simulation full(config);
+    const SimResult r = full.run();
+    EXPECT_EQ(full.effective_shards(), config.shards);
+    const core::Histogram latency = full.fabric().latency_us();
+    EXPECT_GT(prefix.delivered_packets, 0u);
+    EXPECT_GT(latency.total(), 0u);
+    EXPECT_EQ(latency.total(), r.delivered_packets - prefix.delivered_packets);
+    EXPECT_EQ(r.median_latency_us, latency.quantile(0.50));
+    EXPECT_EQ(r.p99_latency_us, latency.quantile(0.99));
   }
 }
 

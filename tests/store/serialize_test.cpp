@@ -4,46 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
+
+#include "../sim/expect_identical.hpp"
 
 namespace ibsim::store {
 namespace {
-
-/// Bit-exact double comparison: the store's contract is ULP-level
-/// fidelity, so EXPECT_DOUBLE_EQ (4 ULPs) would be too weak.
-void expect_bits(double a, double b, const char* what) {
-  std::uint64_t ab = 0;
-  std::uint64_t bb = 0;
-  std::memcpy(&ab, &a, sizeof(ab));
-  std::memcpy(&bb, &b, sizeof(bb));
-  EXPECT_EQ(ab, bb) << what << ": " << a << " vs " << b;
-}
-
-void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
-  expect_bits(a.hotspot_rcv_gbps, b.hotspot_rcv_gbps, "hotspot_rcv_gbps");
-  expect_bits(a.non_hotspot_rcv_gbps, b.non_hotspot_rcv_gbps, "non_hotspot_rcv_gbps");
-  expect_bits(a.all_rcv_gbps, b.all_rcv_gbps, "all_rcv_gbps");
-  expect_bits(a.total_throughput_gbps, b.total_throughput_gbps, "total_throughput_gbps");
-  expect_bits(a.jain_non_hotspot, b.jain_non_hotspot, "jain_non_hotspot");
-  expect_bits(a.median_latency_us, b.median_latency_us, "median_latency_us");
-  expect_bits(a.p99_latency_us, b.p99_latency_us, "p99_latency_us");
-  EXPECT_EQ(a.fecn_marked, b.fecn_marked);
-  EXPECT_EQ(a.cnps_sent, b.cnps_sent);
-  EXPECT_EQ(a.becn_received, b.becn_received);
-  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.events_by_kind, b.events_by_kind);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.counters, b.counters);
-  EXPECT_EQ(a.workload.ran, b.workload.ran);
-  EXPECT_EQ(a.workload.completed, b.workload.completed);
-  EXPECT_EQ(a.workload.makespan, b.workload.makespan);
-  EXPECT_EQ(a.workload.rank_finish, b.workload.rank_finish);
-  EXPECT_EQ(a.workload.phase_finish, b.workload.phase_finish);
-  EXPECT_EQ(a.workload.messages_completed, b.workload.messages_completed);
-  EXPECT_EQ(a.workload.messages_total, b.workload.messages_total);
-}
 
 sim::SimConfig small_base() {
   sim::SimConfig config;
@@ -60,7 +26,7 @@ void round_trip(const sim::SimConfig& config) {
   const std::string text = serialize_result(fresh);
   sim::SimResult parsed;
   ASSERT_TRUE(parse_result(text, &parsed));
-  expect_identical(fresh, parsed);
+  sim::expect_identical(fresh, parsed, "store round trip of " + config.describe());
   // And the serialized form itself is a fixed point.
   EXPECT_EQ(serialize_result(parsed), text);
 }
