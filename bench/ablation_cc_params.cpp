@@ -18,6 +18,7 @@
 
 #include "analysis/table.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 
@@ -25,7 +26,7 @@ namespace {
 
 using namespace ibsim;
 
-sim::SimConfig base_config(std::uint64_t seed, bool full) {
+sim::SimConfig base_config(bool full) {
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
   // 216-node instance of the DCS 648 shape: big enough for deep trees,
@@ -33,7 +34,6 @@ sim::SimConfig base_config(std::uint64_t seed, bool full) {
   config.clos = topo::FoldedClosParams::scaled(18, 9, full ? 18 : 12);
   config.sim_time = (full ? 24 : 8) * core::kMillisecond;
   config.warmup = config.sim_time / 2;
-  config.seed = seed;
   config.cc = ib::CcParams::paper_table1();
   config.cc.ccti_increase = 4;  // quick-preset loop scale
   config.cc.ccti_timer = 38;
@@ -53,12 +53,11 @@ std::vector<std::string> result_row(const std::string& label, const sim::SimResu
 int main(int argc, char** argv) {
   sim::Cli cli("ablation_cc_params: CC parameter ablations on silent trees");
   cli.add_flag("full", "larger instance and longer windows");
-  cli.add_int("seed", 1, "random seed");
+  sim::add_config_flags(&cli, sim::SimConfig{}, {"seed"});
   if (!cli.parse(argc, argv)) return 0;
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const bool full = cli.flag("full");
 
-  const sim::SimConfig base = base_config(seed, full);
+  sim::SimConfig base = base_config(cli.flag("full"));
+  sim::exit_on_error(sim::apply_config_flags(cli, &base));
   std::printf("ablation fabric: %d nodes, %s scenario\n\n", base.node_count(),
               base.scenario.describe().c_str());
 

@@ -4,8 +4,8 @@
 // and residual queue depths. Used to understand *why* a parameter set
 // behaves the way the other benches report.
 //
-//   ./cc_diagnostics [--sim-ms=N] [--warmup-ms=N] [--increase=N]
-//                    [--timer=N] [--seed=S] [--nodes648]
+//   ./cc_diagnostics [--sim-time-us=T] [--warmup-us=W] [--ccti-increase=N]
+//                    [--ccti-timer=N] [--seed=S] [--nodes648]
 
 #include <algorithm>
 #include <cstdio>
@@ -19,31 +19,26 @@
 int main(int argc, char** argv) {
   using namespace ibsim;
 
-  sim::Cli cli("cc_diagnostics: CC equilibrium introspection (silent trees)");
-  cli.add_int("sim-ms", 6, "simulated milliseconds");
-  cli.add_int("warmup-ms", 3, "warmup milliseconds");
-  cli.add_int("increase", 4, "CCTI_Increase");
-  cli.add_int("timer", 38, "CCTI_Timer (1.024us units)");
-  cli.add_int("seed", 1, "random seed");
-  cli.add_flag("nodes648", "full 648-node fabric (default: 216 nodes)");
-  if (!cli.parse(argc, argv)) return 0;
-
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
-  config.clos = cli.flag("nodes648") ? topo::FoldedClosParams::sun_dcs_648()
-                                     : topo::FoldedClosParams::scaled(18, 9, 12);
-  config.sim_time = cli.get_int("sim-ms") * core::kMillisecond;
-  config.warmup = cli.get_int("warmup-ms") * core::kMillisecond;
+  config.sim_time = 6 * core::kMillisecond;
+  config.warmup = 3 * core::kMillisecond;
+  config.cc.ccti_increase = 4;
+  config.cc.ccti_timer = 38;
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.8;
   config.scenario.n_hotspots = 8;
-  std::string err = sim::apply_int_options(
-      cli, {{"increase", "ccti_increase"}, {"timer", "ccti_timer"}, {"seed", "seed"}}, &config);
-  if (err.empty()) err = sim::check_config(config);
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
-  }
+
+  sim::Cli cli("cc_diagnostics: CC equilibrium introspection (silent trees)");
+  sim::add_config_flags(&cli, config,
+                        {"sim_time_us", "warmup_us", "ccti_increase", "ccti_timer", "seed"});
+  cli.add_flag("nodes648", "full 648-node fabric (default: 216 nodes)");
+  if (!cli.parse(argc, argv)) return 0;
+
+  config.clos = cli.flag("nodes648") ? topo::FoldedClosParams::sun_dcs_648()
+                                     : topo::FoldedClosParams::scaled(18, 9, 12);
+  sim::exit_on_error(sim::apply_config_flags(cli, &config));
+  sim::exit_on_error(sim::check_config(config));
 
   sim::Simulation s(config);
   const sim::SimResult r = s.run();

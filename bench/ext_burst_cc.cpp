@@ -15,6 +15,7 @@
 #include "analysis/table.hpp"
 #include "cc/cc_manager.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 #include "topo/builders.hpp"
 #include "traffic/burst.hpp"
@@ -97,10 +98,13 @@ Outcome run_case(double duty, bool cc_on, core::Time sim_time, std::uint64_t see
 int main(int argc, char** argv) {
   sim::Cli cli("ext_burst_cc: overlapping bursts to one destination");
   cli.add_flag("full", "longer measurement window");
-  cli.add_int("seed", 1, "random seed");
+  sim::add_config_flags(&cli, sim::SimConfig{}, {"seed"});
   if (!cli.parse(argc, argv)) return 0;
   const core::Time sim_time = (cli.flag("full") ? 40 : 12) * core::kMillisecond;
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  // The bench builds its own fabric; a SimConfig only reads the seed.
+  sim::SimConfig flags;
+  sim::exit_on_error(sim::apply_config_flags(cli, &flags));
+  const std::uint64_t seed = flags.seed;
 
   std::printf("32-node fat-tree: 16 bursty sources -> 1 hotspot, 15 uniform victims\n\n");
   analysis::TextTable table({"Burst duty", "CC", "Victims Gbps", "Hotspot Gbps", "FECN"});

@@ -14,6 +14,7 @@
 
 #include "analysis/table.hpp"
 #include "sim/cli.hpp"
+#include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
 
 int main(int argc, char** argv) {
@@ -21,7 +22,7 @@ int main(int argc, char** argv) {
 
   sim::Cli cli("ext_link_scaling: one slowed link under uniform traffic");
   cli.add_flag("full", "longer measurement window");
-  cli.add_int("seed", 1, "random seed");
+  sim::add_config_flags(&cli, sim::SimConfig{}, {"seed"});
   if (!cli.parse(argc, argv)) return 0;
 
   sim::SimConfig base;
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   base.clos = topo::FoldedClosParams::scaled(12, 6, 6);  // 72 nodes
   base.sim_time = (cli.flag("full") ? 30 : 10) * core::kMillisecond;
   base.warmup = base.sim_time / 2;
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  sim::exit_on_error(sim::apply_config_flags(cli, &base));
   base.cc.ccti_increase = 4;
   base.cc.ccti_timer = 38;
   // Uniform traffic at 60% load: without link scaling this fabric is

@@ -11,7 +11,7 @@
 // traffic per tree — watch both the deeper no-CC collapse and what CC
 // recovers.
 //
-//   ./ext_mesh_cc [--rows=R] [--cols=C] [--nodes=N] [--full] [--seed=S]
+//   ./ext_mesh_cc [--mesh-rows=R] [--mesh-cols=C] [--mesh-nodes=N] [--full] [--seed=S]
 
 #include <cstdio>
 
@@ -23,29 +23,24 @@
 int main(int argc, char** argv) {
   using namespace ibsim;
 
-  sim::Cli cli("ext_mesh_cc: IB CC on a 2D mesh (the paper's open question)");
-  cli.add_int("rows", 6, "mesh rows");
-  cli.add_int("cols", 6, "mesh columns");
-  cli.add_int("nodes", 4, "end nodes per mesh switch");
-  cli.add_flag("full", "longer measurement window");
-  cli.add_int("seed", 1, "random seed");
-  if (!cli.parse(argc, argv)) return 0;
-
   sim::SimConfig base;
   base.topology = sim::TopologyKind::Mesh2D;
-  base.sim_time = (cli.flag("full") ? 30 : 10) * core::kMillisecond;
-  base.warmup = base.sim_time / 2;
+  base.mesh_rows = 6;
+  base.mesh_cols = 6;
+  base.mesh_nodes_per_switch = 4;
   base.cc.ccti_increase = 4;
   base.cc.ccti_timer = 38;
   base.scenario.n_hotspots = 4;
-  std::string err = sim::apply_int_options(
-      cli, {{"rows", "mesh_rows"}, {"cols", "mesh_cols"}, {"nodes", "mesh_nodes"}, {"seed", "seed"}},
-      &base);
-  if (err.empty()) err = sim::check_config(base);
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
-  }
+
+  sim::Cli cli("ext_mesh_cc: IB CC on a 2D mesh (the paper's open question)");
+  sim::add_config_flags(&cli, base, {"mesh_rows", "mesh_cols", "mesh_nodes", "seed"});
+  cli.add_flag("full", "longer measurement window");
+  if (!cli.parse(argc, argv)) return 0;
+
+  base.sim_time = (cli.flag("full") ? 30 : 10) * core::kMillisecond;
+  base.warmup = base.sim_time / 2;
+  sim::exit_on_error(sim::apply_config_flags(cli, &base));
+  sim::exit_on_error(sim::check_config(base));
 
   std::printf("mesh %dx%d, %d nodes/switch (%d end nodes), XY routing\n\n",
               base.mesh_rows, base.mesh_cols, base.mesh_nodes_per_switch,

@@ -9,24 +9,17 @@
 
 #include <cstdio>
 
-#include "store_opt.hpp"
-#include "sim/cli.hpp"
+#include "front_end.hpp"
 #include "sim/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace ibsim;
-  if (bench::handle_version_flag(argc, argv, "fig9_moving_silent")) return 0;
-
-  sim::Cli cli("fig9_moving_silent: moving silent trees, lifetime sweep");
-  cli.add_flag("full", "paper-scale lifetimes and CC loop (also IBSIM_FULL=1)");
-  cli.add_int("seed", 1, "random seed");
+  sim::Cli cli = bench::paper_cli("fig9_moving_silent", "moving silent trees, lifetime sweep",
+                                  "paper-scale lifetimes and CC loop (also IBSIM_FULL=1)",
+                                  {"seed", "result_store"});
   cli.add_string("csv", "", "CSV output path prefix (one file per sub-figure)");
-  bench::add_store_option(cli);
-  if (!cli.parse(argc, argv)) return 0;
-
-  sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
-  preset.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.base.result_store = cli.get_string("result-store");
+  sim::ExperimentPreset preset;
+  if (!bench::parse_preset(cli, argc, argv, &preset)) return 0;
   const std::string csv = cli.get_string("csv");
 
   std::printf("fig9: %d-node fat-tree, 8 moving hotspots, silent trees\n\n",
@@ -43,6 +36,6 @@ int main(int argc, char** argv) {
   std::printf("paper: (a) CC wins 55%% at 10 ms lifetime shrinking to 4%% at 1 ms;\n"
               "       (b) CC wins 2.6x at 10 ms shrinking to 10%% at 1 ms;\n"
               "       receive rates rise as lifetimes shrink in both cases.\n");
-  bench::report_store(preset.base.result_store);
+  store::report_stats(preset.base.result_store);
   return 0;
 }

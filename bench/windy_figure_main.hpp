@@ -8,28 +8,21 @@
 #include <cstdio>
 #include <string>
 
-#include "store_opt.hpp"
-#include "sim/cli.hpp"
+#include "front_end.hpp"
 #include "sim/experiment.hpp"
 
 namespace ibsim::bench {
 
 inline int run_windy_figure_main(int argc, char** argv, const char* figure_name,
                                  double fraction_b, const char* paper_notes) {
-  if (handle_version_flag(argc, argv, figure_name)) return 0;
-
-  sim::Cli cli(std::string(figure_name) +
-               ": windy congestion-tree sweep, B fraction " +
-               std::to_string(static_cast<int>(fraction_b * 100)) + "%");
-  cli.add_flag("full", "paper-scale simulated time (also IBSIM_FULL=1)");
-  cli.add_int("seed", 1, "random seed");
+  sim::Cli cli = paper_cli(figure_name,
+                           "windy congestion-tree sweep, B fraction " +
+                               std::to_string(static_cast<int>(fraction_b * 100)) + "%",
+                           "paper-scale simulated time (also IBSIM_FULL=1)",
+                           {"seed", "result_store"});
   cli.add_string("csv", "", "CSV output path prefix (three files)");
-  add_store_option(cli);
-  if (!cli.parse(argc, argv)) return 0;
-
-  sim::ExperimentPreset preset = sim::ExperimentPreset::from_env(cli.flag("full"));
-  preset.base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  preset.base.result_store = cli.get_string("result-store");
+  sim::ExperimentPreset preset;
+  if (!parse_preset(cli, argc, argv, &preset)) return 0;
 
   std::printf("%s: %d-node fat-tree, %.0f%% B nodes, p = 0..100\n", figure_name,
               preset.base.clos.node_count(), fraction_b * 100.0);
@@ -42,7 +35,7 @@ inline int run_windy_figure_main(int argc, char** argv, const char* figure_name,
     sim::write_windy_csv(fig, csv);
     std::printf("CSV written with prefix %s\n", csv.c_str());
   }
-  report_store(preset.base.result_store);
+  store::report_stats(preset.base.result_store);
   return 0;
 }
 

@@ -4,7 +4,8 @@
 // after the contributors stop — how the CCTI_Timer recovers the flows.
 // The section III narrative ("branches grow and get pruned") as data.
 //
-//   ./cc_timeline [--interval-us=N] [--csv=path] [--no-cc]
+//   ./cc_timeline [--telemetry-sample-us=N] [--sim-time-us=T] [--seed=S]
+//                 [--counters-csv=path] [--cc-enabled=0]
 //
 // The table is read back from the run's counter CSV (one column per
 // registry instrument), so it shows what any CSV reader would: receive
@@ -55,40 +56,31 @@ Columns read_csv(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace ibsim;
 
-  sim::Cli cli("cc_timeline: life cycle of a congestion tree");
-  cli.add_int("interval-us", 50, "sampling interval in microseconds");
-  cli.add_int("sim-time-us", 6000, "simulated time in microseconds");
-  cli.add_int("seed", 1, "random seed");
-  cli.add_flag("no-cc", "watch the tree persist without congestion control");
-  cli.add_string("csv", "", "keep the run's counter CSV at this path");
-  if (!cli.parse(argc, argv)) return 0;
-
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
   config.clos = topo::FoldedClosParams::scaled(8, 4, 4);  // 32 nodes
-  std::string err = sim::apply_int_options(cli,
-                                           {{"sim-time-us", "sim_time_us"},
-                                            {"interval-us", "telemetry_sample_us"},
-                                            {"seed", "seed"}},
-                                           &config);
+  config.sim_time = 6000 * core::kMicrosecond;
   config.warmup = 0;  // the transient IS the experiment
-  config.cc.enabled = !cli.flag("no-cc");
   config.cc.ccti_increase = 4;
   config.cc.ccti_timer = 38;
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.75;
   config.scenario.n_hotspots = 1;
-  const std::string csv = cli.get_string("csv");
-  config.telemetry.counters_csv =
-      !csv.empty() ? csv
-                   : (std::filesystem::temp_directory_path() /
-                      ("cc_timeline." + std::to_string(::getpid()) + ".csv"))
-                         .string();
-  if (err.empty()) err = sim::check_config(config);
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
+
+  sim::Cli cli("cc_timeline: life cycle of a congestion tree");
+  sim::add_config_flags(
+      &cli, config,
+      {"telemetry_sample_us", "sim_time_us", "seed", "cc_enabled", "counters_csv"});
+  if (!cli.parse(argc, argv)) return 0;
+  sim::exit_on_error(sim::apply_config_flags(cli, &config));
+  // Without --counters-csv the run's CSV goes to a temporary file.
+  const std::string csv = config.telemetry.counters_csv;
+  if (csv.empty()) {
+    config.telemetry.counters_csv = (std::filesystem::temp_directory_path() /
+                                     ("cc_timeline." + std::to_string(::getpid()) + ".csv"))
+                                        .string();
   }
+  sim::exit_on_error(sim::check_config(config));
 
   std::printf("congestion-tree timeline: %d nodes, 1 hotspot, CC %s\n\n",
               config.clos.node_count(), config.cc.enabled ? "on" : "off");

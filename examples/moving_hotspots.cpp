@@ -5,6 +5,9 @@
 // as the dynamics speed up.
 //
 //   ./moving_hotspots [--lifetime-us=L] [--steps=N] [--seed=S]
+//
+// L is the longest lifetime swept (positive), halved at each of the N
+// steps; a step simulates eight lifetimes.
 
 #include <cstdio>
 
@@ -16,40 +19,43 @@
 int main(int argc, char** argv) {
   using namespace ibsim;
 
-  sim::Cli cli("moving_hotspots: CC advantage vs hotspot lifetime");
-  cli.add_int("lifetime-us", 1600, "longest hotspot lifetime in microseconds");
-  cli.add_int("steps", 4, "number of lifetimes swept (halving each step)");
-  cli.add_int("seed", 1, "random seed");
-  if (!cli.parse(argc, argv)) return 0;
-
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
   config.clos = topo::FoldedClosParams::scaled(8, 4, 4);  // 32 nodes
-  if (const std::string err = sim::apply_int_options(cli, {{"seed", "seed"}}, &config);
-      !err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
-  }
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.8;  // silent trees...
   config.scenario.n_hotspots = 2;
+  config.scenario.hotspot_lifetime = 1600 * core::kMicrosecond;  // ...that move
   config.cc.ccti_increase = 4;
   config.cc.ccti_timer = 38;
+
+  sim::Cli cli(
+      "moving_hotspots: CC advantage vs hotspot lifetime\n"
+      "--lifetime-us is the longest lifetime swept, halved each step; it must be positive");
+  sim::add_config_flags(&cli, config, {"lifetime_us", "seed"});
+  cli.add_int("steps", 4, "number of lifetimes swept (halving each step)");
+  if (!cli.parse(argc, argv)) return 0;
+  sim::exit_on_error(sim::apply_config_flags(cli, &config));
+  core::Time lifetime = config.scenario.hotspot_lifetime;
+  if (lifetime == core::kTimeNever) {
+    sim::exit_on_error("--lifetime-us must be positive: the hotspots move");
+  }
+  if (lifetime > core::kTimeNever / 8) {
+    sim::exit_on_error("--lifetime-us=" + cli.get_string("lifetime-us") +
+                       ": a step simulates eight lifetimes, so at most " +
+                       std::to_string(core::kTimeNever / 8 / core::kMicrosecond));
+  }
 
   std::printf("moving hotspots: %d nodes, 80%% contributors, 2 hotspots\n\n",
               config.clos.node_count());
 
   analysis::TextTable table(
       {"Lifetime (us)", "all-node rcv CC off", "all-node rcv CC on", "gain"});
-  core::Time lifetime = cli.get_int("lifetime-us") * core::kMicrosecond;
   for (int step = 0; step < cli.get_int("steps"); ++step, lifetime /= 2) {
-    config.scenario.hotspot_lifetime = lifetime;  // ...that now move
+    config.scenario.hotspot_lifetime = lifetime;
     config.sim_time = 8 * lifetime;
     config.warmup = lifetime;
-    if (const std::string err = sim::check_config(config); !err.empty()) {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      return 2;
-    }
+    sim::exit_on_error(sim::check_config(config));
     config.cc.enabled = false;
     const sim::SimResult off = sim::run_sim(config);
     config.cc.enabled = true;

@@ -6,7 +6,7 @@
 // flows share one — the classic parking-lot unfairness. IB CC throttles
 // every contributor to its fair share.
 //
-//   ./parking_lot [--switches=N] [--sim-time-us=T]
+//   ./parking_lot [--chain-switches=N] [--sim-time-us=T]
 
 #include <algorithm>
 #include <cstdio>
@@ -120,22 +120,17 @@ RunResult run(bool cc_on, std::int32_t switches, core::Time sim_time) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::Cli cli("parking_lot: chain-topology fairness with and without IB CC");
-  cli.add_int("switches", 5, "switches in the chain (sources = switches - 1)");
-  cli.add_int("sim-time-us", 30000, "simulated time in microseconds");
-  if (!cli.parse(argc, argv)) return 0;
-
-  // The chain's fields of a SimConfig hold the flags, so the field table
-  // rejects a value they cannot hold.
+  // The program builds its own chain fabric; a SimConfig holds the
+  // chain's length and the simulated time its flags set.
   sim::SimConfig chain;
-  std::string err = sim::apply_int_options(
-      cli, {{"switches", "chain_switches"}, {"sim-time-us", "sim_time_us"}}, &chain);
-  if (err.empty() && chain.chain_switches < 2) {
-    err = "--switches must be at least 2: a source and the sink";
-  }
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
+  chain.chain_switches = 5;
+  chain.sim_time = 30000 * core::kMicrosecond;
+  sim::Cli cli("parking_lot: chain-topology fairness with and without IB CC");
+  sim::add_config_flags(&cli, chain, {"chain_switches", "sim_time_us"});
+  if (!cli.parse(argc, argv)) return 0;
+  sim::exit_on_error(sim::apply_config_flags(cli, &chain));
+  if (chain.chain_switches < 2) {
+    sim::exit_on_error("--chain-switches must be at least 2: a source and the sink");
   }
   const std::int32_t switches = chain.chain_switches;
   const core::Time sim_time = chain.sim_time;

@@ -5,7 +5,7 @@
 // InfiniBand CC mechanism disabled and enabled (paper Table I parameter
 // values) — printing the receive rates of hotspot and victim nodes.
 //
-//   ./quickstart [--nodes-per-leaf=N] [--sim-time-us=T] [--seed=S]
+//   ./quickstart [--clos-nodes-per-leaf=N] [--sim-time-us=T] [--seed=S]
 
 #include <cstdio>
 
@@ -17,33 +17,22 @@
 int main(int argc, char** argv) {
   using namespace ibsim;
 
-  sim::Cli cli("quickstart: IB congestion control on a small fat-tree");
-  cli.add_int("nodes-per-leaf", 3, "end nodes per leaf switch");
-  cli.add_int("sim-time-us", 2000, "simulated time in microseconds");
-  cli.add_int("seed", 1, "random seed");
-  if (!cli.parse(argc, argv)) return 0;
-
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
-  config.clos.leaves = 6;
-  config.clos.spines = 3;
-  std::string err = sim::apply_int_options(cli,
-                                           {{"nodes-per-leaf", "clos_nodes_per_leaf"},
-                                            {"sim-time-us", "sim_time_us"},
-                                            {"seed", "seed"}},
-                                           &config);
-  config.warmup = config.sim_time / 4;
-
+  config.clos = topo::FoldedClosParams::scaled(6, 3, 3);
+  config.sim_time = 2000 * core::kMicrosecond;
   // Half the nodes hammer one hotspot (C nodes), the rest send uniformly
   // (V nodes) and become the victims of the congestion tree.
   config.scenario.fraction_b = 0.0;
   config.scenario.fraction_c_of_rest = 0.5;
   config.scenario.n_hotspots = 1;
-  if (err.empty()) err = sim::check_config(config);
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
-  }
+
+  sim::Cli cli("quickstart: IB congestion control on a small fat-tree");
+  sim::add_config_flags(&cli, config, {"clos_nodes_per_leaf", "sim_time_us", "seed"});
+  if (!cli.parse(argc, argv)) return 0;
+  sim::exit_on_error(sim::apply_config_flags(cli, &config));
+  config.warmup = config.sim_time / 4;
+  sim::exit_on_error(sim::check_config(config));
 
   std::printf("fabric: %d leaves x %d spines, %d end nodes\n", config.clos.leaves,
               config.clos.spines, config.clos.node_count());

@@ -84,13 +84,6 @@ void print_results(const ibsim::sim::SimConfig& config, const ibsim::sim::SimRes
 int main(int argc, char** argv) {
   using namespace ibsim;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--version") {
-      std::printf("%s\n", store::version_line("simulate").c_str());
-      return 0;
-    }
-  }
-
   sim::Cli cli(
       "simulate: run one InfiniBand CC simulation from the command line.\n"
       "Every config-file key is also a flag, spelled with '-' for '_'; a flag\n"
@@ -102,7 +95,7 @@ int main(int argc, char** argv) {
                  "flags refine it)");
   cli.add_flag("list-cc-algos", "print the registered CC algorithms and exit");
   cli.add_flag("list-workloads", "print the registered workloads and exit");
-  cli.add_flag("version", "print the code version stamp and exit");
+  cli.add_version(store::version_line("simulate"));
   cli.add_flag("verbose", "info-level logging");
   sim::add_config_flags(&cli, sim::SimConfig{});
   if (!cli.parse(argc, argv)) return 0;
@@ -142,15 +135,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown ft3 preset '%s' (valid: 2k | 10k)\n", preset.c_str());
     return 2;
   }
-  if (const std::string err = sim::apply_config_flags(cli, &config); !err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
-  }
-
-  if (const std::string err = sim::check_config(config); !err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
-  }
+  sim::exit_on_error(sim::apply_config_flags(cli, &config));
+  sim::exit_on_error(sim::check_config(config));
 
   // Telemetry runs print the live counter registry, so they simulate
   // here and never touch the store; every other run goes through the
@@ -164,11 +150,7 @@ int main(int argc, char** argv) {
 
   if (!live) {
     print_results(config, sim::run_parallel({config}, 1).front());
-    if (!config.result_store.empty()) {
-      std::fprintf(
-          stderr, "%s\n",
-          store::StoreRegistry::instance().open(config.result_store)->stats_line().c_str());
-    }
+    store::report_stats(config.result_store);
     return 0;
   }
 

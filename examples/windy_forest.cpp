@@ -4,7 +4,7 @@
 // and the total-throughput gain from enabling CC — a miniature of the
 // paper's figure 8 that runs in seconds.
 //
-//   ./windy_forest [--leaves=L] [--spines=S] [--nodes-per-leaf=N]
+//   ./windy_forest [--clos-leaves=L] [--clos-spines=S] [--clos-nodes-per-leaf=N]
 //                  [--hotspots=H] [--sim-time-us=T] [--seed=SEED]
 
 #include <cstdio>
@@ -17,34 +17,23 @@
 int main(int argc, char** argv) {
   using namespace ibsim;
 
-  sim::Cli cli("windy_forest: B-node p-sweep on a small fat-tree");
-  cli.add_int("leaves", 8, "leaf switches");
-  cli.add_int("spines", 4, "spine switches");
-  cli.add_int("nodes-per-leaf", 4, "end nodes per leaf");
-  cli.add_int("hotspots", 2, "number of hotspots");
-  cli.add_int("sim-time-us", 4000, "simulated time in microseconds");
-  cli.add_int("seed", 1, "random seed");
-  if (!cli.parse(argc, argv)) return 0;
-
   sim::SimConfig config;
   config.topology = sim::TopologyKind::FoldedClos;
-  std::string err = sim::apply_int_options(cli,
-                                           {{"leaves", "clos_leaves"},
-                                            {"spines", "clos_spines"},
-                                            {"nodes-per-leaf", "clos_nodes_per_leaf"},
-                                            {"hotspots", "hotspots"},
-                                            {"sim-time-us", "sim_time_us"},
-                                            {"seed", "seed"}},
-                                           &config);
-  config.warmup = config.sim_time / 2;
+  config.clos = topo::FoldedClosParams::scaled(8, 4, 4);
   config.scenario.fraction_b = 1.0;  // pure windy forest
+  config.scenario.n_hotspots = 2;
+  config.sim_time = 4000 * core::kMicrosecond;
   config.cc.ccti_increase = 4;  // quick loop for a demo-sized run
   config.cc.ccti_timer = 38;
-  if (err.empty()) err = sim::check_config(config);
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    return 2;
-  }
+
+  sim::Cli cli("windy_forest: B-node p-sweep on a small fat-tree");
+  sim::add_config_flags(&cli, config,
+                        {"clos_leaves", "clos_spines", "clos_nodes_per_leaf", "hotspots",
+                         "sim_time_us", "seed"});
+  if (!cli.parse(argc, argv)) return 0;
+  sim::exit_on_error(sim::apply_config_flags(cli, &config));
+  config.warmup = config.sim_time / 2;
+  sim::exit_on_error(sim::check_config(config));
 
   std::printf("windy forest: %d nodes, %d hotspots, all B nodes\n\n",
               config.clos.node_count(), config.scenario.n_hotspots);

@@ -33,6 +33,11 @@ void Cli::add_string(const std::string& name, std::string default_value,
   order_.push_back(name);
 }
 
+void Cli::add_version(std::string line) {
+  add_flag("version", "print the code version stamp and exit");
+  version_line_ = std::move(line);
+}
+
 bool Cli::parse(int argc, char** argv) {
   auto fail = [&](const std::string& msg) {
     std::fprintf(stderr, "error: %s\n", msg.c_str());
@@ -87,6 +92,10 @@ bool Cli::parse(int argc, char** argv) {
     print_usage();
     return false;
   }
+  if (has("version") && flag("version")) {
+    std::printf("%s\n", version_line_.c_str());
+    return false;
+  }
   return true;
 }
 
@@ -96,6 +105,8 @@ const Cli::Option& Cli::require(const std::string& name, Kind kind) const {
   IBSIM_ASSERT(it->second.kind == kind, "CLI option queried with the wrong type");
   return it->second;
 }
+
+bool Cli::has(const std::string& name) const { return options_.contains(name); }
 
 bool Cli::flag(const std::string& name) const { return require(name, Kind::Flag).flag_value; }
 
@@ -129,6 +140,12 @@ void Cli::print_usage() const {
     }
     std::printf("  %-44s %s\n", left.c_str(), opt.help.c_str());
   }
+}
+
+void exit_on_error(const std::string& err) {
+  if (err.empty()) return;
+  std::fprintf(stderr, "error: %s\n", err.c_str());
+  std::exit(2);
 }
 
 }  // namespace ibsim::sim

@@ -9,7 +9,9 @@ namespace ibsim::sim {
 
 /// Minimal long-option parser shared by the bench and example binaries:
 /// `--flag`, `--key=value` or `--key value`. Unknown options abort with a
-/// usage message listing the registered options.
+/// usage message listing the registered options. A program's SimConfig
+/// fields are options too, registered from the field table
+/// (add_config_flags in sim/config_file.hpp).
 class Cli {
  public:
   explicit Cli(std::string program_description);
@@ -20,11 +22,17 @@ class Cli {
   /// `placeholder` names the value form in the usage text.
   void add_string(const std::string& name, std::string default_value, const std::string& help,
                   std::string placeholder = "str");
+  /// Register `--version`, which prints `line` (the program's code
+  /// version stamp).
+  void add_version(std::string line);
 
-  /// Parse argv. On `--help` prints usage and returns false (caller
-  /// should exit 0); on errors prints a message and calls exit(2).
+  /// Parse argv. On `--help` prints usage, on `--version` the version
+  /// line, and returns false (caller should exit 0); on errors prints a
+  /// message and calls exit(2).
   [[nodiscard]] bool parse(int argc, char** argv);
 
+  /// True when option `name` is registered.
+  [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] bool flag(const std::string& name) const;
   /// True when the option appeared on the command line (as opposed to
   /// holding its registered default). Lets callers layer flags over a
@@ -50,8 +58,14 @@ class Cli {
   const Option& require(const std::string& name, Kind kind) const;
 
   std::string description_;
+  std::string version_line_;
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;
 };
+
+/// Print "error: <err>" and exit(2) unless `err` is empty: how a program
+/// rejects a flag value its field cannot hold or a config check_config
+/// refuses, as Cli::parse rejects a malformed option.
+void exit_on_error(const std::string& err);
 
 }  // namespace ibsim::sim

@@ -116,11 +116,20 @@ std::string apply_config_file(const std::string& path, SimConfig* config) {
   return apply_config_text(buf.str(), config);
 }
 
-void add_config_flags(Cli* cli, const SimConfig& defaults) {
-  for (const ConfigField& field : config_fields()) {
-    if (!field.settable()) continue;
+void add_config_flags(Cli* cli, const SimConfig& defaults,
+                      std::initializer_list<std::string_view> keys) {
+  const auto add = [&](const ConfigField& field) {
     cli->add_string(flag_name(field), field_text(field, defaults), field.help,
                     field_placeholder(field));
+  };
+  for (const std::string_view key : keys) {
+    const ConfigField* field = find_config_field(key);
+    IBSIM_ASSERT(field != nullptr, "add_config_flags names no settable config key");
+    add(*field);
+  }
+  if (keys.size() > 0) return;
+  for (const ConfigField& field : config_fields()) {
+    if (field.settable()) add(field);
   }
 }
 
@@ -128,24 +137,10 @@ std::string apply_config_flags(const Cli& cli, SimConfig* config) {
   for (const ConfigField& field : config_fields()) {
     if (!field.settable()) continue;
     const std::string flag = flag_name(field);
-    if (!cli.was_set(flag)) continue;
+    if (!cli.has(flag) || !cli.was_set(flag)) continue;
     const std::string& value = cli.get_string(flag);
     if (std::string err = set_field(field, value, config); !err.empty()) {
       return "--" + flag + "=" + value + ": " + err;
-    }
-  }
-  return {};
-}
-
-std::string apply_int_options(
-    const Cli& cli, std::initializer_list<std::pair<const char*, const char*>> options,
-    SimConfig* config) {
-  for (const auto& [option, key] : options) {
-    const ConfigField* field = find_config_field(key);
-    IBSIM_ASSERT(field != nullptr, "apply_int_options names no settable config key");
-    const std::string value = std::to_string(cli.get_int(option));
-    if (std::string err = set_field(*field, value, config); !err.empty()) {
-      return "--" + std::string(option) + "=" + value + ": " + err;
     }
   }
   return {};

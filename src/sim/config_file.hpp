@@ -2,7 +2,7 @@
 
 #include <initializer_list>
 #include <string>
-#include <utility>
+#include <string_view>
 
 #include "sim/cli.hpp"
 #include "sim/sim_config.hpp"
@@ -30,22 +30,19 @@ namespace ibsim::sim {
 /// Load and apply a config file; same diagnostics, plus I/O errors.
 [[nodiscard]] std::string apply_config_file(const std::string& path, SimConfig* config);
 
-/// Register one string option per config key on `cli`, named by the key
-/// with '-' for '_' and showing its value in `defaults` as the default.
-void add_config_flags(Cli* cli, const SimConfig& defaults);
+/// Register the config keys `keys` on `cli`, each as a string option
+/// named by the key with '-' for '_' and showing its value in `defaults`
+/// as the default: a program's flags for the SimConfig fields it
+/// exposes, with the field table's spelling, help text, unit and range
+/// check. Asserts that each key is a settable row. No keys registers
+/// every settable row, as simulate does.
+void add_config_flags(Cli* cli, const SimConfig& defaults,
+                      std::initializer_list<std::string_view> keys = {});
 
-/// Apply the config flags given on `cli`'s command line over `config`;
-/// a flag not given leaves its field as it is, so flags layer over a
-/// config file. Returns "" or a "--flag=value: ..." diagnostic.
+/// Apply the config flags registered on `cli` and given on its command
+/// line over `config`; a flag not given leaves its field as it is, so
+/// flags layer over a config file. Returns "" or a "--flag=value: ..."
+/// diagnostic.
 [[nodiscard]] std::string apply_config_flags(const Cli& cli, SimConfig* config);
-
-/// Store a program's own integer options in SimConfig fields: each
-/// {option, key} pair sets the field of config key `key` to the value of
-/// `cli`'s integer option `option`, through set_field, so a value the
-/// field cannot hold is rejected rather than cast. Returns "" or an
-/// "--option=value: ..." diagnostic.
-[[nodiscard]] std::string apply_int_options(
-    const Cli& cli, std::initializer_list<std::pair<const char*, const char*>> options,
-    SimConfig* config);
 
 }  // namespace ibsim::sim

@@ -48,10 +48,13 @@ ExperimentPreset ExperimentPreset::paper() {
   return p;
 }
 
-ExperimentPreset ExperimentPreset::from_env(bool force_full) {
+bool ExperimentPreset::full_scale(bool force_full) {
   const char* env = std::getenv("IBSIM_FULL");
-  const bool full = force_full || (env != nullptr && env[0] == '1');
-  return full ? paper() : quick();
+  return force_full || (env != nullptr && env[0] == '1');
+}
+
+ExperimentPreset ExperimentPreset::from_env(bool force_full) {
+  return full_scale(force_full) ? paper() : quick();
 }
 
 std::int32_t resolve_threads(std::int32_t threads) {

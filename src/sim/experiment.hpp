@@ -37,7 +37,9 @@ struct ExperimentPreset {
 
   [[nodiscard]] static ExperimentPreset quick();
   [[nodiscard]] static ExperimentPreset paper();
-  /// quick() unless IBSIM_FULL=1 (or a bench was passed --full).
+  /// Paper scale: `force_full` (a bench's --full) or IBSIM_FULL=1.
+  [[nodiscard]] static bool full_scale(bool force_full = false);
+  /// paper() at full scale, else quick().
   [[nodiscard]] static ExperimentPreset from_env(bool force_full = false);
 
   [[nodiscard]] SimConfig base_config() const { return base; }

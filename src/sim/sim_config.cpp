@@ -98,9 +98,14 @@ std::string check_config(const SimConfig& config) {
            to_string(topo::kMaxSwitchPorts) + " ports";
   }
 
+  // A zero-length window (sim_time == warmup) is valid: it reads zero.
+  if (config.warmup < 0) return "warmup_us must be non-negative";
+  if (config.sim_time < config.warmup) return "sim_time_us must be at least warmup_us";
+
   const std::int32_t nodes = config.node_count();
   const std::string on_nodes = " on " + to_string(nodes) + " end nodes";
   if (const WorkloadSettings& w = config.workload; w.active()) {
+    if (w.ranks < 0) return "workload_ranks must be non-negative (0 = all nodes)";
     std::int32_t ranks = w.ranks > 0 ? w.ranks : nodes;
     if (w.name == "file") {
       if (w.file.empty()) return "workload = file needs workload_file";
@@ -116,6 +121,7 @@ std::string check_config(const SimConfig& config) {
                to_string(ranks);
       }
       if (w.message_bytes < 1) return "workload_bytes must be at least 1";
+      if (w.iterations < 1) return "workload_iters must be at least 1";
       if (w.compute < 0) return "workload_compute_us must be non-negative";
     }
     if (ranks > nodes) return "the workload has " + to_string(ranks) + " ranks" + on_nodes;
@@ -143,6 +149,9 @@ std::string check_config(const SimConfig& config) {
   if (std::string err = config.fabric.validate(); !err.empty()) return err;
   if (!config.telemetry.counters_csv.empty() && config.telemetry.sample_interval <= 0) {
     return "telemetry_sample_us must be at least 1 with counters_csv";
+  }
+  if (config.telemetry.tracing() && config.telemetry.trace_ring_capacity < 1) {
+    return "trace_ring must be at least 1 with trace_file";
   }
   if (config.shards < 1) return "shards must be at least 1";
   return {};

@@ -157,9 +157,11 @@ struct SimConfig {
 /// precondition it breaks among those that its topology builder, the
 /// switch radix limit (topo::kMaxSwitchPorts), its traffic scenario or
 /// workload, CC and fabric parameters, and counter sampler assert, or a
-/// shard count below 1. Front ends call it before building a
-/// Simulation, so a bad key ends in an error message instead of an
-/// abort. Loads the workload file when workload = file.
+/// warmup outside [0, sim_time], a negative workload_ranks, a trace
+/// ring under one event or a shard count below 1. Front ends call it
+/// before building a Simulation, so a bad key ends in an error message
+/// instead of an abort or a silently wrong run. Loads the workload file
+/// when workload = file.
 [[nodiscard]] std::string check_config(const SimConfig& config);
 
 }  // namespace ibsim::sim

@@ -231,4 +231,9 @@ void StoreRegistry::clear() {
   stores_.clear();
 }
 
+void report_stats(const std::string& dir) {
+  if (dir.empty()) return;
+  std::fprintf(stderr, "%s\n", StoreRegistry::instance().open(dir)->stats_line().c_str());
+}
+
 }  // namespace ibsim::store

@@ -98,4 +98,9 @@ class StoreRegistry {
   std::unordered_map<std::string, std::shared_ptr<ResultStore>> stores_;
 };
 
+/// Print the stats_line() of the registry's store at `dir` to stderr, so
+/// a front end's stdout stays byte-identical between cold and warm runs.
+/// No-op for an empty `dir` (no store).
+void report_stats(const std::string& dir);
+
 }  // namespace ibsim::store

@@ -66,6 +66,16 @@ TEST(Cli, StringOptionAcceptsEmptyValue) {
   EXPECT_EQ(cli.get_string("result-store"), "");
 }
 
+TEST(Cli, VersionPrintsItsLineAndReturnsFalse) {
+  Cli cli("test");
+  cli.add_version("prog abc123");
+  cli.add_int("count", 0, "");
+  EXPECT_TRUE(parse(cli, {"--count=3"}));
+  ::testing::internal::CaptureStdout();
+  EXPECT_FALSE(parse(cli, {"--count=3", "--version"}));
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(), "prog abc123\n");
+}
+
 TEST(CliDeath, UnknownOptionExits) {
   Cli cli("test");
   EXPECT_DEATH(parse(cli, {"--nope"}), "unknown option");
@@ -104,6 +114,11 @@ TEST(CliDeath, FlagWithValueExits) {
 TEST(CliDeath, PositionalArgumentExits) {
   Cli cli("test");
   EXPECT_DEATH(parse(cli, {"positional"}), "unexpected");
+}
+
+TEST(CliDeath, ExitOnErrorExitsTwoWithTheMessage) {
+  exit_on_error("");  // no error: returns
+  EXPECT_EXIT(exit_on_error("bad value"), ::testing::ExitedWithCode(2), "error: bad value");
 }
 
 TEST(CliDeath, WrongTypeQueryAborts) {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 namespace ibsim::sim {
@@ -235,6 +236,73 @@ TEST(ConfigFile, BadFlagValueNamesTheFlag) {
   EXPECT_NE(err.find("--threshold-weight=256: "), std::string::npos) << err;
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
   EXPECT_EQ(config.cc.threshold_weight, 15);
+}
+
+// A program registers only the fields it exposes, each with the table's
+// spelling, help and range check and the program's own default.
+TEST(ConfigFlags, RegisterOnlyTheGivenKeysWithTheProgramsDefaults) {
+  SimConfig defaults;
+  defaults.seed = 7;
+  defaults.sim_time = 6000 * core::kMicrosecond;
+  Cli cli("prog");
+  add_config_flags(&cli, defaults, {"seed", "sim_time_us"});
+  EXPECT_FALSE(cli.has("warmup-us"));
+  EXPECT_FALSE(cli.has("topology"));
+  ::testing::internal::CaptureStdout();
+  cli.print_usage();
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            "prog\n\noptions:\n"
+            "  --help                                       show this help\n"
+            "  --seed=<int> (default 7)                     random seed\n"
+            "  --sim-time-us=<us> (default 6000)            simulated time\n");
+}
+
+TEST(ConfigFlags, OutOfRangeValuesAreTheTablesErrors) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--sim-time-us=10000000000000",
+       "--sim-time-us=10000000000000: value 10000000000000 out of range for 'sim_time_us' "
+       "(-9223372036854..9223372036854)"},
+      {"--seed=-1", "--seed=-1: value -1 out of range for 'seed' (0..18446744073709551615)"},
+  };
+  for (const auto& [arg, expected] : cases) {
+    SimConfig config;
+    Cli cli("prog");
+    add_config_flags(&cli, config, {"seed", "sim_time_us"});
+    ASSERT_TRUE(parse_flags(&cli, {arg}));
+    EXPECT_EQ(apply_config_flags(cli, &config), expected);
+    EXPECT_EQ(config.seed, 1u);
+    EXPECT_EQ(config.sim_time, SimConfig{}.sim_time);
+  }
+}
+
+TEST(ConfigFlags, FlagNotGivenLeavesItsField) {
+  SimConfig config;
+  config.sim_time = 300 * core::kMicrosecond;
+  Cli cli("prog");
+  add_config_flags(&cli, SimConfig{}, {"seed", "sim_time_us"});
+  ASSERT_TRUE(parse_flags(&cli, {"--seed=5"}));
+  ASSERT_EQ(apply_config_flags(cli, &config), "");
+  EXPECT_EQ(config.seed, 5u);
+  EXPECT_EQ(config.sim_time, 300 * core::kMicrosecond);
+}
+
+TEST(ConfigFlags, ApplyIgnoresRowsTheCliDidNotRegister) {
+  Cli cli("prog");
+  add_config_flags(&cli, SimConfig{}, {"hotspots"});
+  cli.add_int("steps", 4, "a program option");
+  ASSERT_TRUE(parse_flags(&cli, {"--hotspots=3", "--steps=2"}));
+  SimConfig config;
+  ASSERT_EQ(apply_config_flags(cli, &config), "");
+  SimConfig expected;
+  expected.scenario.n_hotspots = 3;
+  EXPECT_EQ(store::canonical_config_text(config), store::canonical_config_text(expected));
+}
+
+TEST(ConfigFlagsDeath, UnsettableKeyAsserts) {
+  for (const char* key : {"no_such_key", "link_delay_ps"}) {
+    Cli cli("prog");
+    EXPECT_DEATH(add_config_flags(&cli, SimConfig{}, {key}), "no settable config key") << key;
+  }
 }
 
 TEST(ConfigFile, CcAlgoKeyApplies) {

@@ -184,6 +184,36 @@ TEST(CheckConfig, RejectsNonPositiveMovingLifetime) {
   EXPECT_EQ(check_config(moving), "");
 }
 
+TEST(CheckConfig, RejectsNegativeWindowsAndCounts) {
+  // Each of these would run and print wrong numbers.
+  const std::pair<std::string, std::string> cases[] = {
+      {"warmup_us = -50\nsim_time_us = 100", "warmup_us"},
+      {"warmup_us = 200\nsim_time_us = 100", "sim_time_us"},
+      {"warmup_us = 0\nsim_time_us = -5", "sim_time_us"},
+      {"topology = single\nworkload = incast\nworkload_ranks = -5", "workload_ranks"},
+      {"topology = single\nworkload = incast\nworkload_ranks = 4\nworkload_iters = -3",
+       "workload_iters"},
+      {"topology = single\nworkload = incast\nworkload_ranks = 4\nworkload_iters = 0",
+       "workload_iters"},
+      {"trace_ring = -7\ntrace_file = t.json", "trace_ring"},
+      {"trace_ring = 0\ntrace_file = t.json", "trace_ring"},
+  };
+  for (const auto& [text, expected] : cases) {
+    SimConfig config;
+    ASSERT_EQ(apply_config_text(text, &config), "") << text;
+    const std::string err = check_config(config);
+    EXPECT_NE(err.find(expected), std::string::npos) << text << " -> '" << err << "'";
+  }
+  // A zero-length window reads zero rather than failing, and without a
+  // trace file the ring is never built.
+  for (const char* text : {"warmup_us = 100\nsim_time_us = 100", "warmup_us = 0\nsim_time_us = 0",
+                           "trace_ring = 0"}) {
+    SimConfig config;
+    ASSERT_EQ(apply_config_text(text, &config), "") << text;
+    EXPECT_EQ(check_config(config), "") << text;
+  }
+}
+
 TEST(ExperimentPreset, QuickScalesLoopConsistently) {
   const ExperimentPreset quick = ExperimentPreset::quick();
   const ExperimentPreset paper = ExperimentPreset::paper();
