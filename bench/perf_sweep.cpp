@@ -2,11 +2,11 @@
 // parallelism: a sweep's runs per second over worker threads, and one
 // run's events per second over intra-run shards. It measures time
 // only; what can be counted is an exact test instead, so it holds on
-// any host. FastPathEquivalence pins the busy scenarios' events,
-// per-kind census and delivered bytes/packets on both fabric paths,
-// ShardEquivalence pins the shard_scaling counts, AllocAudit bounds the
-// 10k fat-tree's bytes per endpoint, and ResultStoreTest requires a
-// warm sweep to start no simulation.
+// any host. EventCensus.*Cell pins the busy scenarios' events,
+// per-kind census and delivered bytes/packets, ShardEquivalence pins
+// the shard_scaling counts, AllocAudit bounds the 10k fat-tree's bytes
+// per endpoint, and ResultStoreTest requires a warm sweep to start no
+// simulation.
 //
 // Usage:
 //   perf_sweep [--repeat=N] [--quick] [--threads-csv=PATH] [--shards-csv=PATH]

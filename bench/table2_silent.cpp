@@ -4,13 +4,10 @@
 // (hotspots inactive/active x CC off/on) plus the total-throughput rows
 // are printed in the paper's layout, alongside the paper's values.
 //
-//   ./table2_silent [--full] [--seed=S] [--csv=path] [--fabric-fast-path=0]
-//                   [--result-store=DIR]
+//   ./table2_silent [--full] [--seed=S] [--csv=path] [--result-store=DIR]
 //
-// --fabric-fast-path=0 runs the reference one-event-per-action fabric
-// chain; the printed table must be byte-identical to the default run
-// (and to bench/transcripts/table2_silent.quick.txt), and the
-// wall-clock delta is the fast path's win on this machine.
+// The quick preset's table is committed as
+// bench/transcripts/table2_silent.quick.txt and must print byte for byte.
 
 #include <cstdio>
 
@@ -22,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace ibsim;
   sim::Cli cli = bench::paper_cli("table2_silent", "paper Table II (silent congestion trees)",
                                   "paper-scale simulated time (also IBSIM_FULL=1)",
-                                  {"seed", "fabric_fast_path", "result_store"});
+                                  {"seed", "result_store"});
   cli.add_string("csv", "", "also write results as CSV to this path");
   sim::ExperimentPreset preset;
   if (!bench::parse_preset(cli, argc, argv, &preset)) return 0;

@@ -7,14 +7,31 @@
 //   ./moving_hotspots [--lifetime-us=L] [--steps=N] [--seed=S]
 //
 // L is the longest lifetime swept (positive), halved at each of the N
-// steps; a step simulates eight lifetimes.
+// steps; a step simulates eight lifetimes. The whole sweep is checked
+// before the first run, so a bad one prints nothing on stdout.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "analysis/table.hpp"
 #include "sim/cli.hpp"
 #include "sim/config_file.hpp"
 #include "sim/simulation.hpp"
+
+namespace {
+
+/// `t` in microseconds, exactly: halving leaves fractions ("12.5").
+std::string exact_us(ibsim::core::Time t) {
+  char frac[24];
+  std::snprintf(frac, sizeof(frac), ".%06lld",
+                static_cast<long long>(t % ibsim::core::kMicrosecond));
+  std::string digits = frac;
+  digits.erase(digits.find_last_not_of("0.") + 1);  // ".500000" -> ".5", ".000000" -> ""
+  return std::to_string(t / ibsim::core::kMicrosecond) + digits;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ibsim;
@@ -36,14 +53,28 @@ int main(int argc, char** argv) {
   cli.add_int("steps", 4, "number of lifetimes swept (halving each step)");
   if (!cli.parse(argc, argv)) return 0;
   sim::exit_on_error(sim::apply_config_flags(cli, &config));
-  core::Time lifetime = config.scenario.hotspot_lifetime;
-  if (lifetime == core::kTimeNever) {
+  const core::Time longest = config.scenario.hotspot_lifetime;
+  if (longest == core::kTimeNever) {
     sim::exit_on_error("--lifetime-us must be positive: the hotspots move");
   }
-  if (lifetime > core::kTimeNever / 8) {
+  if (longest > core::kTimeNever / 8) {
     sim::exit_on_error("--lifetime-us=" + cli.get_string("lifetime-us") +
                        ": a step simulates eight lifetimes, so at most " +
                        std::to_string(core::kTimeNever / 8 / core::kMicrosecond));
+  }
+  const std::int64_t steps = cli.get_int("steps");
+  if (steps < 1) sim::exit_on_error("--steps must be at least 1, not " + std::to_string(steps));
+  std::vector<sim::SimConfig> sweep;
+  for (core::Time lifetime = longest; std::ssize(sweep) < steps; lifetime /= 2) {
+    if (lifetime == 0) {
+      sim::exit_on_error("--lifetime-us=" + cli.get_string("lifetime-us") +
+                         " halves to 0 ps within --steps=" + std::to_string(steps));
+    }
+    config.scenario.hotspot_lifetime = lifetime;
+    config.sim_time = 8 * lifetime;
+    config.warmup = lifetime;
+    sim::exit_on_error(sim::check_config(config));
+    sweep.push_back(config);
   }
 
   std::printf("moving hotspots: %d nodes, 80%% contributors, 2 hotspots\n\n",
@@ -51,16 +82,12 @@ int main(int argc, char** argv) {
 
   analysis::TextTable table(
       {"Lifetime (us)", "all-node rcv CC off", "all-node rcv CC on", "gain"});
-  for (int step = 0; step < cli.get_int("steps"); ++step, lifetime /= 2) {
-    config.scenario.hotspot_lifetime = lifetime;
-    config.sim_time = 8 * lifetime;
-    config.warmup = lifetime;
-    sim::exit_on_error(sim::check_config(config));
-    config.cc.enabled = false;
-    const sim::SimResult off = sim::run_sim(config);
-    config.cc.enabled = true;
-    const sim::SimResult on = sim::run_sim(config);
-    table.add_row({analysis::fmt(static_cast<double>(lifetime) / core::kMicrosecond, 0),
+  for (sim::SimConfig& cell : sweep) {
+    cell.cc.enabled = false;
+    const sim::SimResult off = sim::run_sim(cell);
+    cell.cc.enabled = true;
+    const sim::SimResult on = sim::run_sim(cell);
+    table.add_row({exact_us(cell.scenario.hotspot_lifetime),
                    analysis::fmt(off.all_rcv_gbps), analysis::fmt(on.all_rcv_gbps),
                    analysis::fmt(off.all_rcv_gbps > 0 ? on.all_rcv_gbps / off.all_rcv_gbps : 0,
                                  2)});

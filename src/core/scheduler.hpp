@@ -88,10 +88,10 @@ class Scheduler {
   }
 
   /// Burn one insertion sequence number without scheduling anything.
-  /// The fabric fast path reserves the slot an elided event would have
-  /// occupied so every event that *does* execute keeps the exact
-  /// (at, seq) it would have had on the slow path — the foundation of
-  /// the fast-on/fast-off bit-identity guarantee (DESIGN.md §11).
+  /// A switch reserves the slot an elided link wakeup would have
+  /// occupied, so every event that *does* execute keeps the (at, seq)
+  /// tie order the goldens and transcripts were captured under
+  /// (DESIGN.md §11).
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Schedule an event into a sequence slot previously obtained from

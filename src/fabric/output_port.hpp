@@ -8,16 +8,15 @@
 
 namespace ibsim::fabric {
 
-/// Fast-path link-wakeup state of a switch output port
-/// (FabricParams::fast_path). The slow path schedules kEvLinkFree
-/// unconditionally after every grant; the fast path elides it when the
+/// Link-wakeup state of a switch output port. A grant schedules the
+/// port's kEvLinkFree while work is still queued and elides it when the
 /// output drained, remembering the (at, seq) slot the event would have
 /// occupied so a later materialization — or forgetting it once the slot
 /// has passed, since the skipped wakeup was a no-op — is
 /// indistinguishable from the eager schedule (DESIGN.md §11). An HCA
 /// schedules every wakeup, so its port stays kNone.
 enum class WakeState : std::uint8_t {
-  kNone = 0,       ///< no wakeup outstanding (slow path always here)
+  kNone = 0,       ///< no wakeup outstanding
   kScheduled = 1,  ///< a kEvLinkFree with seq == wake_seq is in the queue
   kElided = 2,     ///< slot reserved at (busy_until, wake_seq), no event queued
 };
@@ -49,7 +48,7 @@ struct OutputPort {
 
   core::Time busy_until = 0;
 
-  // Fast-path wakeup bookkeeping of a switch port (see WakeState).
+  // Wakeup bookkeeping of a switch port (see WakeState).
   // wake_seq identifies the live wakeup: an in-queue kEvLinkFree whose
   // seq differs is stale and must be dropped without acting.
   WakeState wake = WakeState::kNone;

@@ -41,7 +41,7 @@ void Cli::add_version(std::string line) {
 bool Cli::parse(int argc, char** argv) {
   auto fail = [&](const std::string& msg) {
     std::fprintf(stderr, "error: %s\n", msg.c_str());
-    print_usage();
+    print_usage(stderr);
     std::exit(2);
   };
 
@@ -124,8 +124,8 @@ const std::string& Cli::get_string(const std::string& name) const {
   return require(name, Kind::String).string_value;
 }
 
-void Cli::print_usage() const {
-  std::printf("%s\n\noptions:\n", description_.c_str());
+void Cli::print_usage(std::FILE* out) const {
+  std::fprintf(out, "%s\n\noptions:\n", description_.c_str());
   for (const std::string& name : order_) {
     const Option& opt = options_.at(name);
     std::string left = "--" + name;
@@ -138,7 +138,7 @@ void Cli::print_usage() const {
                                           : " (default " + opt.string_value + ")");
         break;
     }
-    std::printf("  %-44s %s\n", left.c_str(), opt.help.c_str());
+    std::fprintf(out, "  %-44s %s\n", left.c_str(), opt.help.c_str());
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,7 +29,8 @@ class Cli {
 
   /// Parse argv. On `--help` prints usage, on `--version` the version
   /// line, and returns false (caller should exit 0); on errors prints a
-  /// message and calls exit(2).
+  /// message and the usage to stderr, leaving stdout empty, and calls
+  /// exit(2).
   [[nodiscard]] bool parse(int argc, char** argv);
 
   /// True when option `name` is registered.
@@ -41,7 +43,7 @@ class Cli {
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
 
-  void print_usage() const;
+  void print_usage(std::FILE* out = stdout) const;
 
  private:
   enum class Kind { Flag, Int, String };

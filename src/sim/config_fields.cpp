@@ -131,8 +131,6 @@ constexpr ConfigField kFields[] = {
     {"hca_ibuf_cnp_bytes", IBSIM_MEMBER(fabric.hca_ibuf_cnp_bytes), kPlain, kKeyOnly, ""},
     {"cut_through", IBSIM_MEMBER(fabric.cut_through), kPlain, kKeyed,
      "virtual cut-through (0 = store-and-forward)"},
-    {"fabric_fast_path", IBSIM_MEMBER(fabric.fast_path), kPlain, kKeyed,
-     "fabric event fast path (0 = reference event chain; bit-identical results)"},
 
     // Congestion control (IBA annex A10; paper Table I defaults).
     {"cc_enabled", IBSIM_MEMBER(cc.enabled), kPlain, kKeyed, "congestion control"},

@@ -20,8 +20,8 @@ namespace ibsim::sim {
 /// windows.
 struct ExperimentPreset {
   /// Every cell's starting config: topology, the static-hotspot window
-  /// (Table II, figures 5-8), CC control-loop scale, seed, fast path and
-  /// result store. The quick preset runs the whole CC loop 4x faster
+  /// (Table II, figures 5-8), CC control-loop scale, seed and result
+  /// store. The quick preset runs the whole CC loop 4x faster
   /// (CCTI_Increase 4, CCTI_Timer 150/4) with hotspot lifetimes scaled
   /// by the same factor, so the convergence-to-window and
   /// lifetime-to-recovery ratios match the paper within windows that

@@ -131,6 +131,9 @@ std::string check_config(const SimConfig& config) {
       return "the traffic scenario needs at least 2 end nodes, not " + to_string(nodes);
     }
     if (!(sc.fraction_b >= 0.0 && sc.fraction_b <= 1.0)) return "fraction_b must be in [0, 1]";
+    if (!(sc.fraction_c_of_rest >= 0.0 && sc.fraction_c_of_rest <= 1.0)) {
+      return "fraction_c must be in [0, 1]";
+    }
     if (!(sc.p >= 0.0 && sc.p <= 1.0)) return "p_percent must be in [0, 100]";
     if (sc.n_hotspots < 0 || sc.n_hotspots > nodes) {
       return "hotspots = " + to_string(sc.n_hotspots) + " does not fit" + on_nodes;

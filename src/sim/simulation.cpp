@@ -163,10 +163,9 @@ SimResult Simulation::run() {
   run_until(config_.warmup);
   // The measurement window opens at the configured warmup, which is
   // what snapshot_at's rate denominators use, not at sched_.now(): the
-  // scheduler clock rests on the last *executed* event, and the fabric
-  // fast path elides bookkeeping events, so a last-event-based window
-  // would make rate denominators depend on the event-chain mode and
-  // break the fast/slow bit-identity guarantee.
+  // scheduler clock rests on the last *executed* event, and switches
+  // elide bookkeeping events, so a last-event-based window would make
+  // rate denominators depend on which wakeups the fabric elides.
   fabric_->reset_latency();
   window_base_.resize(static_cast<std::size_t>(fabric_->node_count()));
   for (ib::NodeId node = 0; node < fabric_->node_count(); ++node) {

@@ -126,8 +126,8 @@ class Simulation {
   /// The result over the measurement window that opened at the
   /// configured warmup, with rates referenced to `now`. run() passes the
   /// configured sim_time so rate denominators never depend on when the
-  /// last bookkeeping event happened to fire (the fabric fast path
-  /// elides some of those, and results must be bit-identical fast/slow).
+  /// last bookkeeping event happened to fire (switches elide some of
+  /// those, so the event chain alone does not fix that instant).
   [[nodiscard]] SimResult snapshot_at(core::Time now) const;
 
   /// Decide the shard count, build per-shard schedulers and the fabric

@@ -9,9 +9,7 @@ namespace ibsim::store {
 /// Canonical text form of a fully-resolved SimConfig: one `name=value`
 /// line per keyed row of the field table (sim/config_fields.hpp), in
 /// table order, each value pinned exactly (doubles as C hexfloat, times
-/// as integer picoseconds). The fabric fast path, proven bit-identical
-/// on and off, is keyed too: a conservative key can only cost a cache
-/// miss, never return a wrong result. Only orchestration rows stay out:
+/// as integer picoseconds). Only orchestration rows stay out:
 /// `result_store` names where results are cached and `threads` how many
 /// workers compute them.
 [[nodiscard]] std::string canonical_config_text(const sim::SimConfig& config);

@@ -32,6 +32,8 @@ Scenario::Scenario(std::int32_t n_nodes, const ScenarioSpec& spec, core::Rng rng
     : n_nodes_(n_nodes), spec_(spec), rng_(rng) {
   IBSIM_ASSERT(n_nodes >= 2, "scenario needs at least two nodes");
   IBSIM_ASSERT(spec.fraction_b >= 0.0 && spec.fraction_b <= 1.0, "fraction_b out of range");
+  IBSIM_ASSERT(spec.fraction_c_of_rest >= 0.0 && spec.fraction_c_of_rest <= 1.0,
+               "fraction_c out of range");
   IBSIM_ASSERT(spec.p >= 0.0 && spec.p <= 1.0, "p out of range");
 
   // Random role placement: shuffle the node ids, then carve off B, C, V

@@ -85,46 +85,43 @@ void expect_matches(const SimResult& r, const Golden& g) {
 }
 
 // Captured 2026-08-06 at commit 9ba5484 (pre-ccalg tree), g++ -O2.
-// The captures predate the fabric fast path and pin events_executed, so
-// they run the reference event chain; fast-vs-slow equivalence of every
-// behavioural field is covered by tests/integration/fast_path_equivalence.
 // Rate/Jain fields were re-captured when the measurement window was
 // pinned to the configured [warmup, sim_time] instants (it previously
 // ended at the last executed event): identical traffic, identical event
-// counts, slightly different rate denominators.
+// counts, slightly different rate denominators. events_executed was
+// re-captured when the fabric's one-event-per-action chain was retired:
+// the captures predate the switches' elided link wakeups, and every
+// other field held bit for bit.
 TEST(IbaA10Golden, SilentForestMatchesPreRefactorTree) {
   SimConfig c = silent_config();
-  c.fabric.fast_path = false;
   c.cc_algo = "iba_a10";
   expect_matches(run_sim(c),
                  {0x1.db22d0e560418p+2, 0x1.b43526527a205p+0, 0x1.5421c044284ep+1,
                   0x1.fe32a0663c75p+4, 0x1.d1aa986978624p-1, 0x1.d7a125fd84587p+5,
-                  0x1.cf01696969696p+7, 1268, 999, 999, 3188736, 38301});
+                  0x1.cf01696969696p+7, 1268, 999, 999, 3188736, 33763});
 }
 
 TEST(IbaA10Golden, WindyForestMatchesPreRefactorTree) {
   SimConfig c = windy_config();
-  c.fabric.fast_path = false;
   c.cc_algo = "iba_a10";
   expect_matches(run_sim(c),
                  {0x1.23a29c779a6b5p+3, 0x1.86db50f40e5a3p+1, 0x1.041195e2e41ebp+2,
                   0x1.861a60d4562e1p+5, 0x1.f4592e45b6e72p-1, 0x1.b16bb60131877p+5,
-                  0x1.c61ap+7, 1439, 1083, 1083, 4876288, 51796});
+                  0x1.c61ap+7, 1439, 1083, 1083, 4876288, 45655});
 }
 
 TEST(IbaA10Golden, MovingHotspotsMatchesPreRefactorTree) {
   SimConfig c = moving_config();
-  c.fabric.fast_path = false;
   c.cc_algo = "iba_a10";
   expect_matches(run_sim(c),
                  {0x1.cf56eac860568p+2, 0x1.63baba7b9170ep+2, 0x1.75aa17ddb3ec8p+2,
                   0x1.183f91e646f16p+6, 0x1.a4ca7589f1261p-1, 0x1.faff457703668p+5,
-                  0x1.f1d1dc47711dcp+7, 3593, 2764, 2760, 7006208, 86433});
+                  0x1.f1d1dc47711dcp+7, 3593, 2764, 2760, 7006208, 79035});
 }
 
 // The same three scenarios under the rate-based algorithms, captured
 // 2026-10-17 at commit 0f5cc7f (the last tree with dense per-destination
-// flow state), g++ -O2 Release, default fabric fast path. They pin
+// flow state), g++ -O2 Release. They pin
 // RateBasedAlgorithm's flow bookkeeping across storage rewrites.
 TEST(DcqcnGolden, SilentForest) {
   SimConfig c = silent_config();

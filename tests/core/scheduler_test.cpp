@@ -252,7 +252,7 @@ TEST_P(SchedulerQueueKind, ChainedSchedulingAdvances) {
 
 // ---------------------------------------------------------------------------
 // Reserved sequence slots and the per-kind counters — the
-// scheduler-side contract the fabric fast path is built on.
+// scheduler-side contract the switches' lazy link wakeups are built on.
 // ---------------------------------------------------------------------------
 
 TEST_P(SchedulerQueueKind, ReservedSeqKeepsItsSlotInSameTimeTies) {

@@ -216,9 +216,9 @@ TEST(PacketQueue, InterleavedFrontBackAccounting) {
 }
 
 TEST(PacketArena, ResetCoversEveryHeaderField) {
-  // The fast path recycles packets harder (fewer events between release
-  // and reallocation), so a stale CC mark or stream tag on a reused slot
-  // would silently corrupt marking statistics. Exercise every field
+  // The arena recycles slots as soon as packets drain, so a stale CC mark
+  // or stream tag on a reused slot would silently corrupt marking
+  // statistics. Exercise every field
   // reset() promises to clear.
   PacketArena arena;
   const PacketHandle h = arena.allocate();

@@ -81,6 +81,16 @@ TEST(CliDeath, UnknownOptionExits) {
   EXPECT_DEATH(parse(cli, {"--nope"}), "unknown option");
 }
 
+// A parse error goes to stderr with the usage after it, so stdout (a
+// transcript, when redirected) stays empty.
+TEST(CliDeath, ParseErrorPrintsTheUsageToStderr) {
+  Cli cli("prog: a test program");
+  cli.add_int("count", 0, "how many");
+  EXPECT_EXIT(parse(cli, {"--nope"}), ::testing::ExitedWithCode(2),
+              "error: unknown option '--nope'.*prog: a test program.*options:.*"
+              "--count=<int> \\(default 0\\) +how many");
+}
+
 TEST(CliDeath, BadIntegerExits) {
   for (const char* arg : {"--count=abc", "--count=", "--count=99999999999999999999999"}) {
     Cli cli("test");

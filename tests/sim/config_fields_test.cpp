@@ -62,13 +62,13 @@ TEST(ConfigFields, TextKeysAreTheConfigFileKeys) {
       "lifetime_us", "inject_gbps", "cc_enabled", "cc_algo", "threshold_weight",
       "marking_rate", "packet_size", "victim_mask", "ccti_increase", "ccti_limit",
       "ccti_min", "ccti_timer", "sl_level", "cct_fill", "cct_base", "wire_gbps",
-      "hca_inject_gbps", "hca_drain_gbps", "n_vls", "cut_through", "fabric_fast_path",
+      "hca_inject_gbps", "hca_drain_gbps", "n_vls", "cut_through",
       "switch_ibuf_bytes", "hca_ibuf_bytes", "workload", "workload_file", "workload_ranks",
       "workload_bytes", "workload_iters", "workload_compute_us", "workload_background",
       "sim_time_us", "warmup_us", "seed", "trace_file", "trace_categories", "counters_csv",
       "telemetry_sample_us", "trace_ring", "telemetry_detailed", "telemetry_counters",
       "result_store", "threads", "shards"};
-  ASSERT_EQ(expected.size(), 63u);
+  ASSERT_EQ(expected.size(), 62u);
   std::set<std::string> settable;
   for (const ConfigField& field : config_fields()) {
     if (field.settable()) {

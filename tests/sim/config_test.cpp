@@ -90,6 +90,12 @@ TEST(CheckConfig, BuildableConfigsPass) {
   widest.topology = TopologyKind::FatTree3;
   widest.fat_tree3 = topo::FatTree3Params::scale_10k();
   EXPECT_EQ(check_config(widest), "");
+  // Every node a C node, or none.
+  for (const char* text : {"fraction_c = 1", "fraction_c = 0"}) {
+    SimConfig config;
+    ASSERT_EQ(apply_config_text(text, &config), "") << text;
+    EXPECT_EQ(check_config(config), "") << text;
+  }
   // The linear CCT fill ignores cct_base, whatever it reads.
   SimConfig linear;
   ASSERT_EQ(apply_config_text("cct_fill = linear\ncct_base = nan\n", &linear), "");
@@ -112,6 +118,12 @@ TEST(CheckConfig, NamesTheFirstBrokenPrecondition) {
       {"topology = mesh\nmesh_nodes = 0", "mesh_nodes"},
       {"clos_leaves = 1\nclos_nodes_per_leaf = 1", "at least 2 end nodes"},
       {"fraction_b = 2", "fraction_b"},
+      // fraction_c is a share of the non-B nodes, not a percent: 80 or 2
+      // would carve more C nodes than there are, -1 or nan none at all.
+      {"fraction_c = 80", "fraction_c"},
+      {"fraction_c = 2", "fraction_c"},
+      {"fraction_c = -1", "fraction_c"},
+      {"fraction_c = nan", "fraction_c"},
       {"p_percent = 150", "p_percent"},
       {"topology = single\nsingle_nodes = 4", "hotspots = 8"},
       {"workload = file", "workload_file"},

@@ -136,9 +136,6 @@ TEST(RunKey, NamedFieldsChangeTheKey) {
       {"workload.bytes", [](sim::SimConfig* c) { c->workload.message_bytes += 1; }},
       {"sim_time", [](sim::SimConfig* c) { c->sim_time += 1; }},
       {"warmup", [](sim::SimConfig* c) { c->warmup += 1; }},
-      // A proven bit-identical variant is still keyed conservatively: a
-      // conservative key costs a miss, never a wrong result.
-      {"fabric.fast_path", [](sim::SimConfig* c) { c->fabric.fast_path = !c->fabric.fast_path; }},
       // Cross-shard interleaving may legitimately differ between shard
       // counts, so the shard count is simulation-affecting.
       {"shards", [](sim::SimConfig* c) { c->shards = 4; }},
